@@ -7,6 +7,7 @@ mix inside one polynomial.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from numbers import Integral, Rational
 
@@ -19,10 +20,17 @@ def is_exact(value) -> bool:
 
 
 def coerce_couplings(omega_l, k):
-    """Return (omega_l, k, exact) with both couplings Fraction or both float."""
+    """Return (omega_l, k, exact) with both couplings Fraction or both float.
+
+    Float couplings must be finite.
+    """
     if is_exact(omega_l) and is_exact(k):
         return Fraction(omega_l), Fraction(k), True
-    return float(omega_l), float(k), False
+    omega, kk = float(omega_l), float(k)
+    for name, value in (("omega_l", omega), ("k", kk)):
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
+    return omega, kk, False
 
 
 def as_half_integer(j) -> Fraction:

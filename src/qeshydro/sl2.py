@@ -9,7 +9,9 @@ it is tridiagonal with a closed form used throughout:
     M[n-1, n]   = -n (|m| + n/2)
     M[n+1, n]   = -omega_l (2j - n)
 
-and the admissible strengths are exactly its eigenvalues.
+and the admissible strengths are exactly its eigenvalues.  Its exact
+characteristic polynomial follows from the three-term continuant of these
+entries in O(n^2) rational operations.
 """
 
 from __future__ import annotations
@@ -272,36 +274,33 @@ def qes_matrix_from_generators(j, m: int, omega_l, k) -> QesMatrix:
 def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial det(z I - M), ascending coefficients.
 
-    Faddeev-LeVerrier recursion in exact rational arithmetic; requires an
-    exact matrix.
+    Three-term continuant of the tridiagonal matrix in exact rational
+    arithmetic, O(n^2) operations:
+
+        p_0 = 1,  p_1 = z - M[0][0],
+        p_{i+1} = (z - M[i][i]) p_i - M[i-1][i] M[i][i-1] p_{i-1}.
+
+    Requires an exact, tridiagonal matrix.
     """
     if not matrix.exact:
         raise ValueError("characteristic_polynomial requires exact entries")
     n = matrix.dim
     a = matrix.entries
+    if any(a[i][q] != 0 for i in range(n) for q in range(n) if abs(i - q) > 1):
+        raise ValueError("characteristic_polynomial requires a tridiagonal matrix")
 
-    def matmul(x, y):
-        return [
-            [sum(x[i][l] * y[l][q] for l in range(n)) for q in range(n)]
-            for i in range(n)
-        ]
-
-    def trace(x):
-        return sum(x[i][i] for i in range(n))
-
-    coeffs = [Fraction(0)] * (n + 1)
-    coeffs[n] = Fraction(1)
-    mk = [row[:] for row in a]
-    for step in range(1, n + 1):
-        ck = -trace(mk) / step
-        coeffs[n - step] = ck
-        if step == n:
-            break
-        shifted = [
-            [mk[i][q] + (ck if i == q else 0) for q in range(n)] for i in range(n)
-        ]
-        mk = matmul(a, shifted)
-    return tuple(coeffs)
+    prev, cur = [], [Fraction(1)]
+    for i in range(n):
+        diag = a[i][i]
+        nxt = [Fraction(0)] + cur
+        for d, c in enumerate(cur):
+            nxt[d] -= diag * c
+        if i:
+            couple = a[i - 1][i] * a[i][i - 1]
+            for d, c in enumerate(prev):
+                nxt[d] -= couple * c
+        prev, cur = cur, nxt
+    return tuple(cur)
 
 
 def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,

@@ -42,6 +42,17 @@ class TestSolve:
             capsys)
         assert code == 2
 
+    @pytest.mark.parametrize("omega_l,k,name", [("1", "nan", "k"),
+                                                ("1", "inf", "k"),
+                                                ("inf", "1", "omega_l")])
+    def test_non_finite_coupling_is_usage_error(self, omega_l, k, name, capsys):
+        code, _, err = run_main(
+            ["solve", "--omega-l", omega_l, "--k", k, "--m", "0", "--level", "2"],
+            capsys)
+        assert code == 2
+        assert f"{name} must be finite" in err
+        assert "Array must not contain" not in err
+
     def test_level_and_j_conflict(self, capsys):
         code, _, err = run_main(
             ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "1",

@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from qeshydro import (
+    QesMatrix,
     build_generators,
     build_qes_matrix,
     characteristic_polynomial,
     commutator_defects,
+    constraint_polynomial,
     energy_x,
     qes_matrix_from_generators,
     sl2_coefficients,
@@ -147,6 +149,52 @@ class TestQesMatrix:
     def test_characteristic_polynomial_requires_exact(self):
         with pytest.raises(ValueError):
             characteristic_polynomial(build_qes_matrix(HALF, 0, 1.0, 1.0))
+
+    def test_characteristic_polynomial_requires_tridiagonal(self):
+        entries = [[Fraction(1), Fraction(0), Fraction(1, 3)],
+                   [Fraction(0), Fraction(2), Fraction(0)],
+                   [Fraction(0), Fraction(0), Fraction(3)]]
+        mat = QesMatrix(Fraction(1), 0, Fraction(1), Fraction(1), entries, True)
+        with pytest.raises(ValueError, match="requires a tridiagonal matrix"):
+            characteristic_polynomial(mat)
+
+
+def _sympy_charpoly(entries):
+    sympy = pytest.importorskip("sympy")
+    coeffs = sympy.Matrix(entries).charpoly().all_coeffs()
+    return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
+
+
+class TestCharacteristicPolynomialReference:
+    def test_random_tridiagonal_matches_sympy(self):
+        rng = np.random.default_rng(11)
+
+        def rational():
+            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+
+        for dim in range(1, 16):
+            entries = [[rational() if abs(i - q) <= 1 else Fraction(0)
+                        for q in range(dim)] for i in range(dim)]
+            mat = QesMatrix(Fraction(dim - 1, 2), 0, Fraction(1), Fraction(1),
+                            entries, True)
+            assert characteristic_polynomial(mat) == _sympy_charpoly(entries)
+
+    @pytest.mark.parametrize("two_j,m,omega,k", [
+        (0, 0, 1, 1), (3, -1, 2, 3), (6, 2, Fraction(1, 2), Fraction(1, 3)),
+        (9, -4, 3, 0), (12, 1, Fraction(5, 3), Fraction(7, 2)),
+    ])
+    def test_generator_matrices_match_sympy(self, two_j, m, omega, k):
+        mat = qes_matrix_from_generators(Fraction(two_j, 2), m, omega, k)
+        assert characteristic_polynomial(mat) == _sympy_charpoly(mat.entries)
+
+    @pytest.mark.parametrize("omega,k", [(Fraction(1), Fraction(1)),
+                                         (Fraction(3, 2), Fraction(2, 5))])
+    def test_equals_constraint_polynomial_to_level_25(self, omega, k):
+        for m in (-2, 0, 3):
+            for level in range(1, 26):
+                mat = build_qes_matrix(Fraction(level - 1, 2), m, omega, k)
+                constraint = constraint_polynomial(level, m, omega, k).monic()
+                assert characteristic_polynomial(mat) == constraint
 
 
 class TestSolveAdmissible:
