@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -153,6 +154,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_MAX_K_OVER_OMEGA = math.sqrt(sys.float_info.max)
+
+
+def _check_omega_scale(omega_l: float, k: float) -> None:
+    """Every energy carries omega_l**2 and (k/omega_l)**2; both must stay
+    normal doubles, or the solve overflows or divides by zero."""
+    if omega_l * omega_l < sys.float_info.min or (
+        math.isfinite(k) and k / omega_l > _MAX_K_OVER_OMEGA
+    ):
+        raise DomainError(
+            f"omega-l {omega_l!r} is too small for double precision at "
+            f"k = {k!r}: omega-l**2 underflows or (k/omega-l)**2 overflows"
+        )
+
+
 def _merge(args: argparse.Namespace) -> RunConfig:
     config = _load_config_file(args.config) if args.config else {}
 
@@ -187,6 +203,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
             raise UsageError(f"omega-l must be > 0, got {omega_l}")
         if k < 0:
             raise UsageError(f"k must be >= 0, got {k}")
+        _check_omega_scale(omega_l, k)
 
     fmt = pick("format", "csv" if command == "scan" else "json")
     default_samples = 100 if command == "export" else 0
@@ -214,6 +231,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
             raise UsageError("every omega-l in the scan must be > 0")
         if any(kk < 0 for kk in cfg.k_list):
             raise UsageError("every k in the scan must be >= 0")
+        _check_omega_scale(min(cfg.omega_l_list), max(cfg.k_list))
         if not cfg.m_list and cfg.m is None:
             raise UsageError("scan requires --m or --m-list")
     return cfg

@@ -1,7 +1,9 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,20 @@ class TestSolve:
         assert code == 2
         assert f"{name} must be finite" in err
         assert "Array must not contain" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--omega-l", "1e-300", "--k", "1", "--m", "0", "--level", "2"],
+        ["solve", "--omega-l", "1e-160", "--k", "1", "--m", "0", "--level", "1"],
+        ["solve", "--omega-l", "1e-300", "--k", "0", "--m", "0", "--level", "2"],
+        ["scan", "--omega-l-list", "1e-300,1", "--k-list", "1", "--m", "0",
+         "--level", "2"],
+    ])
+    def test_tiny_omega_is_domain_error(self, argv, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 3
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error:") and "omega-l" in err
 
     def test_level_and_j_conflict(self, capsys):
         code, _, err = run_main(
@@ -273,3 +289,16 @@ class TestSubprocessEntry:
             capture_output=True, text=True)
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["states"][0]["z"] == pytest.approx(0.5)
+
+    def test_import_loads_no_scipy(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        code = (
+            "import sys, qeshydro, qeshydro.cli\n"
+            "print([n for n in sys.modules if n == 'scipy' or "
+            "n.startswith(('scipy.', 'numpy.f2py'))])"
+        )
+        env = dict(os.environ, PYTHONPATH=str(src))
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"

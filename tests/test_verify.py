@@ -17,6 +17,7 @@ from qeshydro import (
     solve_series_states,
     verify_state,
 )
+from qeshydro.verify import _simpson
 
 HALF = Fraction(1, 2)
 
@@ -151,3 +152,42 @@ class TestResidualConvergence:
             observed[level] = [verify_state(s).node_count for s in states]
         print(f"node counts by ascending z: {observed}")
         assert set(observed) == {3, 4}
+
+
+def _density_samples():
+    """(density, radii) pairs on default and fixed-policy grids."""
+    for omega_l, k, m, level in ((1, 1, 0, 3), (0.3, 2, -2, 6), (4, 0, 3, 9)):
+        params = ModelParams(omega_l, k, m)
+        states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+        grids = [RadialGrid.for_params(params, n=n) for n in (33, 34, 4096, 4097)]
+        for state in states[:: max(1, len(states) // 3)]:
+            for grid in grids:
+                r = grid.points
+                yield state.radial_values(r) ** 2 * r, r
+    state = solve_series_states(2, 1, 1, 1)[1]
+    for grid in (RadialGrid.uniform(1e-3, 12.0, 1000),
+                 RadialGrid.geometric(1e-3, 12.0, 1001)):
+        r = grid.points
+        yield state.radial_values(r) ** 2 * r, r
+
+
+class TestSimpson:
+    def test_bit_identical_to_reference(self):
+        integrate = pytest.importorskip("scipy.integrate")
+        for y, x in _density_samples():
+            assert _simpson(y, x) == integrate.simpson(y, x=x)
+        # Random irregular grids reach rounding cases the smooth grids miss.
+        rng = np.random.default_rng(0)
+        for _ in range(200):
+            n = 2 * int(rng.integers(2, 200))
+            x = np.cumsum(rng.uniform(0.1, 1.0, n))
+            y = rng.normal(size=n)
+            assert _simpson(y, x) == integrate.simpson(y, x=x)
+
+    @pytest.mark.parametrize("n", [3, 4, 101, 102])
+    def test_exact_for_quadratics(self, n):
+        rng = np.random.default_rng(n)
+        x = np.sort(rng.uniform(-1.0, 2.0, n))
+        y = 3 * x**2 + 2 * x + 1
+        exact = float(np.diff(x[[0, -1]] ** 3 + x[[0, -1]] ** 2 + x[[0, -1]])[0])
+        assert _simpson(y, x) == pytest.approx(exact, rel=1e-13)
