@@ -1,4 +1,5 @@
-"""Internal helpers: exact-vs-float coercion and small polynomial utilities.
+"""Internal helpers: exact-vs-float coercion, the bisection loop, and small
+polynomial utilities.
 
 Polynomials are coefficient sequences in ascending order of the power.
 Coefficients may be `Fraction` (exact mode) or `float`; the two modes never
@@ -22,15 +23,18 @@ def is_exact(value) -> bool:
 def coerce_couplings(omega_l, k):
     """Return (omega_l, k, exact) with both couplings Fraction or both float.
 
-    Float couplings must be finite.
+    Float couplings must be finite, and omega_l must be positive.
     """
     if is_exact(omega_l) and is_exact(k):
-        return Fraction(omega_l), Fraction(k), True
-    omega, kk = float(omega_l), float(k)
-    for name, value in (("omega_l", omega), ("k", kk)):
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-    return omega, kk, False
+        omega, kk, exact = Fraction(omega_l), Fraction(k), True
+    else:
+        omega, kk, exact = float(omega_l), float(k), False
+        for name, value in (("omega_l", omega), ("k", kk)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
+    if not omega > 0:
+        raise ValueError("omega_l must be > 0")
+    return omega, kk, exact
 
 
 def as_half_integer(j) -> Fraction:
@@ -48,6 +52,22 @@ def check_integer_m(m) -> int:
     if isinstance(m, bool) or not isinstance(m, Integral):
         raise ValueError(f"m must be an exact integer, got {m!r}")
     return int(m)
+
+
+def bisect(above, lo: float, hi: float, steps: int = 200) -> tuple[float, float]:
+    """Bisect ``[lo, hi]`` toward the point where ``above`` turns false.
+
+    ``above(mid)`` moves ``lo`` up to ``mid``, otherwise ``hi`` comes down.
+    A step that leaves both ends unchanged is repeated by every later step,
+    so the loop stops there with the result all ``steps`` steps give.
+    """
+    for _ in range(steps):
+        mid = 0.5 * (lo + hi)
+        ends = (mid, hi) if above(mid) else (lo, mid)
+        if ends == (lo, hi):
+            break
+        lo, hi = ends
+    return lo, hi
 
 
 def polyval(coeffs, x):

@@ -263,7 +263,8 @@ def _csv_table(header: "list[str]", rows: "list[list]") -> str:
 
 
 def _solve_with_reports(cfg: RunConfig):
-    """Shared solve pipeline: states, per-state reports, cross check, notes."""
+    """Shared solve pipeline: states, per-state reports, cross check, notes,
+    and the radial grid the reports were computed on."""
     if cfg.level < 1:
         raise NoGroundStateError()
     diags: list[str] = []
@@ -287,7 +288,12 @@ def _solve_with_reports(cfg: RunConfig):
             diags.append("cross-validation FAILED")
     else:
         diags.append("cross-validation skipped: level above the desk-scale cap")
-    return states, reports, cross, diags
+    return states, reports, cross, diags, grid
+
+
+def _cross_exit(cross) -> int:
+    """Exit 4 when cross-validation ran (level <= 13) and failed."""
+    return EXIT_VERIFICATION if cross is not None and not cross.passed else EXIT_OK
 
 
 def _parameters_dict(cfg: RunConfig) -> dict:
@@ -311,7 +317,7 @@ def _state_entry(state: QesState, report) -> dict:
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    states, reports, cross, diags = _solve_with_reports(cfg)
+    states, reports, cross, diags, _ = _solve_with_reports(cfg)
     if cfg.fmt == "json":
         payload = {
             "version": __version__,
@@ -329,9 +335,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             for i, (s, r) in enumerate(zip(states, reports))
         ]
         _emit(_csv_table(header, rows), cfg.out)
-    if cross is not None and not cross.passed:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _cross_exit(cross)
 
 
 def cmd_scan(cfg: RunConfig) -> int:
@@ -371,7 +375,7 @@ def cmd_scan(cfg: RunConfig) -> int:
 
 
 def cmd_verify(cfg: RunConfig) -> int:
-    states, reports, cross, diags = _solve_with_reports(cfg)
+    states, reports, cross, diags, _ = _solve_with_reports(cfg)
     all_passed = bool(states) and all(r.passed for r in reports)
     if cross is not None:
         all_passed = all_passed and cross.passed
@@ -388,7 +392,7 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 
 def cmd_map_sextic(cfg: RunConfig) -> int:
-    states, reports, cross, diags = _solve_with_reports(cfg)
+    states, reports, cross, diags, _ = _solve_with_reports(cfg)
     params = ModelParams(cfg.omega_l, cfg.k, cfg.m)
     rho_grid = rho_grid_for(params)
     entries = []
@@ -429,15 +433,11 @@ def cmd_map_sextic(cfg: RunConfig) -> int:
         if sample_rows:
             text += "\n" + _csv_table(["root_index", "rho", "zeta"], sample_rows)
         _emit(text, cfg.out)
-    if cross is not None and not cross.passed:
-        return EXIT_VERIFICATION
-    return EXIT_OK
+    return _cross_exit(cross)
 
 
 def cmd_export(cfg: RunConfig) -> int:
-    states, reports, cross, diags = _solve_with_reports(cfg)
-    params = ModelParams(cfg.omega_l, cfg.k, cfg.m)
-    grid = RadialGrid.for_params(params, n=cfg.grid_points, r_min=cfg.r_min)
+    states, reports, cross, diags, grid = _solve_with_reports(cfg)
     n_samples = cfg.sample_points or 100
     radii = np.geomspace(grid.r_min, grid.r_max, n_samples)
 
@@ -462,7 +462,7 @@ def cmd_export(cfg: RunConfig) -> int:
             values = state.radial_values(radii)
             rows.extend([idx, float(a), float(b)] for a, b in zip(radii, values))
         _emit(_csv_table(header, rows), cfg.out)
-    return EXIT_OK
+    return _cross_exit(cross)
 
 
 _DISPATCH = {

@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._polyops import check_integer_m, coerce_couplings, polyval
+from ._polyops import bisect, check_integer_m, coerce_couplings, polyval
 
 TWO_PI = 2.0 * math.pi
 
@@ -114,8 +114,6 @@ def gauge_transform(params: ModelParams) -> GaugeTransform:
     the regular power law at the origin.
     """
     omega, k, exact = coerce_couplings(params.omega_l, params.k)
-    if not omega > 0:
-        raise ValueError("omega_l must be > 0")
     return GaugeTransform(mu=omega, delta=k / omega, nu=-params.abs_m)
 
 
@@ -220,17 +218,16 @@ def envelope_r_max(params: ModelParams, decay: float = ENVELOPE_DECAY) -> float:
         r_peak = (-delta + math.sqrt(delta * delta + 4.0 * omega * am)) / (2.0 * omega)
         log_peak = params.log_envelope(r_peak)
     target = log_peak + math.log(decay) - 0.5 * math.log(10.0)
-    lo = max(r_peak, 1e-12)
-    hi = lo + 1.0
-    while params.log_envelope(hi) > target:
+    return _decay_cutoff(params.log_envelope, max(r_peak, 1e-12), target)
+
+
+def _decay_cutoff(log_envelope, start: float, target: float) -> float:
+    """Upper end of the bisected bracket where a decaying ``log_envelope``
+    falls to ``target`` past ``start``; ``start + 1`` doubles to bracket it."""
+    hi = start + 1.0
+    while log_envelope(hi) > target:
         hi *= 2.0
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if params.log_envelope(mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return hi
+    return bisect(lambda r: log_envelope(r) > target, start, hi)[1]
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,14 +295,8 @@ def _floored_geometric(r_min: float, r_max: float, n: int, floor: float) -> np.n
         n1 = uniform_steps(g)
         return (r_min + n1 * floor) * (1.0 + g) ** (n - 1 - n1)
 
-    g_hi = (r_max / r_min) ** (1.0 / (n - 1)) - 1.0
-    g_lo = 1e-16
-    for _ in range(200):
-        g_mid = 0.5 * (g_lo + g_hi)
-        if end(g_mid) < r_max:
-            g_lo = g_mid
-        else:
-            g_hi = g_mid
+    g_lo, g_hi = bisect(lambda g: end(g) < r_max, 1e-16,
+                        (r_max / r_min) ** (1.0 / (n - 1)) - 1.0)
     g = 0.5 * (g_lo + g_hi)
     n1 = uniform_steps(g)
     head = r_min + floor * np.arange(n1 + 1)

@@ -100,14 +100,19 @@ def recurrence_next(state: RecurrenceState, n: int):
     """
     if n < 0 or n >= len(state.coeffs):
         raise ValueError(f"coefficient a_{n} is not available")
-    am = abs(state.m)
-    omega, k = state.omega_l, state.k
     a_prev = state.coeffs[n - 1] if n >= 1 else 0
-    a_cur = state.coeffs[n]
-    e_term = omega * (n + am + state.m) - k * k / (2 * omega * omega) - state.energy
-    z_term = (am + _HALF + n) * (k / omega) - state.z
+    e_term, b_term, denom = _terms(n, state.m, state.omega_l, state.k, state.energy)
+    return (e_term * a_prev + (b_term - state.z) * state.coeffs[n]) / denom
+
+
+def _terms(n: int, m: int, omega, k, energy):
+    """Step-n recurrence data: the a_{n-1} coefficient, the z-free part of
+    the a_n coefficient, and the divisor of a_{n+1}."""
+    am = abs(m)
+    e_term = omega * (n + am + m) - k * k / (2 * omega * omega) - energy
+    b_term = (am + _HALF + n) * (k / omega)
     denom = (n + 1) * (am + Fraction(1 + n, 2))
-    return (e_term * a_prev + z_term * a_cur) / denom
+    return e_term, b_term, denom
 
 
 @dataclass(frozen=True)
@@ -145,19 +150,14 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
         raise ValueError(f"level must be a positive integer, got {level!r}")
     m = check_integer_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
-    if not omega > 0:
-        raise ValueError("omega_l must be > 0")
     energy = level_energy(level, m, omega, kk)
-    am = abs(m)
     one = Fraction(1) if exact else 1.0
 
     # Coefficients a_n are linear-combination polynomials in z.
     a_prev: list = []          # a_{-1} = 0
     a_cur: list = [one]        # a_0 = 1
     for n in range(level):
-        e_term = omega * (n + am + m) - kk * kk / (2 * omega * omega) - energy
-        b_term = (am + _HALF + n) * (kk / omega)
-        denom = (n + 1) * (am + Fraction(1 + n, 2))
+        e_term, b_term, denom = _terms(n, m, omega, kk, energy)
         width = max(len(a_prev), len(a_cur) + 1)
         nxt = [Fraction(0) if exact else 0.0] * width
         for i, c in enumerate(a_prev):
@@ -177,11 +177,13 @@ def constraint_value(level: int, m: int, omega_l, k, z):
 
 def _regenerate(level: int, m: int, omega_l: float, k: float, energy: float,
                 z: float, extra: int = 2) -> list[float]:
-    state = RecurrenceState(m, float(omega_l), float(k), float(energy),
-                            float(z), (1.0,))
-    for _ in range(level + extra):
-        state = state.extended()
-    return [float(c) for c in state.coeffs]
+    """Float coefficients a_0 .. a_{level+extra} at one strength z."""
+    coeffs = [1.0]
+    for n in range(level + extra):
+        e_term, b_term, denom = _terms(n, m, omega_l, k, energy)
+        a_prev = coeffs[n - 1] if n >= 1 else 0.0
+        coeffs.append((e_term * a_prev + (b_term - z) * coeffs[n]) / denom)
+    return coeffs
 
 
 def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,

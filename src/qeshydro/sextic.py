@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import DEFAULT_R_MIN, ModelParams, QesState, RadialGrid, _fd_derivatives
+from .model import (DEFAULT_R_MIN, ModelParams, QesState, RadialGrid,
+                    _decay_cutoff, _fd_derivatives)
 
 __all__ = [
     "SexticState",
@@ -114,17 +115,9 @@ def rho_grid_for(
     u_peak = (-delta + math.sqrt(delta * delta + 2.0 * omega * power)) / (2.0 * omega)
     rho_peak = math.sqrt(u_peak)
     target = _log_zeta_envelope(params, rho_peak) + math.log(decay)
-    hi = rho_peak + 1.0
-    while _log_zeta_envelope(params, hi) > target:
-        hi *= 2.0
-    lo = rho_peak
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if _log_zeta_envelope(params, mid) > target:
-            lo = mid
-        else:
-            hi = mid
-    return RadialGrid.geometric(rho_min, hi, n)
+    rho_max = _decay_cutoff(lambda rho: _log_zeta_envelope(params, rho),
+                            rho_peak, target)
+    return RadialGrid.geometric(rho_min, rho_max, n)
 
 
 def sextic_residual(sextic: SexticState, grid: RadialGrid | None = None) -> float:

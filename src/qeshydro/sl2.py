@@ -145,8 +145,6 @@ def sl2_coefficients(j, m: int, omega_l, k) -> Sl2Coefficients:
     jf = as_half_integer(j)
     m = check_integer_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
-    if not omega > 0:
-        raise ValueError("omega_l must be > 0")
     half = Fraction(1, 2)
     am = abs(m)
     jval = jf if exact else float(jf)
@@ -202,8 +200,6 @@ def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
     jf = as_half_integer(j)
     m = check_integer_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
-    if not omega > 0:
-        raise ValueError("omega_l must be > 0")
     dim = int(2 * jf) + 1
     am = abs(m)
     half = Fraction(1, 2)

@@ -217,6 +217,25 @@ class TestExport:
         assert len(lines) == 8
 
 
+class TestVerificationExit:
+    @pytest.mark.parametrize("command", ["solve", "map-sextic", "export"])
+    def test_failed_cross_validation_exits_4(self, command, capsys):
+        code, out, _ = run_main(
+            [command, "--omega-l", "1e6", "--k", "1", "--m", "0", "--level", "3"],
+            capsys)
+        assert code == 4
+        assert "cross-validation FAILED" in json.loads(out)["diagnostics"]
+
+    def test_series_failure_exits_4_without_traceback(self, capsys):
+        code, out, err = run_main(
+            ["solve", "--omega-l", "0.2", "--k", "4", "--m", "0", "--level", "13"],
+            capsys)
+        assert code == 4
+        assert err == ""
+        diagnostics = json.loads(out)["diagnostics"]
+        assert any("series failed to terminate" in d for d in diagnostics)
+
+
 class TestDeterminismAndRoundTrip:
     def test_byte_identical_output(self, tmp_path):
         paths = [tmp_path / "a.json", tmp_path / "b.json"]

@@ -73,6 +73,11 @@ class TestLevelEnergy:
         with pytest.raises(DomainError):
             level_energy(0, 0, 1, 1)
 
+    @pytest.mark.parametrize("omega_l", [0.0, -1.0])
+    def test_non_positive_omega_rejected(self, omega_l):
+        with pytest.raises(ValueError, match="omega_l must be > 0"):
+            level_energy(1, 0, omega_l, 1.0)
+
 
 class TestRadialGrid:
     def test_monotone_positive_required(self):
@@ -245,3 +250,10 @@ class TestScalingCovariance:
             assert len(base) == len(scaled)
             for b, s in zip(base, scaled):
                 assert s.z == pytest.approx(lam * b.z, rel=1e-9)
+
+
+def test_public_names_resolve():
+    import qeshydro
+
+    missing = [name for name in qeshydro.__all__ if not hasattr(qeshydro, name)]
+    assert missing == []

@@ -11,6 +11,7 @@ from qeshydro import (
     Tolerances,
     count_nodes,
     cross_validate,
+    envelope_r_max,
     residual_convergence_ratio,
     scaling_audit,
     solve_admissible_z,
@@ -86,6 +87,30 @@ class TestNodeCounting:
             assert count_nodes(tuple(quintic), 6.0) == 3
 
 
+class TestOscillationTheorem:
+    """The i-th strength in ascending order has exactly i nodes: z is the
+    spectral parameter of a Sturm-Liouville problem with weight 1."""
+
+    @pytest.mark.parametrize("omega_l,k", [(0.3, 4), (1, 1), (3, 0)])
+    @pytest.mark.parametrize("m", [-2, 0, 3])
+    def test_node_count_equals_ascending_index(self, omega_l, k, m):
+        r_max = envelope_r_max(ModelParams(omega_l, k, m))
+        checked = 0
+        for level in range(1, 14):
+            routes = [solve_admissible_z((level - 1) / 2, m, omega_l, k)]
+            try:
+                routes.append(solve_series_states(level, m, omega_l, k))
+            except RuntimeError:
+                pass  # the series did not terminate at this input
+            for states in routes:
+                zs = [s.z for s in states]
+                assert zs == sorted(zs)
+                nodes = [count_nodes(s.poly, r_max) for s in states]
+                assert nodes == list(range(len(states)))
+                checked += len(states)
+        assert checked > 0
+
+
 class TestCrossValidate:
     def test_spin_half_unit_couplings(self):
         report = cross_validate(HALF, 0, 1, 1)
@@ -113,6 +138,12 @@ class TestCrossValidate:
     def test_desk_scale_cap(self):
         with pytest.raises(ValueError):
             cross_validate(7, 0, 1, 1)
+
+    def test_series_failure_is_reported_not_raised(self):
+        # At this input the series route fails to terminate at a root.
+        report = cross_validate(6, 0, 0.2, 4)
+        assert not report.passed
+        assert any("series failed to terminate" in n for n in report.notes)
 
 
 class TestScalingAudit:
