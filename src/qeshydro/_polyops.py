@@ -1,5 +1,5 @@
-"""Internal helpers: exact-vs-float coercion, the bisection loop, and small
-polynomial utilities.
+"""Internal helpers: coupling validation and exact-vs-float coercion, the
+bisection loop, and small polynomial utilities.
 
 Polynomials are coefficient sequences in ascending order of the power.
 Coefficients may be `Fraction` (exact mode) or `float`; the two modes never
@@ -9,10 +9,19 @@ mix inside one polynomial.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 from numbers import Integral, Rational
 
 import numpy as np
+
+
+#: Largest k/omega_l whose square is still a finite double.
+_MAX_K_OVER_OMEGA = math.sqrt(sys.float_info.max)
+
+
+class DomainError(ValueError):
+    """A structurally inadmissible request (distinct from a usage slip)."""
 
 
 def is_exact(value) -> bool:
@@ -23,7 +32,10 @@ def is_exact(value) -> bool:
 def coerce_couplings(omega_l, k):
     """Return (omega_l, k, exact) with both couplings Fraction or both float.
 
-    Float couplings must be finite, and omega_l must be positive.
+    The one check of the couplings, in this order: float couplings are
+    finite, omega_l > 0, k >= 0, and float couplings keep omega_l**2 and
+    (k/omega_l)**2 normal doubles, as every energy carries both.  The last
+    check raises DomainError; the others raise ValueError.
     """
     if is_exact(omega_l) and is_exact(k):
         omega, kk, exact = Fraction(omega_l), Fraction(k), True
@@ -33,7 +45,15 @@ def coerce_couplings(omega_l, k):
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
     if not omega > 0:
-        raise ValueError("omega_l must be > 0")
+        raise ValueError(f"omega_l must be > 0, got {omega}")
+    if kk < 0:
+        raise ValueError(f"k must be >= 0, got {kk}")
+    if not exact and (omega * omega < sys.float_info.min
+                      or kk / omega > _MAX_K_OVER_OMEGA):
+        raise DomainError(
+            f"omega-l {omega!r} is too small for double precision at "
+            f"k = {kk!r}: omega-l**2 underflows or (k/omega-l)**2 overflows"
+        )
     return omega, kk, exact
 
 
@@ -54,14 +74,14 @@ def check_integer_m(m) -> int:
     return int(m)
 
 
-def bisect(above, lo: float, hi: float, steps: int = 200) -> tuple[float, float]:
+def bisect(above, lo: float, hi: float) -> tuple[float, float]:
     """Bisect ``[lo, hi]`` toward the point where ``above`` turns false.
 
     ``above(mid)`` moves ``lo`` up to ``mid``, otherwise ``hi`` comes down.
     A step that leaves both ends unchanged is repeated by every later step,
-    so the loop stops there with the result all ``steps`` steps give.
+    so the loop stops there with the result all 200 steps give.
     """
-    for _ in range(steps):
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
         ends = (mid, hi) if above(mid) else (lo, mid)
         if ends == (lo, hi):
@@ -91,12 +111,15 @@ def monic(coeffs):
     return tuple(c / lead for c in coeffs)
 
 
-def newton_polish(coeffs, root: float, iterations: int = 3) -> float:
-    """A few guarded Newton steps on a polynomial with float coefficients."""
+def newton_polish(coeffs, root: float) -> float:
+    """Three guarded Newton steps on a polynomial with float coefficients.
+
+    Returns a Python float even when the coefficients are numpy scalars.
+    """
     der = polyder(coeffs)
     z = float(root)
     scale = max(1.0, abs(z))
-    for _ in range(iterations):
+    for _ in range(3):
         dp = polyval(der, z)
         if dp == 0.0 or not np.isfinite(dp):
             break
@@ -104,7 +127,7 @@ def newton_polish(coeffs, root: float, iterations: int = 3) -> float:
         if not np.isfinite(step) or abs(step) > 0.1 * scale:
             break
         z -= step
-    return z
+    return float(z)
 
 
 def real_roots(coeffs, tol: float, diagnostics=None):

@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__, sl2
-from .model import DomainError, ModelParams, QesState, RadialGrid
+from ._polyops import coerce_couplings
+from .model import (DEFAULT_GRID_POINTS, DEFAULT_R_MIN, DomainError, ModelParams,
+                    QesState, RadialGrid)
 from .series import NoGroundStateError
 from .sextic import rho_grid_for, sextic_residual, sextic_wavefunction, to_sextic
-from .verify import cross_validate, verify_state
+from .verify import _compare_routes, verify_state
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -30,6 +31,7 @@ EXIT_DOMAIN = 3
 EXIT_VERIFICATION = 4
 
 _COMMANDS = ("solve", "scan", "verify", "map-sextic", "export")
+_FORMATS = ("json", "csv")
 
 
 class UsageError(Exception):
@@ -46,9 +48,9 @@ class RunConfig:
     m: int | None = None
     level: int | None = None
     tol: float = 1e-9
-    grid_points: int = 4096
-    r_min: float = 1e-3
-    fmt: str = "json"
+    grid_points: int = DEFAULT_GRID_POINTS
+    r_min: float = DEFAULT_R_MIN
+    format: str = "json"
     out: str | None = None
     sample_points: int = 0
     omega_l_list: tuple[float, ...] = ()
@@ -59,8 +61,8 @@ class RunConfig:
     def __post_init__(self):
         if self.tol <= 0:
             raise UsageError("tol must be positive")
-        if self.fmt not in ("json", "csv"):
-            raise UsageError(f"unsupported format {self.fmt!r}")
+        if self.format not in _FORMATS:
+            raise UsageError(f"unsupported format {self.format!r}")
         if self.grid_points < 64:
             raise UsageError("grid-points must be at least 64")
         if self.r_min <= 0:
@@ -77,7 +79,11 @@ def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
 
-_PARSERS = {
+#: Every option: its config-file key, its flag (the key with '-' for '_'),
+#: and its parser.  The ``*_list`` flags belong to ``scan`` only.  Defaults
+#: live in RunConfig, except that scan writes CSV and export samples 100
+#: radii unless told otherwise.
+_OPTIONS = {
     "omega_l": float,
     "k": float,
     "m": int,
@@ -109,10 +115,10 @@ def _load_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: expected 'key = value'")
                 key, _, value = line.partition("=")
                 key = key.strip().replace("-", "_")
-                if key not in _PARSERS:
+                if key not in _OPTIONS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _PARSERS[key](value.strip())
+                    values[key] = _OPTIONS[key](value.strip())
                 except ValueError as exc:
                     raise UsageError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
@@ -133,105 +139,47 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="flat key = value configuration file")
-        p.add_argument("--omega-l", dest="omega_l", type=float, default=None)
-        p.add_argument("--k", type=float, default=None)
-        p.add_argument("--m", type=int, default=None)
-        p.add_argument("--level", type=int, default=None)
-        p.add_argument("--j", type=float, default=None)
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--grid-points", dest="grid_points", type=int, default=None)
-        p.add_argument("--r-min", dest="r_min", type=float, default=None)
-        p.add_argument("--format", dest="fmt", choices=("json", "csv"), default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--sample-points", dest="sample_points", type=int, default=None)
-        if name == "scan":
-            p.add_argument("--omega-l-list", dest="omega_l_list",
-                           type=_float_list, default=None)
-            p.add_argument("--k-list", dest="k_list", type=_float_list, default=None)
-            p.add_argument("--m-list", dest="m_list", type=_int_list, default=None)
-            p.add_argument("--level-list", dest="level_list",
-                           type=_int_list, default=None)
+        for key, parse in _OPTIONS.items():
+            if key.endswith("_list") and name != "scan":
+                continue
+            p.add_argument("--" + key.replace("_", "-"), type=parse, default=None,
+                           choices=_FORMATS if key == "format" else None)
     return parser
 
 
-_MAX_K_OVER_OMEGA = math.sqrt(sys.float_info.max)
-
-
-def _check_omega_scale(omega_l: float, k: float) -> None:
-    """Every energy carries omega_l**2 and (k/omega_l)**2; both must stay
-    normal doubles, or the solve overflows or divides by zero."""
-    if omega_l * omega_l < sys.float_info.min or (
-        math.isfinite(k) and k / omega_l > _MAX_K_OVER_OMEGA
-    ):
-        raise DomainError(
-            f"omega-l {omega_l!r} is too small for double precision at "
-            f"k = {k!r}: omega-l**2 underflows or (k/omega-l)**2 overflows"
-        )
-
-
 def _merge(args: argparse.Namespace) -> RunConfig:
-    config = _load_config_file(args.config) if args.config else {}
+    """Flags over config file over RunConfig's defaults; every coupling pair
+    the command will solve passes :func:`coerce_couplings` here."""
+    values = _load_config_file(args.config) if args.config else {}
+    values.update((key, value) for key, value in vars(args).items()
+                  if key in _OPTIONS and value is not None)
+    command = values["command"] = args.command
+    if command == "scan":
+        values.setdefault("format", "csv")
 
-    def pick(key, default=None):
-        flag = getattr(args, key if key != "format" else "fmt", None)
-        if flag is not None:
-            return flag
-        if key in config:
-            return config[key]
-        return default
-
-    level = pick("level")
-    j = pick("j")
+    level = values.get("level")
+    j = values.pop("j", None)
     if level is not None and j is not None:
         raise UsageError("give only one of --level or --j")
     if level is None and j is not None:
         two_j = 2.0 * float(j)
         if two_j < 0 or two_j != round(two_j):
             raise UsageError(f"j must be a non-negative half-integer, got {j!r}")
-        level = int(round(two_j)) + 1
-    if level is None and not (args.command == "scan" and pick("level_list")):
+        level = values["level"] = int(round(two_j)) + 1
+    if level is None and not (command == "scan" and values.get("level_list")):
         raise UsageError("exactly one of --level or --j must be given")
 
-    omega_l = pick("omega_l")
-    k = pick("k")
-    m = pick("m")
-    command = args.command
     if command != "scan":
-        if omega_l is None or k is None or m is None:
+        if any(values.get(key) is None for key in ("omega_l", "k", "m")):
             raise UsageError("--omega-l, --k and --m are required")
-        if omega_l <= 0:
-            raise UsageError(f"omega-l must be > 0, got {omega_l}")
-        if k < 0:
-            raise UsageError(f"k must be >= 0, got {k}")
-        _check_omega_scale(omega_l, k)
-
-    fmt = pick("format", "csv" if command == "scan" else "json")
-    default_samples = 100 if command == "export" else 0
-    cfg = RunConfig(
-        command=command,
-        omega_l=omega_l,
-        k=k,
-        m=m,
-        level=level,
-        tol=pick("tol", 1e-9),
-        grid_points=pick("grid_points", 4096),
-        r_min=pick("r_min", 1e-3),
-        fmt=fmt,
-        out=pick("out"),
-        sample_points=pick("sample_points", default_samples),
-        omega_l_list=tuple(pick("omega_l_list", ()) or ()),
-        k_list=tuple(pick("k_list", ()) or ()),
-        m_list=tuple(pick("m_list", ()) or ()),
-        level_list=tuple(pick("level_list", ()) or ()),
-    )
+        coerce_couplings(values["omega_l"], values["k"])
+    cfg = RunConfig(**values)
     if command == "scan":
         if not cfg.omega_l_list or not cfg.k_list:
             raise UsageError("scan requires non-empty --omega-l-list and --k-list")
-        if any(w <= 0 for w in cfg.omega_l_list):
-            raise UsageError("every omega-l in the scan must be > 0")
-        if any(kk < 0 for kk in cfg.k_list):
-            raise UsageError("every k in the scan must be >= 0")
-        _check_omega_scale(min(cfg.omega_l_list), max(cfg.k_list))
+        for omega_l in sorted(cfg.omega_l_list):
+            for k in sorted(cfg.k_list):
+                coerce_couplings(omega_l, k)
         if not cfg.m_list and cfg.m is None:
             raise UsageError("scan requires --m or --m-list")
     return cfg
@@ -262,23 +210,29 @@ def _csv_table(header: "list[str]", rows: "list[list]") -> str:
     return "\n".join(lines) + "\n"
 
 
+def _solve_and_verify(cfg: RunConfig, omega_l, k, m, level, diagnostics=None):
+    """One parameter set: the algebraic states, the radial grid and the
+    per-state reports on it."""
+    states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k, cfg.tol,
+                                    diagnostics=diagnostics)
+    params = ModelParams(omega_l, k, m)
+    grid = RadialGrid.for_params(params, n=cfg.grid_points, r_min=cfg.r_min)
+    return states, [verify_state(s, grid=grid) for s in states], grid
+
+
 def _solve_with_reports(cfg: RunConfig):
     """Shared solve pipeline: states, per-state reports, cross check, notes,
     and the radial grid the reports were computed on."""
     if cfg.level < 1:
         raise NoGroundStateError()
     diags: list[str] = []
-    j = 0.5 * (cfg.level - 1)
-    states = sl2.solve_admissible_z(j, cfg.m, cfg.omega_l, cfg.k, cfg.tol,
-                                    diagnostics=diags)
-    params = ModelParams(cfg.omega_l, cfg.k, cfg.m)
-    grid = RadialGrid.for_params(params, n=cfg.grid_points, r_min=cfg.r_min)
-    reports = [verify_state(s, grid=grid) for s in states]
-
+    states, reports, grid = _solve_and_verify(cfg, cfg.omega_l, cfg.k, cfg.m,
+                                              cfg.level, diags)
     cross = None
     if cfg.level <= 13:
-        cross = cross_validate(j, cfg.m, cfg.omega_l, cfg.k, cfg.tol)
-        diags.extend(cross.notes)
+        cross = _compare_routes(states, diags, cfg.level, cfg.m, cfg.omega_l,
+                                cfg.k, cfg.tol)
+        diags = list(cross.notes)
         if cross.passed:
             diags.append(
                 f"cross-validation passed: max z delta "
@@ -296,14 +250,17 @@ def _cross_exit(cross) -> int:
     return EXIT_VERIFICATION if cross is not None and not cross.passed else EXIT_OK
 
 
-def _parameters_dict(cfg: RunConfig) -> dict:
-    return {
+def _payload(cfg: RunConfig, **fields) -> dict:
+    """JSON payload of a single-set command: version, parameters, then the
+    command's own ``fields``."""
+    parameters = {
         "omega_l": float(cfg.omega_l),
         "k": float(cfg.k),
         "m": int(cfg.m),
         "level": int(cfg.level),
         "j": 0.5 * (cfg.level - 1),
     }
+    return {"version": __version__, "parameters": parameters, **fields}
 
 
 def _state_entry(state: QesState, report) -> dict:
@@ -318,14 +275,9 @@ def _state_entry(state: QesState, report) -> dict:
 
 def cmd_solve(cfg: RunConfig) -> int:
     states, reports, cross, diags, _ = _solve_with_reports(cfg)
-    if cfg.fmt == "json":
-        payload = {
-            "version": __version__,
-            "parameters": _parameters_dict(cfg),
-            "states": [_state_entry(s, r) for s, r in zip(states, reports)],
-            "diagnostics": diags,
-        }
-        _emit(_json_dump(payload), cfg.out)
+    if cfg.format == "json":
+        entries = [_state_entry(s, r) for s, r in zip(states, reports)]
+        _emit(_json_dump(_payload(cfg, states=entries, diagnostics=diags)), cfg.out)
     else:
         header = ["omega_l", "k", "m", "level", "j", "root_index", "z", "energy",
                   "norm_constant", "max_residual", "norm_error", "node_count"]
@@ -352,18 +304,13 @@ def cmd_scan(cfg: RunConfig) -> int:
         for k in sorted(cfg.k_list):
             for m in sorted(m_values):
                 for level in sorted(level_values):
-                    j = 0.5 * (level - 1)
-                    states = sl2.solve_admissible_z(j, m, omega_l, k, cfg.tol)
-                    params = ModelParams(omega_l, k, m)
-                    grid = RadialGrid.for_params(params, n=cfg.grid_points,
-                                                 r_min=cfg.r_min)
-                    for idx, state in enumerate(states):
-                        report = verify_state(state, grid=grid)
+                    states, reports, _ = _solve_and_verify(cfg, omega_l, k, m, level)
+                    for idx, (state, report) in enumerate(zip(states, reports)):
                         rows.append([
                             omega_l, k, m, level, idx, state.z, state.energy,
                             report.max_residual, report.node_count,
                         ])
-    if cfg.fmt == "csv":
+    if cfg.format == "csv":
         _emit(_csv_table(header, rows), cfg.out)
     else:
         payload = {
@@ -379,14 +326,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     all_passed = bool(states) and all(r.passed for r in reports)
     if cross is not None:
         all_passed = all_passed and cross.passed
-    payload = {
-        "version": __version__,
-        "parameters": _parameters_dict(cfg),
-        "reports": [r.to_dict() for r in reports],
-        "cross_validation": cross.to_dict() if cross is not None else None,
-        "diagnostics": diags,
-        "passed": all_passed,
-    }
+    payload = _payload(
+        cfg,
+        reports=[r.to_dict() for r in reports],
+        cross_validation=cross.to_dict() if cross is not None else None,
+        diagnostics=diags,
+        passed=all_passed,
+    )
     _emit(_json_dump(payload), cfg.out)
     return EXIT_OK if all_passed else EXIT_VERIFICATION
 
@@ -411,14 +357,8 @@ def cmd_map_sextic(cfg: RunConfig) -> int:
             )
         entries.append(entry)
 
-    if cfg.fmt == "json":
-        payload = {
-            "version": __version__,
-            "parameters": _parameters_dict(cfg),
-            "states": entries,
-            "diagnostics": diags,
-        }
-        _emit(_json_dump(payload), cfg.out)
+    if cfg.format == "json":
+        _emit(_json_dump(_payload(cfg, states=entries, diagnostics=diags)), cfg.out)
     else:
         header = ["root_index", "m_tilde", "centrifugal", "rho2", "rho4",
                   "rho6", "eigenvalue", "sextic_residual", "z", "energy"]
@@ -441,20 +381,14 @@ def cmd_export(cfg: RunConfig) -> int:
     n_samples = cfg.sample_points or 100
     radii = np.geomspace(grid.r_min, grid.r_max, n_samples)
 
-    if cfg.fmt == "json":
+    if cfg.format == "json":
         entries = []
         for state, report in zip(states, reports):
             entry = _state_entry(state, report)
             values = state.radial_values(radii)
             entry["samples"] = [[float(a), float(b)] for a, b in zip(radii, values)]
             entries.append(entry)
-        payload = {
-            "version": __version__,
-            "parameters": _parameters_dict(cfg),
-            "states": entries,
-            "diagnostics": diags,
-        }
-        _emit(_json_dump(payload), cfg.out)
+        _emit(_json_dump(_payload(cfg, states=entries, diagnostics=diags)), cfg.out)
     else:
         header = ["root_index", "r", "radial_value"]
         rows = []

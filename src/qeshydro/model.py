@@ -21,7 +21,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._polyops import bisect, check_integer_m, coerce_couplings, polyval
+from ._polyops import (DomainError, bisect, check_integer_m, coerce_couplings,
+                       polyval)
 
 TWO_PI = 2.0 * math.pi
 
@@ -34,10 +35,6 @@ ENVELOPE_DECAY = 1e-12
 _SPACING_FLOOR_AT_DEFAULT = 1.25e-4
 
 _GAUSS_NODES = {}
-
-
-class DomainError(ValueError):
-    """A structurally inadmissible request (distinct from a usage slip)."""
 
 
 class GridError(ValueError):
@@ -58,10 +55,7 @@ class ModelParams:
     z_coulomb: float | None = None
 
     def __post_init__(self):
-        if not self.omega_l > 0:
-            raise ValueError(f"omega_l must be > 0, got {self.omega_l!r}")
-        if self.k < 0:
-            raise ValueError(f"k must be >= 0, got {self.k!r}")
+        coerce_couplings(self.omega_l, self.k)
         check_integer_m(self.m)
 
     @property
@@ -167,11 +161,6 @@ class QesState:
                 f"energy {self.energy} inconsistent with level {self.level}"
             )
 
-    @property
-    def solved_params(self) -> ModelParams:
-        """Parameters with this state's admissible Coulomb strength filled in."""
-        return self.params.with_z(self.z)
-
     def polynomial_values(self, r):
         return np.asarray(polyval(self.poly, np.asarray(r, dtype=float)))
 
@@ -203,8 +192,8 @@ class QesState:
         )
 
 
-def envelope_r_max(params: ModelParams, decay: float = ENVELOPE_DECAY) -> float:
-    """Radius where the envelope has fallen below ``decay`` of its peak.
+def envelope_r_max(params: ModelParams) -> float:
+    """Radius where the envelope has fallen below ENVELOPE_DECAY of its peak.
 
     Overshoots the crossing by half a decade so the bound holds strictly on
     any grid that ends there.
@@ -217,7 +206,7 @@ def envelope_r_max(params: ModelParams, decay: float = ENVELOPE_DECAY) -> float:
     else:
         r_peak = (-delta + math.sqrt(delta * delta + 4.0 * omega * am)) / (2.0 * omega)
         log_peak = params.log_envelope(r_peak)
-    target = log_peak + math.log(decay) - 0.5 * math.log(10.0)
+    target = log_peak + math.log(ENVELOPE_DECAY) - 0.5 * math.log(10.0)
     return _decay_cutoff(params.log_envelope, max(r_peak, 1e-12), target)
 
 
@@ -266,17 +255,16 @@ class RadialGrid:
         params: ModelParams,
         n: int = DEFAULT_GRID_POINTS,
         r_min: float = DEFAULT_R_MIN,
-        decay: float = ENVELOPE_DECAY,
     ) -> "RadialGrid":
         """Default grid: geometric spacing with a roundoff floor.
 
-        r_max is adaptive (envelope below ``decay`` of its peak).  The local
-        step is max(growth * r, floor) with floor scaled so that refining the
+        r_max is adaptive (:func:`envelope_r_max`).  The local step is
+        max(growth * r, floor) with floor scaled so that refining the
         point count refines the floor proportionally; this keeps the
         finite-difference residual second-order under grid doubling while
         bounding eps/h^2 roundoff near the origin.
         """
-        r_max = envelope_r_max(params, decay)
+        r_max = envelope_r_max(params)
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
         pts = _floored_geometric(r_min, r_max, n, floor)
         return cls(pts, "geometric", r_min, r_max)

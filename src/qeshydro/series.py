@@ -176,10 +176,11 @@ def constraint_value(level: int, m: int, omega_l, k, z):
 
 
 def _regenerate(level: int, m: int, omega_l: float, k: float, energy: float,
-                z: float, extra: int = 2) -> list[float]:
-    """Float coefficients a_0 .. a_{level+extra} at one strength z."""
+                z: float) -> list[float]:
+    """Float coefficients a_0 .. a_{level+1} at one strength z: the
+    polynomial factor and the two tail terms that must vanish."""
     coeffs = [1.0]
-    for n in range(level + extra):
+    for n in range(level + 1):
         e_term, b_term, denom = _terms(n, m, omega_l, k, energy)
         a_prev = coeffs[n - 1] if n >= 1 else 0.0
         coeffs.append((e_term * a_prev + (b_term - z) * coeffs[n]) / denom)

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (DEFAULT_R_MIN, ModelParams, QesState, RadialGrid,
-                    _decay_cutoff, _fd_derivatives)
+from .model import (DEFAULT_R_MIN, ENVELOPE_DECAY, ModelParams, QesState,
+                    RadialGrid, _decay_cutoff, _fd_derivatives)
 
 __all__ = [
     "SexticState",
@@ -69,9 +69,9 @@ class SexticState:
         }
 
 
-def to_sextic(state: QesState, params: ModelParams | None = None) -> SexticState:
+def to_sextic(state: QesState) -> SexticState:
     """Populate the mapped problem's coefficients from a solved state."""
-    params = state.params if params is None else params
+    params = state.params
     omega = float(params.omega_l)
     m_tilde = 2 * params.m
     return SexticState(
@@ -100,24 +100,19 @@ def _log_zeta_envelope(params: ModelParams, rho: float) -> float:
     return power * math.log(rho) - 0.5 * omega * rho**4 - delta * rho * rho
 
 
-def rho_grid_for(
-    params: ModelParams,
-    n: int = DEFAULT_RHO_POINTS,
-    rho_min: float | None = None,
-    decay: float = 1e-12,
-) -> RadialGrid:
-    """Geometric rho grid from sqrt(r_min) to the mapped envelope cutoff."""
-    rho_min = math.sqrt(DEFAULT_R_MIN) if rho_min is None else rho_min
+def rho_grid_for(params: ModelParams) -> RadialGrid:
+    """Geometric rho grid of DEFAULT_RHO_POINTS points from sqrt(DEFAULT_R_MIN)
+    to where the mapped envelope falls below ENVELOPE_DECAY of its peak."""
     power = 2 * params.abs_m + 0.5
     omega = float(params.omega_l)
     delta = float(params.k) / omega
     # Peak of the log envelope: power = 2 omega rho^4 + 2 delta rho^2.
     u_peak = (-delta + math.sqrt(delta * delta + 2.0 * omega * power)) / (2.0 * omega)
     rho_peak = math.sqrt(u_peak)
-    target = _log_zeta_envelope(params, rho_peak) + math.log(decay)
+    target = _log_zeta_envelope(params, rho_peak) + math.log(ENVELOPE_DECAY)
     rho_max = _decay_cutoff(lambda rho: _log_zeta_envelope(params, rho),
                             rho_peak, target)
-    return RadialGrid.geometric(rho_min, rho_max, n)
+    return RadialGrid.geometric(math.sqrt(DEFAULT_R_MIN), rho_max, DEFAULT_RHO_POINTS)
 
 
 def sextic_residual(sextic: SexticState, grid: RadialGrid | None = None) -> float:

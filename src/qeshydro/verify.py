@@ -11,7 +11,7 @@ import numpy as np
 from . import series, sl2
 from ._polyops import as_half_integer, is_exact, polyval
 from .model import (
-    ModelParams,
+    DEFAULT_GRID_POINTS,
     QesState,
     RadialGrid,
     gauss_integrate,
@@ -38,6 +38,11 @@ class Tolerances:
     def __post_init__(self):
         if min(self.max_residual, self.norm_error, self.cross_delta) <= 0:
             raise ValueError("tolerances must be positive")
+
+
+_TOLERANCES = Tolerances()
+#: Points of the sign scan in :func:`count_nodes`.
+_NODE_MESH_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -81,12 +86,12 @@ def _state_label(state: QesState) -> str:
     )
 
 
-def count_nodes(poly, r_max: float, mesh_points: int = 4096) -> int:
+def count_nodes(poly, r_max: float) -> int:
     """Sign changes of the polynomial factor on (0, r_max].
 
-    A sign scan over ``mesh_points`` equally spaced points from
-    r_max / mesh_points to r_max: roots closer together, or closer to 0,
-    than that spacing are not resolved.
+    A sign scan over ``_NODE_MESH_POINTS`` equally spaced points from
+    r_max / _NODE_MESH_POINTS to r_max: roots closer together, or closer
+    to 0, than that spacing are not resolved.
     """
     coeffs = [float(c) for c in poly]
     degree = len(coeffs) - 1
@@ -94,7 +99,7 @@ def count_nodes(poly, r_max: float, mesh_points: int = 4096) -> int:
         degree -= 1
     if degree <= 0:
         return 0
-    mesh = np.linspace(r_max / mesh_points, r_max, mesh_points)
+    mesh = np.linspace(r_max / _NODE_MESH_POINTS, r_max, _NODE_MESH_POINTS)
     values = polyval(coeffs, mesh)
     signs = np.sign(values)
     signs = signs[signs != 0]
@@ -134,10 +139,11 @@ def _simpson(y: np.ndarray, x: np.ndarray):
     return total
 
 
-def _norm_estimate(state: QesState, grid: RadialGrid) -> float:
-    """Simpson norm on the grid plus endpoint tail estimates."""
+def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray) -> float:
+    """Simpson norm on the grid plus endpoint tail estimates, from the
+    state's ``samples`` on the grid points."""
     r = grid.points
-    density = state.radial_values(r) ** 2 * r
+    density = samples ** 2 * r
     total = float(_simpson(density, r))
 
     head = gauss_integrate(
@@ -160,19 +166,16 @@ def _norm_estimate(state: QesState, grid: RadialGrid) -> float:
     return total + head + tail
 
 
-def verify_state(
-    state: QesState,
-    params: ModelParams | None = None,
-    grid: RadialGrid | None = None,
-    tolerances: Tolerances = Tolerances(),
-) -> VerificationReport:
-    """Residual, normalization, and node-count report for one state.
+def verify_state(state: QesState, grid: RadialGrid | None = None) -> VerificationReport:
+    """Residual, normalization, and node-count report for one state, on
+    ``grid`` or the default grid of the state's parameters.
 
     The residual is the interior maximum of |(H - E) R| scaled by
     max(|E R|, machine floor) over the grid; normalization error is the
-    deviation of the Simpson-plus-tails norm from one.
+    deviation of the Simpson-plus-tails norm from one.  Both are held to
+    the default :class:`Tolerances`.
     """
-    params = state.params if params is None else params
+    params = state.params
     grid = RadialGrid.for_params(params) if grid is None else grid
     if not any(abs(c) > 0 for c in state.poly):
         raise ValueError("state has an identically zero polynomial factor")
@@ -185,12 +188,12 @@ def verify_state(
     scale = max(abs(state.energy) * float(np.max(np.abs(samples))), floor, 1e-300)
     max_residual = float(np.max(np.abs(residual[interior]))) / scale
 
-    norm_error = abs(_norm_estimate(state, grid) - 1.0)
+    norm_error = abs(_norm_estimate(state, grid, samples) - 1.0)
     nodes = count_nodes(state.poly, grid.r_max)
 
     passed = (
-        max_residual <= tolerances.max_residual
-        and norm_error <= tolerances.norm_error
+        max_residual <= _TOLERANCES.max_residual
+        and norm_error <= _TOLERANCES.norm_error
     )
     return VerificationReport(
         state_label=_state_label(state),
@@ -201,15 +204,11 @@ def verify_state(
     )
 
 
-def residual_convergence_ratio(
-    state: QesState,
-    params: ModelParams | None = None,
-    n_coarse: int = 4096,
-) -> float:
+def residual_convergence_ratio(state: QesState) -> float:
     """Ratio of max residuals on the default grid and its 2x refinement."""
-    params = state.params if params is None else params
-    coarse = verify_state(state, params, RadialGrid.for_params(params, n=n_coarse))
-    fine = verify_state(state, params, RadialGrid.for_params(params, n=2 * n_coarse))
+    coarse = verify_state(state)
+    fine = verify_state(
+        state, RadialGrid.for_params(state.params, n=2 * DEFAULT_GRID_POINTS))
     return coarse.max_residual / fine.max_residual
 
 
@@ -225,10 +224,19 @@ def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationRepo
     level = int(2 * jf) + 1
     if level > 13:
         raise ValueError("cross_validate is intended for levels up to 13")
-    label = f"j={jf} m={m} omega_l={float(omega_l):.12g} k={float(k):.12g}"
-
     diags: list[str] = []
     algebra = sl2.solve_admissible_z(jf, m, omega_l, k, tol, diagnostics=diags)
+    return _compare_routes(algebra, diags, level, m, omega_l, k, tol)
+
+
+def _compare_routes(algebra, notes, level: int, m: int, omega_l, k,
+                    tol: float) -> VerificationReport:
+    """Solve the series route and compare it with the algebraic states
+    ``algebra``, whose solve reported ``notes``; the report's notes are
+    those followed by the series route's."""
+    label = (f"j={Fraction(level - 1, 2)} m={m} omega_l={float(omega_l):.12g} "
+             f"k={float(k):.12g}")
+    diags = list(notes)
     try:
         power = series.solve_series_states(level, m, omega_l, k, tol, diagnostics=diags)
     except RuntimeError as exc:  # the series failed to terminate

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qeshydro import verify_state
+from qeshydro import sl2, verify_state
 from qeshydro.cli import main, solution_from_json
 
 
@@ -234,6 +234,48 @@ class TestVerificationExit:
         assert err == ""
         diagnostics = json.loads(out)["diagnostics"]
         assert any("series failed to terminate" in d for d in diagnostics)
+
+
+class TestDiagnostics:
+    def test_each_diagnostic_once_without_numpy_reprs(self, capsys):
+        # Nine eigenvector-consistency diagnostics come from the algebraic
+        # route at this input; their z is a numpy scalar unless converted.
+        code, out, _ = run_main(
+            ["solve", "--omega-l", "0.22317077664872895", "--k",
+             "2.9363511648986176", "--m", "-4", "--level", "12"], capsys)
+        assert code in (0, 4)
+        diagnostics = json.loads(out)["diagnostics"]
+        assert sum("consistency defect" in d for d in diagnostics) == 9
+        assert not any("np.float64" in d for d in diagnostics)
+        assert len(diagnostics) == len(set(diagnostics))
+
+
+class TestSolvesOnce:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        counter = []
+        original = sl2.solve_admissible_z
+
+        def counting(*args, **kwargs):
+            counter.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(sl2, "solve_admissible_z", counting)
+        return counter
+
+    def test_solve_runs_the_algebraic_route_once(self, calls, capsys):
+        code, _, _ = run_main(
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "3"],
+            capsys)
+        assert code == 0
+        assert len(calls) == 1
+
+    def test_scan_runs_it_once_per_parameter_set(self, calls, capsys):
+        code, _, _ = run_main(
+            ["scan", "--omega-l-list", "1,2", "--k-list", "0,1", "--m", "0",
+             "--level", "2"], capsys)
+        assert code == 0
+        assert len(calls) == 4
 
 
 class TestDeterminismAndRoundTrip:

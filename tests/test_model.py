@@ -33,6 +33,17 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(1.0, -0.5, 0)
 
+    @pytest.mark.parametrize("omega_l,k,name", [(1.0, float("nan"), "k"),
+                                                (1.0, float("inf"), "k"),
+                                                (float("inf"), 1.0, "omega_l")])
+    def test_rejects_non_finite_couplings(self, omega_l, k, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            ModelParams(omega_l, k, 0)
+
+    def test_rejects_tiny_omega_as_domain_error(self):
+        with pytest.raises(DomainError, match="too small for double precision"):
+            ModelParams(1e-300, 1.0, 0)
+
     def test_rejects_non_integer_m(self):
         with pytest.raises(ValueError):
             ModelParams(1.0, 1.0, 1.5)
