@@ -116,17 +116,19 @@ def newton_polish(coeffs, root: float) -> float:
 
     Returns a Python float even when the coefficients are numpy scalars.
     """
-    der = polyder(coeffs)
     z = float(root)
     scale = max(1.0, abs(z))
-    for _ in range(3):
-        dp = polyval(der, z)
-        if dp == 0.0 or not np.isfinite(dp):
-            break
-        step = polyval(coeffs, z) / dp
-        if not np.isfinite(step) or abs(step) > 0.1 * scale:
-            break
-        z -= step
+    # A non-finite value or step ends the loop, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        der = polyder(coeffs)
+        for _ in range(3):
+            dp = polyval(der, z)
+            if dp == 0.0 or not np.isfinite(dp):
+                break
+            step = polyval(coeffs, z) / dp
+            if not np.isfinite(step) or abs(step) > 0.1 * scale:
+                break
+            z -= step
     return float(z)
 
 
@@ -148,7 +150,7 @@ def real_roots(coeffs, tol: float, diagnostics=None):
     for z in raw:
         if abs(z.imag) > tol * scale:
             if diagnostics is not None:
-                diagnostics.append(f"excluded complex root {z!r}")
+                diagnostics.append(f"excluded complex root {complex(z)!r}")
             continue
         roots.append(newton_polish(cs, float(z.real)))
     roots.sort()

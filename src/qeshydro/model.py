@@ -1,7 +1,13 @@
 """Physical parameters, solved states, radial grids, and the radial operator.
 
-Everything here is immutable after construction and purely functional, so it
-is safe to evaluate concurrently over grids and parameter sets.
+Parameters, states and grids are immutable after construction.  What depends
+only on a grid (its stencil spacings, powers of its points, its Simpson
+weights, the envelope sampled on it) or only on a parameter set (``r_max``
+and the quadrature of :func:`l2_norm_constant`) is memoised: computed on
+first use and kept on that grid or parameter set, so the states and routes
+that share it compute it once.  A memo is a pure function of immutable
+data, so filling it twice, as two threads may, stores equal values and is
+harmless; evaluating concurrently over grids and parameter sets stays safe.
 
 Conventions (atomic units throughout):
 
@@ -18,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +82,19 @@ class ModelParams:
 
     def with_z(self, z) -> "ModelParams":
         return replace(self, z_coulomb=z)
+
+    @cached_property
+    def _r_max(self) -> float:
+        """:func:`envelope_r_max` of these parameters, computed once."""
+        return envelope_r_max(self)
+
+    @cached_property
+    def _norm_rule(self):
+        """The quadrature of :func:`l2_norm_constant`: half-width, weights
+        and nodes of the 256-point Gauss-Legendre rule on [0, r_max], and
+        the envelope at the nodes."""
+        half, weights, nodes = _gauss_rule(0.0, self._r_max, 256)
+        return half, weights, nodes, self.envelope(nodes)
 
     def envelope(self, r):
         """Normalizable envelope r^|m| exp(-omega_l r^2/2 - (k/omega_l) r)."""
@@ -169,6 +189,13 @@ class QesState:
         r = np.asarray(r, dtype=float)
         return self.norm_constant * self.polynomial_values(r) * self.params.envelope(r)
 
+    def _grid_values(self, grid: "RadialGrid", squared: bool = False):
+        """:meth:`radial_values` at the grid's points (at their squares when
+        ``squared``), with the envelope the grid keeps."""
+        r = grid._squares if squared else grid.points
+        return (self.norm_constant * self.polynomial_values(r)
+                * grid._envelope_samples(self.params, squared))
+
     def to_dict(self) -> dict:
         return {
             "level": self.level,
@@ -221,7 +248,11 @@ def _decay_cutoff(log_envelope, start: float, target: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing positive radii with a named spacing policy."""
+    """Strictly increasing positive radii with a named spacing policy.
+
+    ``points`` is a read-only copy of the radii passed in, so the arrays
+    derived from it and kept on the grid cannot go stale.
+    """
 
     points: np.ndarray
     policy: str
@@ -229,17 +260,65 @@ class RadialGrid:
     r_max: float
 
     def __post_init__(self):
-        pts = np.asarray(self.points, dtype=float)
+        pts = np.array(self.points, dtype=float)
         if pts.ndim != 1 or pts.size < 3:
             raise GridError("grid needs at least 3 points")
         if pts[0] <= 0:
             raise GridError("radii must be positive")
         if not np.all(np.diff(pts) > 0):
             raise GridError("radii must be strictly increasing")
+        pts.setflags(write=False)
         object.__setattr__(self, "points", pts)
 
     def __len__(self) -> int:
         return self.points.size
+
+    @cached_property
+    def _squares(self) -> np.ndarray:
+        """x * x at every point."""
+        return self.points * self.points
+
+    @cached_property
+    def _stencil(self):
+        """Spacings of the centered three-point stencil at the interior
+        points: hm, hp, hm + hp and hm * hp * (hm + hp)."""
+        x = self.points
+        hm = x[1:-1] - x[:-2]
+        hp = x[2:] - x[1:-1]
+        total = hm + hp
+        return hm, hp, total, hm * hp * total
+
+    @cached_property
+    def _slope_weights(self):
+        """hm * hm, hp * hp - hm * hm and hp * hp of the centered first
+        derivative."""
+        hm, hp = self._stencil[:2]
+        return hm * hm, hp * hp - hm * hm, hp * hp
+
+    @cached_property
+    def _rho_powers(self):
+        """sqrt(rho), rho**4 and rho**6, for a grid in the sextic variable."""
+        rho = self.points
+        return np.sqrt(rho), rho**4, rho**6
+
+    @cached_property
+    def _simpson_weights(self):
+        """The grid-only factors of :func:`_simpson` on these points."""
+        return _simpson_weights(self.points)
+
+    def _envelope_samples(self, params: ModelParams, squared: bool = False) -> np.ndarray:
+        """``params.envelope`` at the points, or at their squares when
+        ``squared`` (a rho grid, where r = rho**2).
+
+        One slot per grid keeps the most recent (omega_l, k, |m|, squared),
+        so the states of one parameter set share one evaluation.
+        """
+        key = (float(params.omega_l), float(params.k), params.abs_m, squared)
+        slot = self.__dict__.get("_envelope_slot")
+        if slot is None or slot[0] != key:
+            slot = (key, params.envelope(self._squares if squared else self.points))
+            self.__dict__["_envelope_slot"] = slot
+        return slot[1]
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
@@ -264,7 +343,7 @@ class RadialGrid:
         finite-difference residual second-order under grid doubling while
         bounding eps/h^2 roundoff near the origin.
         """
-        r_max = envelope_r_max(params)
+        r_max = params._r_max
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
         pts = _floored_geometric(r_min, r_max, n, floor)
         return cls(pts, "geometric", r_min, r_max)
@@ -294,19 +373,73 @@ def _floored_geometric(r_min: float, r_max: float, n: int, floor: float) -> np.n
     return pts
 
 
-def _fd_derivatives(x: np.ndarray, f: np.ndarray):
+def _simpson_weights(x: np.ndarray):
+    """The factors of :func:`_simpson` that depend on ``x`` alone: the
+    panel stop, the panel factors and, for an even point count, the
+    end-interval correction."""
+    h = np.diff(x)
+    stop = x.size - 2 if x.size % 2 else x.size - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    panels = (hsum / 6.0, 2.0 - 1.0 / h0divh1, hsum * (hsum / (h0 * h1)),
+              2.0 - h0divh1)
+    end = None
+    if x.size % 2 == 0:
+        # 0-d arrays, not scalars: numpy's array power loop may round b**3
+        # differently from the scalar one, and the reference uses arrays.
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        end = ((2 * b**2 + 3 * a * b) / (6 * (b + a)),
+               (b**2 + 3.0 * a * b) / (6 * a),
+               b**3 / (6 * a * (a + b)))
+    return stop, panels, end
+
+
+def _simpson(y: np.ndarray, x: np.ndarray, weights=None):
+    """Composite Simpson rule for strictly increasing, irregular ``x`` of
+    at least three points (as every RadialGrid is); ``weights`` are
+    :func:`_simpson_weights` of ``x`` when the caller keeps them.
+
+    Parabolic panels over pairs of intervals; with an even point count the
+    last interval gets Cartwright's (2017) correction.  The floating-point
+    operations and their order are those of the common reference
+    implementation, so results agree with it bit for bit (see
+    tests/test_verify.py).
+    """
+    stop, (width, c0, c1, c2), end = (
+        _simpson_weights(x) if weights is None else weights)
+    total = np.sum(
+        width * (
+            y[0:stop:2] * c0
+            + y[1:stop + 1:2] * c1
+            + y[2:stop + 2:2] * c2
+        )
+    )
+    if end is not None:
+        alpha, beta, eta = end
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return total
+
+
+def _fd_second_interior(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
+    """Second-order centered second derivative at the interior points."""
+    hm, hp, total, denom = grid._stencil
+    return 2.0 * (hm * f[2:] - total * f[1:-1] + hp * f[:-2]) / denom
+
+
+def _fd_derivatives(grid: RadialGrid, f: np.ndarray):
     """Second-order centered first/second derivatives on a non-uniform grid.
 
     Endpoints use 3-point one-sided stencils; callers flag them separately.
     """
+    x = grid.points
     f1 = np.empty_like(f)
     f2 = np.empty_like(f)
 
-    hm = x[1:-1] - x[:-2]
-    hp = x[2:] - x[1:-1]
-    denom = hm * hp * (hm + hp)
-    f1[1:-1] = (hm * hm * f[2:] + (hp * hp - hm * hm) * f[1:-1] - hp * hp * f[:-2]) / denom
-    f2[1:-1] = 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) / denom
+    hm2, mixed, hp2 = grid._slope_weights
+    denom = grid._stencil[3]
+    f1[1:-1] = (hm2 * f[2:] + mixed * f[1:-1] - hp2 * f[:-2]) / denom
+    f2[1:-1] = _fd_second_interior(grid, f)
 
     h1, h2 = x[1] - x[0], x[2] - x[1]
     f1[0] = (
@@ -356,13 +489,13 @@ def radial_operator_apply(params: ModelParams, energy: float, grid: RadialGrid,
     omega = float(params.omega_l)
     k = float(params.k)
     m = params.m
-    f1, f2 = _fd_derivatives(x, f)
+    f1, f2 = _fd_derivatives(grid, f)
     potential = (
         0.5 * omega * omega * x * x
         + k * x
         + omega * m
         - z / x
-        + 0.5 * m * m / (x * x)
+        + 0.5 * m * m / grid._squares
     )
     residual = -0.5 * f2 - 0.5 * f1 / x + (potential - float(energy)) * f
     interior = np.ones_like(x, dtype=bool)
@@ -387,12 +520,19 @@ def _gauss_nodes(n: int):
     return _GAUSS_NODES[n]
 
 
-def gauss_integrate(fn, a: float, b: float, n: int = 256) -> float:
-    """Gauss-Legendre quadrature of fn over [a, b]."""
+def _gauss_rule(a: float, b: float, n: int):
+    """Half-width, weights and nodes of the n-point Gauss-Legendre rule on
+    [a, b]."""
     x, w = _gauss_nodes(n)
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
-    return float(half * np.sum(w * fn(mid + half * x)))
+    return half, w, mid + half * x
+
+
+def gauss_integrate(fn, a: float, b: float, n: int = 256) -> float:
+    """Gauss-Legendre quadrature of fn over [a, b]."""
+    half, w, r = _gauss_rule(a, b, n)
+    return float(half * np.sum(w * fn(r)))
 
 
 def l2_norm_constant(params: ModelParams, poly) -> float:
@@ -400,16 +540,25 @@ def l2_norm_constant(params: ModelParams, poly) -> float:
 
     Uses Gauss-Legendre quadrature on [0, r_max]; deliberately a different
     quadrature from the grid-based Simpson rule used in verification, so the
-    reported normalization error is a genuine two-method comparison.
+    reported normalization error is a genuine two-method comparison.  The
+    rule and the envelope at its nodes are kept on ``params``.
+
+    Raises DomainError when the integral of a nonzero polynomial factor
+    underflows to 0 or is not finite.
     """
     coeffs = [float(c) for c in poly]
-    r_max = envelope_r_max(params)
-
-    def integrand(r):
-        base = polyval(coeffs, r) * params.envelope(r)
-        return base * base * r
-
-    total = gauss_integrate(integrand, 0.0, r_max, n=256)
-    if not total > 0:
-        raise ValueError("polynomial factor gives zero norm")
+    # A total that is not finite is raised below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore"):
+        half, w, r, envelope = params._norm_rule
+        base = polyval(coeffs, r) * envelope
+        total = float(half * np.sum(w * (base * base * r)))
+    if not 0.0 < total < math.inf:
+        if not any(coeffs):
+            raise ValueError("polynomial factor gives zero norm")
+        cause = "the envelope underflows" if total == 0.0 else "the state overflows"
+        raise DomainError(
+            f"{cause} double precision at omega-l = {float(params.omega_l)!r}, "
+            f"k = {float(params.k)!r}, m = {params.m}: its norm integral is "
+            f"{total!r}"
+        )
     return 1.0 / math.sqrt(total)

@@ -17,6 +17,7 @@ from . import model
 from ._polyops import (
     check_integer_m,
     coerce_couplings,
+    is_exact,
     monic,
     polyval,
     real_roots,
@@ -107,11 +108,17 @@ def recurrence_next(state: RecurrenceState, n: int):
 
 def _terms(n: int, m: int, omega, k, energy):
     """Step-n recurrence data: the a_{n-1} coefficient, the z-free part of
-    the a_n coefficient, and the divisor of a_{n+1}."""
+    the a_n coefficient, and the divisor of a_{n+1}.
+
+    Rational couplings keep the half-integers exact; float couplings take
+    them as floats, which hold them exactly, so the results are the same
+    bits as through Fraction at a fraction of the cost.
+    """
     am = abs(m)
+    half = _HALF if is_exact(omega) and is_exact(k) else 0.5
     e_term = omega * (n + am + m) - k * k / (2 * omega * omega) - energy
-    b_term = (am + _HALF + n) * (k / omega)
-    denom = (n + 1) * (am + Fraction(1 + n, 2))
+    b_term = (am + half + n) * (k / omega)
+    denom = (n + 1) * (am + half * (1 + n))
     return e_term, b_term, denom
 
 
@@ -175,13 +182,12 @@ def constraint_value(level: int, m: int, omega_l, k, z):
     return constraint_polynomial(level, m, omega_l, k)(z)
 
 
-def _regenerate(level: int, m: int, omega_l: float, k: float, energy: float,
-                z: float) -> list[float]:
-    """Float coefficients a_0 .. a_{level+1} at one strength z: the
-    polynomial factor and the two tail terms that must vanish."""
+def _regenerate(terms, z: float) -> list[float]:
+    """Float coefficients a_0 .. a_{level+1} at one strength z from the
+    level's float recurrence ``terms`` (steps 0 .. level): the polynomial
+    factor and the two tail terms that must vanish."""
     coeffs = [1.0]
-    for n in range(level + 1):
-        e_term, b_term, denom = _terms(n, m, omega_l, k, energy)
+    for n, (e_term, b_term, denom) in enumerate(terms):
         a_prev = coeffs[n - 1] if n >= 1 else 0.0
         coeffs.append((e_term * a_prev + (b_term - z) * coeffs[n]) / denom)
     return coeffs
@@ -207,9 +213,11 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
 
     energy = float(level_energy(level, m, omega_l, k))
     params = ModelParams(float(omega_l), float(k), int(m))
+    terms = [_terms(n, m, float(omega_l), float(k), energy)
+             for n in range(level + 1)]
     states = []
     for z in roots:
-        coeffs = _regenerate(level, m, float(omega_l), float(k), energy, z)
+        coeffs = _regenerate(terms, z)
         scale = max(1.0, max(abs(c) for c in coeffs[:level]))
         tail = max(abs(coeffs[level]), abs(coeffs[level + 1]))
         if tail > tol * scale:

@@ -14,6 +14,7 @@ from .model import (
     DEFAULT_GRID_POINTS,
     QesState,
     RadialGrid,
+    _simpson,
     gauss_integrate,
     radial_operator_apply,
 )
@@ -106,45 +107,12 @@ def count_nodes(poly, r_max: float) -> int:
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
-def _simpson(y: np.ndarray, x: np.ndarray):
-    """Composite Simpson rule for strictly increasing, irregular ``x`` of
-    at least three points (as every RadialGrid is).
-
-    Parabolic panels over pairs of intervals; with an even point count the
-    last interval gets Cartwright's (2017) correction.  The floating-point
-    operations and their order are those of the common reference
-    implementation, so results agree with it bit for bit (see
-    tests/test_verify.py).
-    """
-    h = np.diff(x)
-    stop = x.size - 2 if x.size % 2 else x.size - 3
-    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
-    hsum = h0 + h1
-    h0divh1 = h0 / h1
-    total = np.sum(
-        hsum / 6.0 * (
-            y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-            + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-            + y[2:stop + 2:2] * (2.0 - h0divh1)
-        )
-    )
-    if x.size % 2 == 0:
-        # 0-d arrays, not scalars: numpy's array power loop may round b**3
-        # differently from the scalar one, and the reference uses arrays.
-        a, b = np.asarray(h[-2]), np.asarray(h[-1])
-        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
-        beta = (b**2 + 3.0 * a * b) / (6 * a)
-        eta = b**3 / (6 * a * (a + b))
-        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return total
-
-
 def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray) -> float:
     """Simpson norm on the grid plus endpoint tail estimates, from the
     state's ``samples`` on the grid points."""
     r = grid.points
     density = samples ** 2 * r
-    total = float(_simpson(density, r))
+    total = float(_simpson(density, r, grid._simpson_weights))
 
     head = gauss_integrate(
         lambda s: state.radial_values(s) ** 2 * s, 0.0, grid.r_min, n=16
@@ -180,12 +148,13 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     if not any(abs(c) > 0 for c in state.poly):
         raise ValueError("state has an identically zero polynomial factor")
 
-    samples = state.radial_values(grid.points)
+    samples = state._grid_values(grid)
     residual, interior = radial_operator_apply(
         params.with_z(state.z), state.energy, grid, samples
     )
-    floor = float(np.finfo(float).eps) * float(np.max(np.abs(samples)))
-    scale = max(abs(state.energy) * float(np.max(np.abs(samples))), floor, 1e-300)
+    peak = float(np.max(np.abs(samples)))
+    floor = float(np.finfo(float).eps) * peak
+    scale = max(abs(state.energy) * peak, floor, 1e-300)
     max_residual = float(np.max(np.abs(residual[interior]))) / scale
 
     norm_error = abs(_norm_estimate(state, grid, samples) - 1.0)

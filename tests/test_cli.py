@@ -342,6 +342,24 @@ class TestConfigFile:
         assert len(out.strip().splitlines()) == 5  # header + 4 rows
 
 
+class TestEnvelopeUnderflow:
+    @pytest.mark.parametrize("couplings", [["--omega-l", "1e100", "--k", "0", "--m", "3"],
+                                           ["--omega-l", "1e305", "--k", "1e-300",
+                                            "--m", "-6"]])
+    def test_domain_error_with_one_stderr_line(self, couplings):
+        # A fresh process, so numpy warnings would reach stderr as they do
+        # for a user, not pytest's warning capture.
+        proc = subprocess.run(
+            [sys.executable, "-m", "qeshydro", "solve", *couplings, "--level", "3"],
+            capture_output=True, text=True)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: the envelope underflows")
+        assert "omega-l" in lines[0]
+        assert "Warning" not in proc.stderr
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -13,6 +13,7 @@ from qeshydro import (
     assemble_full_wavefunction,
     envelope_r_max,
     gauge_transform,
+    l2_norm_constant,
     level_energy,
     radial_operator_apply,
     solve_admissible_z,
@@ -112,6 +113,47 @@ class TestRadialGrid:
             mesh = np.linspace(1e-6, grid.r_max, 200001)
             peak = p.envelope(mesh).max()
             assert float(p.envelope(grid.r_max)) <= 1e-12 * peak
+
+
+    def test_points_are_a_read_only_copy(self):
+        radii = np.array([0.5, 1.0, 2.0, 4.0])
+        grid = RadialGrid(radii, "uniform", 0.5, 4.0)
+        with pytest.raises(ValueError, match="read-only"):
+            grid.points[1] = 1.5
+        radii[1] = 1.5  # the caller's array stays writable and is not shared
+        assert grid.points[1] == 1.0
+
+    def test_for_params_reuses_the_parameters_r_max(self):
+        p = ModelParams(0.7, 1.9, -2)
+        assert RadialGrid.for_params(p).r_max == envelope_r_max(p)
+        assert RadialGrid.for_params(p, n=100).r_max == envelope_r_max(p)
+
+
+class TestParameterMemo:
+    def test_memo_takes_no_part_in_eq_hash_repr(self):
+        used, fresh = ModelParams(1.5, 0.5, 1), ModelParams(1.5, 0.5, 1)
+        before = repr(used)
+        l2_norm_constant(used, (1.0, -0.25))
+        RadialGrid.for_params(used)
+        assert used == fresh and hash(used) == hash(fresh)
+        assert repr(used) == before == repr(fresh)
+        assert used.with_z(1.0) == fresh.with_z(1.0)
+
+    def test_norm_constant_is_the_same_from_a_fresh_instance(self):
+        poly = (1.0, -0.4, 0.02)
+        used = ModelParams(2.0, 3.0, -1)
+        first = l2_norm_constant(used, poly)
+        assert l2_norm_constant(used, poly) == first
+        assert l2_norm_constant(ModelParams(2.0, 3.0, -1), poly) == first
+
+    def test_envelope_underflow_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"envelope underflows .* omega-l = 1e\+100"):
+            l2_norm_constant(ModelParams(1e100, 0.0, 3), (1.0, 2.0, 3.0))
+
+    def test_zero_polynomial_is_still_a_usage_error(self):
+        with pytest.raises(ValueError, match="zero norm") as info:
+            l2_norm_constant(ModelParams(1.0, 1.0, 0), (0.0, 0.0))
+        assert not isinstance(info.value, DomainError)
 
 
 class TestRadialOperator:

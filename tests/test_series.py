@@ -168,3 +168,12 @@ class TestEnergyIdentity:
                              (Fraction(2), Fraction(1)),
                              (Fraction(1, 2), Fraction(3, 4))]:
                 assert level_energy(level, m, omega, k) == energy_x(j, m, omega, k)
+
+
+def test_excluded_root_diagnostics_have_no_numpy_reprs():
+    # At level 60 np.roots returns complex pairs, which are excluded and
+    # reported; their text must not carry numpy scalar reprs.
+    diagnostics = []
+    solve_series_states(60, 0, 1.0, 1.0, diagnostics=diagnostics)
+    assert any("excluded complex root" in d for d in diagnostics)
+    assert not any("np." in d for d in diagnostics)

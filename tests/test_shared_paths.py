@@ -1,0 +1,264 @@
+"""The arrays shared by the states of a parameter set give the same bits as
+the per-state formulas they replace.
+
+The reference functions below are the per-state formulas, copied as they
+were before the stencil, the powers of the points, the envelope samples and
+the norm quadrature were kept on the grid or on the parameters.  Every
+comparison is ``==``: sharing must not move a single bit.
+"""
+
+import math
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qeshydro import (
+    ModelParams,
+    RadialGrid,
+    count_nodes,
+    envelope_r_max,
+    rho_grid_for,
+    sextic_residual,
+    solve_admissible_z,
+    to_sextic,
+    verify_state,
+)
+from qeshydro.model import gauss_integrate, l2_norm_constant
+from qeshydro.series import _HALF, _terms
+
+
+def ref_fd_derivatives(x, f):
+    f1 = np.empty_like(f)
+    f2 = np.empty_like(f)
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    denom = hm * hp * (hm + hp)
+    f1[1:-1] = (hm * hm * f[2:] + (hp * hp - hm * hm) * f[1:-1] - hp * hp * f[:-2]) / denom
+    f2[1:-1] = 2.0 * (hm * f[2:] - (hm + hp) * f[1:-1] + hp * f[:-2]) / denom
+    h1, h2 = x[1] - x[0], x[2] - x[1]
+    f1[0] = (
+        -(2.0 * h1 + h2) / (h1 * (h1 + h2)) * f[0]
+        + (h1 + h2) / (h1 * h2) * f[1]
+        - h1 / (h2 * (h1 + h2)) * f[2]
+    )
+    f2[0] = 2.0 * (
+        f[0] / (h1 * (h1 + h2)) - f[1] / (h1 * h2) + f[2] / (h2 * (h1 + h2))
+    )
+    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
+    f1[-1] = (
+        (2.0 * g1 + g2) / (g1 * (g1 + g2)) * f[-1]
+        - (g1 + g2) / (g1 * g2) * f[-2]
+        + g1 / (g2 * (g1 + g2)) * f[-3]
+    )
+    f2[-1] = 2.0 * (
+        f[-1] / (g1 * (g1 + g2)) - f[-2] / (g1 * g2) + f[-3] / (g2 * (g1 + g2))
+    )
+    return f1, f2
+
+
+def ref_polyval(coeffs, x):
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def ref_envelope(params, r):
+    omega = float(params.omega_l)
+    delta = float(params.k) / omega
+    return r**params.abs_m * np.exp(-0.5 * omega * r * r - delta * r)
+
+
+def ref_radial_values(state, r):
+    return (state.norm_constant * np.asarray(ref_polyval(state.poly, r))
+            * ref_envelope(state.params, r))
+
+
+def ref_simpson(y, x):
+    h = np.diff(x)
+    stop = x.size - 2 if x.size % 2 else x.size - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    h0divh1 = h0 / h1
+    total = np.sum(
+        hsum / 6.0 * (
+            y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+            + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
+            + y[2:stop + 2:2] * (2.0 - h0divh1)
+        )
+    )
+    if x.size % 2 == 0:
+        a, b = np.asarray(h[-2]), np.asarray(h[-1])
+        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        beta = (b**2 + 3.0 * a * b) / (6 * a)
+        eta = b**3 / (6 * a * (a + b))
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return total
+
+
+def ref_report(state, grid):
+    """(max_residual, norm_error, node_count) by the per-state formulas."""
+    p = state.params
+    x = grid.points
+    f = ref_radial_values(state, x)
+    omega, k, m, z = float(p.omega_l), float(p.k), p.m, state.z
+    f1, f2 = ref_fd_derivatives(x, f)
+    potential = (0.5 * omega * omega * x * x + k * x + omega * m - z / x
+                 + 0.5 * m * m / (x * x))
+    residual = -0.5 * f2 - 0.5 * f1 / x + (potential - float(state.energy)) * f
+    floor = float(np.finfo(float).eps) * float(np.max(np.abs(f)))
+    scale = max(abs(state.energy) * float(np.max(np.abs(f))), floor, 1e-300)
+    max_residual = float(np.max(np.abs(residual[1:-1]))) / scale
+
+    density = f ** 2 * x
+    total = float(ref_simpson(density, x))
+    head = gauss_integrate(lambda s: ref_radial_values(state, s) ** 2 * s,
+                           0.0, grid.r_min, n=16)
+    r_max = grid.r_max
+    rate = (2.0 * omega * r_max + 2.0 * k / omega
+            - (2.0 * p.abs_m + 1.0 + 2.0 * (state.level - 1)) / r_max)
+    rate = max(rate, omega * r_max)
+    norm = total + head + float(density[-1]) / rate
+    return max_residual, abs(norm - 1.0), count_nodes(state.poly, grid.r_max)
+
+
+def ref_sextic_residual(sextic, grid):
+    rho = grid.points
+    zeta = np.sqrt(rho) * ref_radial_values(sextic.source, rho * rho)
+    _, z2 = ref_fd_derivatives(rho, zeta)
+    operator = (
+        -0.5 * z2
+        + (
+            sextic.centrifugal_coeff / (rho * rho)
+            + sextic.rho2_coeff * rho * rho
+            + sextic.rho4_coeff * rho**4
+            + sextic.rho6_coeff * rho**6
+        )
+        * zeta
+    )
+    residual = operator - sextic.eigenvalue * zeta
+    floor = float(np.finfo(float).eps) * float(np.max(np.abs(zeta)))
+    scale = max(abs(sextic.eigenvalue) * float(np.max(np.abs(zeta))), floor, 1e-300)
+    return float(np.max(np.abs(residual[1:-1]))) / scale
+
+
+def ref_norm_constant(params, poly):
+    coeffs = [float(c) for c in poly]
+
+    def integrand(r):
+        base = ref_polyval(coeffs, r) * ref_envelope(params, r)
+        return base * base * r
+
+    total = gauss_integrate(integrand, 0.0, envelope_r_max(params), n=256)
+    return 1.0 / math.sqrt(total)
+
+
+def sweep_like_inputs(count, seed):
+    """Seeded (omega_l, k, m, level) like the sweep benchmark's: omega_l
+    log-spread over [0.2, 5], k in [0, 4] (0 for every tenth), m -4..4,
+    levels 1-13."""
+    rng = random.Random(seed)
+    for i in range(count):
+        omega_l = 0.2 * 25.0 ** rng.random()
+        k = 0.0 if i % 10 == 0 else 4.0 * rng.random()
+        yield omega_l, k, rng.randint(-4, 4), rng.randint(1, 13)
+
+
+def assert_report_matches(state, grid):
+    report = verify_state(state, grid=grid)
+    assert (report.max_residual, report.norm_error, report.node_count) == \
+        ref_report(state, grid)
+
+
+class TestSharedEqualsPerState:
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_reports_residuals_and_norms(self, seed):
+        for omega_l, k, m, level in sweep_like_inputs(12, seed):
+            params = ModelParams(omega_l, k, m)
+            states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+            assert states
+            grid = RadialGrid.for_params(params)
+            rho = rho_grid_for(params)
+            for state in states:
+                assert state.norm_constant == ref_norm_constant(params, state.poly)
+                assert l2_norm_constant(params, state.poly) == state.norm_constant
+                assert_report_matches(state, grid)
+                sextic = to_sextic(state)
+                assert sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
+
+    def test_default_grids_match(self):
+        for omega_l, k, m, level in sweep_like_inputs(4, 3):
+            state = solve_admissible_z((level - 1) / 2, m, omega_l, k)[-1]
+            report = verify_state(state)
+            grid = RadialGrid.for_params(ModelParams(omega_l, k, m))
+            assert (report.max_residual, report.norm_error, report.node_count) == \
+                ref_report(state, grid)
+            sextic = to_sextic(state)
+            assert sextic_residual(sextic) == \
+                ref_sextic_residual(sextic, rho_grid_for(state.params))
+
+    def test_one_grid_for_two_parameter_sets_in_both_orders(self):
+        # The grid keeps the envelope of the most recent parameters only; a
+        # slot that did not notice the change would give the other set's
+        # samples.
+        first = solve_admissible_z(2, 1, 1.3, 0.7)
+        second = solve_admissible_z(2, -1, 0.6, 2.1)
+        grid = RadialGrid.for_params(first[0].params)
+        rho = rho_grid_for(first[0].params)
+        for states in (first, second, first, second[::-1], first[::-1]):
+            for state in states:
+                assert_report_matches(state, grid)
+                sextic = to_sextic(state)
+                assert sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
+
+    def test_same_couplings_other_m_is_a_new_envelope(self):
+        a = solve_admissible_z(1, 2, 1.0, 1.0)[0]
+        b = solve_admissible_z(1, -3, 1.0, 1.0)[0]
+        grid = RadialGrid.for_params(a.params)
+        for state in (a, b, a):
+            assert_report_matches(state, grid)
+
+    def test_fd_derivatives_of_the_grid(self):
+        from qeshydro.model import _fd_derivatives
+        for grid in (RadialGrid.for_params(ModelParams(0.7, 1.5, 2)),
+                     RadialGrid.geometric(1e-3, 9.0, 101),
+                     RadialGrid.uniform(0.1, 3.0, 34)):
+            f = np.sin(grid.points) * np.exp(-grid.points)
+            new, old = _fd_derivatives(grid, f), ref_fd_derivatives(grid.points, f)
+            assert np.array_equal(new[0], old[0])
+            assert np.array_equal(new[1], old[1])
+
+
+class TestFloatRecurrenceTerms:
+    @staticmethod
+    def ref_terms(n, m, omega, k, energy):
+        am = abs(m)
+        e_term = omega * (n + am + m) - k * k / (2 * omega * omega) - energy
+        b_term = (am + _HALF + n) * (k / omega)
+        denom = (n + 1) * (am + Fraction(1 + n, 2))
+        return e_term, b_term, denom
+
+    def test_float_terms_equal_fraction_terms(self):
+        rng = random.Random(7)
+        for m in range(-6, 7):
+            omega, k = 0.2 * 25.0 ** rng.random(), 4.0 * rng.random()
+            energy = omega * (5 + abs(m) + m) - k * k / (2 * omega * omega)
+            probes = [rng.uniform(-1e3, 1e3) for _ in range(3)]
+            for n in range(401):
+                e_new, b_new, d_new = _terms(n, m, omega, k, energy)
+                e_old, b_old, d_old = self.ref_terms(n, m, omega, k, energy)
+                assert type(d_new) is float and type(b_new) is float
+                assert (e_new, b_new, d_new) == (e_old, b_old, d_old)
+                for x in probes:
+                    assert x / d_new == x / d_old
+
+    @pytest.mark.parametrize("omega,k", [(Fraction(2, 3), Fraction(5, 2)), (1, 2)])
+    def test_rational_couplings_stay_exact(self, omega, k):
+        for n in (0, 1, 7, 40):
+            e_term, b_term, denom = _terms(n, -3, omega, k, Fraction(1, 3))
+            assert isinstance(denom, Fraction)
+            assert denom == self.ref_terms(n, -3, omega, k, Fraction(1, 3))[2]
+            if isinstance(omega, Fraction):
+                assert isinstance(b_term, Fraction)
