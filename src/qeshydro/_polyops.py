@@ -91,8 +91,18 @@ def bisect(above, lo: float, hi: float) -> tuple[float, float]:
 
 
 def polyval(coeffs, x):
-    """Horner evaluation; exact when both coeffs and x are rational."""
+    """Horner evaluation; exact when both coeffs and x are rational.
+
+    A float64 array of points with float coefficients is evaluated in one
+    buffer, by the same operations in the same order.
+    """
     acc = 0 * x
+    if (isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64
+            and all(isinstance(c, float) for c in coeffs)):
+        for c in reversed(coeffs):
+            np.multiply(acc, x, out=acc)
+            acc += c
+        return acc
     for c in reversed(coeffs):
         acc = acc * x + c
     return acc

@@ -150,6 +150,23 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
     The level energy is fixed first, so the vanishing of a_level terminates
     the series at degree level - 1.  Exact rational coefficients whenever the
     couplings are rational; degree equals the level exactly.
+
+    Float couplings run the recurrence of :func:`recurrence_next` on float
+    coefficient lists.  Rational couplings run it on Python integers over
+    one common denominator (Bareiss, Math. Comp. 22 (1968) 565).  At the
+    level energy the a_{n-1} coefficient is exactly omega_l (n - level), and
+    the divisor of a_{n+1} is h_n / 2 with h_n = (n + 1)(2|m| + n + 1).
+    Write omega_l = A/B, k/omega_l = P/Q, D = 2QB, w = D z and
+    u_n = PB(2|m| + 2n + 1), so that (|m| + 1/2 + n) k/omega_l - z =
+    (u_n - w)/D.  Then a_n = alpha_n(w) / R_n with R_0 = 1, alpha_0 = 1,
+    alpha_{-1} = 0 and
+
+        R_{n+1} = R_n D h_n,
+        alpha_{n+1} = 2 (u_n - w) alpha_n
+                      + 8 Q^2 A B (n - level) h_{n-1} alpha_{n-1},
+
+    integer polynomials in w, so the coefficient of z^e in a_level is
+    alpha_level[e] D^e / R_level, the one rational reduction made.
     """
     if level == 0:
         raise NoGroundStateError()
@@ -157,16 +174,18 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
         raise ValueError(f"level must be a positive integer, got {level!r}")
     m = check_integer_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
+    if exact:
+        return ConstraintPolynomial(level, m, omega, kk,
+                                    _exact_constraint(level, m, omega, kk))
     energy = level_energy(level, m, omega, kk)
-    one = Fraction(1) if exact else 1.0
 
     # Coefficients a_n are linear-combination polynomials in z.
     a_prev: list = []          # a_{-1} = 0
-    a_cur: list = [one]        # a_0 = 1
+    a_cur: list = [1.0]        # a_0 = 1
     for n in range(level):
         e_term, b_term, denom = _terms(n, m, omega, kk, energy)
         width = max(len(a_prev), len(a_cur) + 1)
-        nxt = [Fraction(0) if exact else 0.0] * width
+        nxt = [0.0] * width
         for i, c in enumerate(a_prev):
             nxt[i] += e_term * c
         for i, c in enumerate(a_cur):
@@ -175,6 +194,36 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
         nxt = [c / denom for c in nxt]
         a_prev, a_cur = a_cur, nxt
     return ConstraintPolynomial(level, m, omega, kk, tuple(a_cur))
+
+
+def _exact_constraint(level: int, m: int, omega: Fraction, k: Fraction):
+    """Coefficients of a_level(z) for rational couplings, by the integer
+    recurrence in the docstring of :func:`constraint_polynomial`."""
+    am = abs(m)
+    ratio = k / omega
+    a, b = omega.numerator, omega.denominator
+    p, q = ratio.numerator, ratio.denominator
+    scale = 2 * q * b                      # D
+    pull = 8 * q * q * a * b
+    alpha_prev: list = []                  # alpha_{-1} = 0
+    alpha: list = [1]                      # alpha_0 = 1
+    reduce_by = 1                          # R_0
+    h_prev = 0
+    for n in range(level):
+        u = p * b * (2 * am + 2 * n + 1)
+        h = (n + 1) * (2 * am + n + 1)
+        nxt = [0] + [-2 * c for c in alpha]
+        for i, c in enumerate(alpha):
+            nxt[i] += 2 * u * c
+        if alpha_prev:
+            e = pull * (n - level) * h_prev
+            for i, c in enumerate(alpha_prev):
+                nxt[i] += e * c
+        alpha_prev, alpha = alpha, nxt
+        reduce_by *= scale * h
+        h_prev = h
+    return tuple(Fraction(c * scale ** e, reduce_by)
+                 for e, c in enumerate(alpha))
 
 
 def constraint_value(level: int, m: int, omega_l, k, z):

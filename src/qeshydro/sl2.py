@@ -11,7 +11,8 @@ it is tridiagonal with a closed form used throughout:
 
 and the admissible strengths are exactly its eigenvalues.  Its exact
 characteristic polynomial follows from the three-term continuant of these
-entries in O(n^2) rational operations.
+entries in O(n^2) operations on Python integers over one common
+denominator, with one rational reduction per coefficient.
 """
 
 from __future__ import annotations
@@ -191,30 +192,45 @@ class QesMatrix:
 
     def as_array(self) -> np.ndarray:
         if self.exact:
-            return np.array([[float(e) for e in row] for row in self.entries])
+            return np.array([[float(e) if e else 0.0 for e in row]
+                             for row in self.entries])
         return np.asarray(self.entries, dtype=float)
 
 
 def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
-    """Closed tridiagonal form of the generator combination."""
+    """Closed tridiagonal form of the generator combination.
+
+    Float couplings fill the three diagonals of a zero array; rational
+    couplings make one Fraction per nonzero entry from integers.
+    """
     jf = as_half_integer(j)
     m = check_integer_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     dim = int(2 * jf) + 1
     am = abs(m)
-    half = Fraction(1, 2)
-    zero = Fraction(0) if exact else 0.0
 
-    rows = [[zero for _ in range(dim)] for _ in range(dim)]
-    for n in range(dim):
-        rows[n][n] = (kk / omega) * (n + am + half)
-        if n >= 1:
-            rows[n - 1][n] = -(n * (am + Fraction(n, 2)))
-        if n + 1 < dim:
-            rows[n + 1][n] = -omega * (2 * jf - n)
     if not exact:
-        rows = [[float(e) for e in row] for row in rows]
-        return QesMatrix(jf, m, omega, kk, np.array(rows), False)
+        rows = np.zeros((dim, dim))
+        ratio = kk / omega
+        for n in range(dim):
+            rows[n, n] = ratio * (n + am + 0.5)
+            if n >= 1:
+                rows[n - 1, n] = -(n * (2 * am + n)) / 2
+            if n + 1 < dim:
+                rows[n + 1, n] = -omega * (dim - 1 - n)
+        return QesMatrix(jf, m, omega, kk, rows, False)
+
+    ratio = kk / omega
+    p, q = ratio.numerator, ratio.denominator
+    a, b = omega.numerator, omega.denominator
+    zero = Fraction(0)
+    rows = [[zero] * dim for _ in range(dim)]
+    for n in range(dim):
+        rows[n][n] = Fraction(p * (2 * (n + am) + 1), 2 * q)
+        if n >= 1:
+            rows[n - 1][n] = Fraction(-(n * (2 * am + n)), 2)
+        if n + 1 < dim:
+            rows[n + 1][n] = Fraction(-a * (dim - 1 - n), b)
     return QesMatrix(jf, m, omega, kk, rows, True)
 
 
@@ -270,11 +286,23 @@ def qes_matrix_from_generators(j, m: int, omega_l, k) -> QesMatrix:
 def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:
     """Monic characteristic polynomial det(z I - M), ascending coefficients.
 
-    Three-term continuant of the tridiagonal matrix in exact rational
-    arithmetic, O(n^2) operations:
+    Three-term continuant of the tridiagonal matrix, with the diagonal
+    d_i = M[i][i] and the couplings c_i = M[i-1][i] M[i][i-1]:
 
-        p_0 = 1,  p_1 = z - M[0][0],
-        p_{i+1} = (z - M[i][i]) p_i - M[i-1][i] M[i][i-1] p_{i-1}.
+        p_0 = 1,  p_1 = z - d_0,
+        p_{i+1} = (z - d_i) p_i - c_i p_{i-1}.
+
+    It runs on Python integers (Bareiss, Math. Comp. 22 (1968) 565): with
+    ``den`` the lcm of the denominators of every d_i and c_i (each c_i
+    taken as the product of the two entries' numerators over the product
+    of their denominators), u_i = den d_i and v_i = den c_i, the integer
+    polynomials
+
+        q_0 = 1,  q_{i+1}(w) = (w - u_i) q_i(w) - den v_i q_{i-1}(w)
+
+    satisfy q_i(den z) = den^i p_i(z), so the coefficient of z^e in
+    det(z I - M) is q_n[e] / den^(n-e), the one rational reduction made.
+    O(n^2) integer operations; any rational tridiagonal matrix.
 
     Requires an exact, tridiagonal matrix.
     """
@@ -282,21 +310,30 @@ def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:
         raise ValueError("characteristic_polynomial requires exact entries")
     n = matrix.dim
     a = matrix.entries
-    if any(a[i][q] != 0 for i in range(n) for q in range(n) if abs(i - q) > 1):
+    if any(any(row[:max(i - 1, 0)]) or any(row[i + 2:n])
+           for i, row in enumerate(a[:n])):
         raise ValueError("characteristic_polynomial requires a tridiagonal matrix")
 
-    prev, cur = [], [Fraction(1)]
+    # (numerator, denominator) of every d_i and c_i, c_0 = 0.
+    diag = [(a[i][i].numerator, a[i][i].denominator) for i in range(n)]
+    couple = [(0, 1)] + [
+        (a[i - 1][i].numerator * a[i][i - 1].numerator,
+         a[i - 1][i].denominator * a[i][i - 1].denominator)
+        for i in range(1, n)
+    ]
+    den = math.lcm(*(d for _, d in diag + couple))
+    u = [x * (den // d) for x, d in diag]
+    g = [den * x * (den // d) for x, d in couple]
+
+    prev, cur = [], [1]
     for i in range(n):
-        diag = a[i][i]
-        nxt = [Fraction(0)] + cur
+        nxt = [0] + cur
         for d, c in enumerate(cur):
-            nxt[d] -= diag * c
-        if i:
-            couple = a[i - 1][i] * a[i][i - 1]
-            for d, c in enumerate(prev):
-                nxt[d] -= couple * c
+            nxt[d] -= u[i] * c
+        for d, c in enumerate(prev):
+            nxt[d] -= g[i] * c
         prev, cur = cur, nxt
-    return tuple(cur)
+    return tuple(Fraction(c, den ** (n - e)) for e, c in enumerate(cur))
 
 
 def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
