@@ -215,10 +215,9 @@ def _exact_constraint(level: int, m: int, omega: Fraction, k: Fraction):
         nxt = [0] + [-2 * c for c in alpha]
         for i, c in enumerate(alpha):
             nxt[i] += 2 * u * c
-        if alpha_prev:
-            e = pull * (n - level) * h_prev
-            for i, c in enumerate(alpha_prev):
-                nxt[i] += e * c
+        e = pull * (n - level) * h_prev
+        for i, c in enumerate(alpha_prev):
+            nxt[i] += e * c
         alpha_prev, alpha = alpha, nxt
         reduce_by *= scale * h
         h_prev = h

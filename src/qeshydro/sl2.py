@@ -208,10 +208,10 @@ def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
     omega, kk, exact = coerce_couplings(omega_l, k)
     dim = int(2 * jf) + 1
     am = abs(m)
+    ratio = kk / omega
 
     if not exact:
         rows = np.zeros((dim, dim))
-        ratio = kk / omega
         for n in range(dim):
             rows[n, n] = ratio * (n + am + 0.5)
             if n >= 1:
@@ -220,7 +220,6 @@ def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
                 rows[n + 1, n] = -omega * (dim - 1 - n)
         return QesMatrix(jf, m, omega, kk, rows, False)
 
-    ratio = kk / omega
     p, q = ratio.numerator, ratio.denominator
     a, b = omega.numerator, omega.denominator
     zero = Fraction(0)

@@ -1,0 +1,115 @@
+"""The float matrix build and the one-buffer Horner loop give the same bits
+as the code they replace.
+
+The reference functions are copies of the float build through `Fraction`
+rows and of the allocating Horner loop.  Arrays are compared with
+``np.array_equal`` and by their sign bits, so a -0.0 for 0.0 also fails.
+"""
+
+import random
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from qeshydro import build_qes_matrix
+from qeshydro._polyops import polyval
+
+HALF = Fraction(1, 2)
+
+
+def ref_build_float(j, m, omega, k):
+    omega, k = float(omega), float(k)
+    jf = Fraction(j)
+    dim = int(2 * jf) + 1
+    am = abs(m)
+    rows = [[0.0 for _ in range(dim)] for _ in range(dim)]
+    for n in range(dim):
+        rows[n][n] = (k / omega) * (n + am + HALF)
+        if n >= 1:
+            rows[n - 1][n] = -(n * (am + Fraction(n, 2)))
+        if n + 1 < dim:
+            rows[n + 1][n] = -omega * (2 * jf - n)
+    return np.array([[float(e) for e in row] for row in rows])
+
+
+def ref_polyval(coeffs, x):
+    acc = 0 * x
+    for c in reversed(coeffs):
+        acc = acc * x + c
+    return acc
+
+
+def same_bits(a, b):
+    return (a.dtype == b.dtype and a.shape == b.shape
+            and np.array_equal(a, b, equal_nan=True)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+def float_cases(count, seed):
+    rng = random.Random(seed)
+    for i in range(count):
+        level = 1 + (i * 199) // (count - 1) if i % 3 else rng.randint(1, 200)
+        omega = 10 ** rng.uniform(-3, 3)
+        k = (0.0, -0.0)[i % 2] if i % 5 == 0 else 10 ** rng.uniform(-3, 3)
+        yield level, rng.randint(-6, 6), omega, k
+
+
+class TestFloatBuild:
+    @pytest.mark.parametrize("level,m,omega,k", list(float_cases(40, 14)))
+    def test_same_bits_as_fraction_rows(self, level, m, omega, k):
+        j = Fraction(level - 1, 2)
+        mat = build_qes_matrix(j, m, omega, k)
+        assert not mat.exact
+        assert type(mat.entries) is np.ndarray
+        assert same_bits(mat.entries, ref_build_float(j, m, omega, k))
+
+    def test_exact_as_array_same_bits(self):
+        for level, m, omega, k in [(1, 0, 1, 0), (7, -3, Fraction(7, 3), 5),
+                                   (13, 4, Fraction(1, 9), Fraction(2, 7))]:
+            mat = build_qes_matrix(Fraction(level - 1, 2), m, omega, k)
+            ref = np.array([[float(e) for e in row] for row in mat.entries])
+            assert same_bits(mat.as_array(), ref)
+
+
+class TestPolyval:
+    def test_float_arrays_match_the_allocating_loop(self):
+        rng = np.random.default_rng(14)
+        x = np.linspace(-3.0, 25.0, 4096)
+        for degree in (7, 13, 40, 100, 200):
+            coeffs = tuple(float(c) for c in rng.normal(size=degree + 1))
+            assert same_bits(polyval(coeffs, x), ref_polyval(coeffs, x))
+            as_numpy = tuple(rng.normal(size=degree + 1))   # np.float64
+            assert same_bits(polyval(as_numpy, x), ref_polyval(as_numpy, x))
+
+    def test_two_dimensional_and_overflowing_points(self):
+        x = np.array([[0.0, -0.0, 1e300], [np.inf, -np.inf, np.nan]])
+        coeffs = (1.0, -2.0, 0.5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert same_bits(polyval(coeffs, x), ref_polyval(coeffs, x))
+
+    def test_input_is_not_written(self):
+        x = np.linspace(0.0, 1.0, 9)
+        before = x.copy()
+        polyval((1.0, 2.0, 3.0), x)
+        assert np.array_equal(x, before)
+
+    @pytest.mark.parametrize("coeffs,x", [
+        ((HALF, Fraction(1, 3)), Fraction(2)),
+        ((HALF, Fraction(1, 3)), np.array([1.0, 2.0])),
+        ((0.5, 1.5), 2.0),
+        ((0.5, 1.5), 2),
+        ((0.5, 1.5), np.float64(2.0)),
+        ((0.5, 1.5), np.array(2.0)),
+        ((1, 2), np.array([1.0, 2.0])),
+        ((0.5, 1.5), np.array([1.0, 2.0], dtype=np.float32)),
+        ((), np.array([1.0, -1.0])),
+    ])
+    def test_other_inputs_keep_type_and_value(self, coeffs, x):
+        got, want = polyval(coeffs, x), ref_polyval(coeffs, x)
+        assert type(got) is type(want)
+        if isinstance(want, np.ndarray):
+            assert got.dtype == want.dtype
+            assert list(got.ravel()) == list(want.ravel())
+        else:
+            assert got == want
