@@ -75,6 +75,19 @@ def _float_list(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.split(",") if tok.strip())
 
 
+def _k_float(text: str) -> float:
+    """float(text) with -0.0 read as 0.0, so the sign of a zero k does not
+    reach the output."""
+    return float(text) + 0.0
+
+
+_k_float.__name__ = "float"  # argparse names the type in its error text
+
+
+def _k_list(text: str) -> tuple[float, ...]:
+    return tuple(_k_float(tok) for tok in text.split(",") if tok.strip())
+
+
 def _int_list(text: str) -> tuple[int, ...]:
     return tuple(int(tok) for tok in text.split(",") if tok.strip())
 
@@ -85,7 +98,7 @@ def _int_list(text: str) -> tuple[int, ...]:
 #: radii unless told otherwise.
 _OPTIONS = {
     "omega_l": float,
-    "k": float,
+    "k": _k_float,
     "m": int,
     "level": int,
     "j": float,
@@ -96,7 +109,7 @@ _OPTIONS = {
     "out": str,
     "sample_points": int,
     "omega_l_list": _float_list,
-    "k_list": _float_list,
+    "k_list": _k_list,
     "m_list": _int_list,
     "level_list": _int_list,
 }

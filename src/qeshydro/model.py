@@ -2,10 +2,11 @@
 
 Parameters, states and grids are immutable after construction.  What depends
 only on a grid (its stencil spacings, powers of its points, its Simpson
-weights, the envelope sampled on it) or only on a parameter set (``r_max``
-and the quadrature of :func:`l2_norm_constant`) is memoised: computed on
-first use and kept on that grid or parameter set, so the states and routes
-that share it compute it once.  A memo is a pure function of immutable
+weights, the points where verification evaluates a state, the envelope
+sampled on it) or only on a parameter set (``r_max`` and the quadrature of
+:func:`l2_norm_constants`) is memoised: computed on first use and kept on
+that grid or parameter set, so the states and routes that share it compute
+it once.  A memo is a pure function of immutable
 data, so filling it twice, as two threads may, stores equal values and is
 harmless; evaluating concurrently over grids and parameter sets stays safe.
 
@@ -40,6 +41,10 @@ DEFAULT_GRID_POINTS = 4096
 DEFAULT_R_MIN = 1e-3
 ENVELOPE_DECAY = 1e-12
 _SPACING_FLOOR_AT_DEFAULT = 1.25e-4
+#: Points of the node-count sign scan on (0, r_max].
+_NODE_MESH_POINTS = 4096
+#: Gauss-Legendre nodes of the norm's head on [0, r_min].
+_HEAD_NODES = 16
 
 _GAUSS_NODES = {}
 
@@ -189,12 +194,11 @@ class QesState:
         r = np.asarray(r, dtype=float)
         return self.norm_constant * self.polynomial_values(r) * self.params.envelope(r)
 
-    def _grid_values(self, grid: "RadialGrid", squared: bool = False):
-        """:meth:`radial_values` at the grid's points (at their squares when
-        ``squared``), with the envelope the grid keeps."""
-        r = grid._squares if squared else grid.points
-        return (self.norm_constant * self.polynomial_values(r)
-                * grid._envelope_samples(self.params, squared))
+    def _rho_grid_values(self, grid: "RadialGrid"):
+        """:meth:`radial_values` at the squares of the points of a rho grid,
+        with the envelope the grid keeps."""
+        return (self.norm_constant * self.polynomial_values(grid._squares)
+                * grid._envelope_samples(self.params, squared=True))
 
     def to_dict(self) -> dict:
         return {
@@ -306,6 +310,26 @@ class RadialGrid:
         """The grid-only factors of :func:`_simpson` on these points."""
         return _simpson_weights(self.points)
 
+    @cached_property
+    def _state_points(self):
+        """Every point where a state's polynomial factor is evaluated to
+        verify it, in one array: the grid points, then the node mesh
+        :func:`_node_mesh` of r_max, then the Gauss-Legendre head nodes on
+        [0, r_min]; with the head rule's half-width and weights."""
+        half, weights, head = _gauss_rule(0.0, self.r_min, _HEAD_NODES)
+        points = np.concatenate([self.points, _node_mesh(self.r_max), head])
+        points.setflags(write=False)
+        return points, half, weights
+
+    def _slot(self, name: str, key, compute):
+        """``compute()``, kept in the one-entry slot ``name`` of this grid
+        until a call brings a different ``key``."""
+        slot = self.__dict__.get(name)
+        if slot is None or slot[0] != key:
+            slot = (key, compute())
+            self.__dict__[name] = slot
+        return slot[1]
+
     def _envelope_samples(self, params: ModelParams, squared: bool = False) -> np.ndarray:
         """``params.envelope`` at the points, or at their squares when
         ``squared`` (a rho grid, where r = rho**2).
@@ -314,11 +338,8 @@ class RadialGrid:
         so the states of one parameter set share one evaluation.
         """
         key = (float(params.omega_l), float(params.k), params.abs_m, squared)
-        slot = self.__dict__.get("_envelope_slot")
-        if slot is None or slot[0] != key:
-            slot = (key, params.envelope(self._squares if squared else self.points))
-            self.__dict__["_envelope_slot"] = slot
-        return slot[1]
+        return self._slot("_envelope_slot", key, lambda: params.envelope(
+            self._squares if squared else self.points))
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
@@ -347,6 +368,12 @@ class RadialGrid:
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
         pts = _floored_geometric(r_min, r_max, n, floor)
         return cls(pts, "geometric", r_min, r_max)
+
+
+def _node_mesh(r_max: float) -> np.ndarray:
+    """The node-count sign-scan mesh: ``_NODE_MESH_POINTS`` equally spaced
+    points from r_max / _NODE_MESH_POINTS to r_max."""
+    return np.linspace(r_max / _NODE_MESH_POINTS, r_max, _NODE_MESH_POINTS)
 
 
 def _floored_geometric(r_min: float, r_max: float, n: int, floor: float) -> np.ndarray:
@@ -536,29 +563,56 @@ def gauss_integrate(fn, a: float, b: float, n: int = 256) -> float:
 
 
 def l2_norm_constant(params: ModelParams, poly) -> float:
-    """Normalization constant for P(r) * envelope under the r dr measure.
+    """Normalization constant for P(r) * envelope under the r dr measure:
+    :func:`l2_norm_constants` of the one polynomial factor ``poly``."""
+    return l2_norm_constants(params, [poly])[0]
+
+
+def l2_norm_constants(params: ModelParams, polys) -> list[float]:
+    """Normalization constants for P(r) * envelope under the r dr measure,
+    one for each polynomial factor in ``polys``.
 
     Uses Gauss-Legendre quadrature on [0, r_max]; deliberately a different
     quadrature from the grid-based Simpson rule used in verification, so the
     reported normalization error is a genuine two-method comparison.  The
-    rule and the envelope at its nodes are kept on ``params``.
+    rule and the envelope at its nodes are kept on ``params``.  All factors
+    are evaluated in one row-wise Horner pass over the nodes, with the
+    operations, and their order, of evaluating each one alone.
 
-    Raises DomainError when the integral of a nonzero polynomial factor
-    underflows to 0 or is not finite.
+    Raises, for the first factor in ``polys`` whose integral is 0 or not
+    finite, DomainError when that factor is nonzero (the envelope
+    underflows, or the state overflows) and ValueError when it is zero.
     """
-    coeffs = [float(c) for c in poly]
+    rows = [[float(c) for c in poly] for poly in polys]
+    if not rows:
+        return []
+    coeffs = np.zeros((len(rows), max(len(row) for row in rows)))
+    for row, values in zip(coeffs, rows):
+        # Zero coefficients above a short row's degree leave its Horner
+        # values unchanged: 0.0 * r + 0.0 is 0.0 at the positive nodes.
+        row[:len(values)] = values
     # A total that is not finite is raised below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         half, w, r, envelope = params._norm_rule
-        base = polyval(coeffs, r) * envelope
-        total = float(half * np.sum(w * (base * base * r)))
-    if not 0.0 < total < math.inf:
-        if not any(coeffs):
-            raise ValueError("polynomial factor gives zero norm")
-        cause = "the envelope underflows" if total == 0.0 else "the state overflows"
-        raise DomainError(
-            f"{cause} double precision at omega-l = {float(params.omega_l)!r}, "
-            f"k = {float(params.k)!r}, m = {params.m}: its norm integral is "
-            f"{total!r}"
-        )
-    return 1.0 / math.sqrt(total)
+        acc = np.empty((len(rows), r.size))
+        acc[:] = 0 * r
+        for col in range(coeffs.shape[1] - 1, -1, -1):
+            np.multiply(acc, r, out=acc)
+            acc += coeffs[:, col:col + 1]
+        base = acc * envelope
+        integrands = w * (base * base * r)
+        totals = [float(half * np.sum(row)) for row in integrands]
+    constants = []
+    for values, total in zip(rows, totals):
+        if not 0.0 < total < math.inf:
+            if not any(values):
+                raise ValueError("polynomial factor gives zero norm")
+            cause = ("the envelope underflows" if total == 0.0
+                     else "the state overflows")
+            raise DomainError(
+                f"{cause} double precision at omega-l = {float(params.omega_l)!r}, "
+                f"k = {float(params.k)!r}, m = {params.m}: its norm integral is "
+                f"{total!r}"
+            )
+        constants.append(1.0 / math.sqrt(total))
+    return constants

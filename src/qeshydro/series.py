@@ -263,26 +263,33 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
     params = ModelParams(float(omega_l), float(k), int(m))
     terms = [_terms(n, m, float(omega_l), float(k), energy)
              for n in range(level + 1)]
-    states = []
+    polys = []
+    unterminated = None
     for z in roots:
         coeffs = _regenerate(terms, z)
         scale = max(1.0, max(abs(c) for c in coeffs[:level]))
         tail = max(abs(coeffs[level]), abs(coeffs[level + 1]))
         if tail > tol * scale:
-            raise RuntimeError(
+            unterminated = RuntimeError(
                 f"series failed to terminate at level {level}, z={z!r}: "
                 f"tail coefficient {tail:.3e}"
             )
-        poly = tuple(coeffs[:level])
-        states.append(
-            QesState(
-                level=level,
-                j=0.5 * (level - 1),
-                z=float(z),
-                energy=energy,
-                poly=poly,
-                norm_constant=model.l2_norm_constant(params, poly),
-                params=params,
-            )
+            break
+        polys.append(tuple(coeffs[:level]))
+    # The states below the first unterminated root are normalised first, so
+    # a norm failure among them is raised ahead of it.
+    norms = model.l2_norm_constants(params, polys)
+    if unterminated is not None:
+        raise unterminated
+    return [
+        QesState(
+            level=level,
+            j=0.5 * (level - 1),
+            z=float(z),
+            energy=energy,
+            poly=poly,
+            norm_constant=norm,
+            params=params,
         )
-    return states
+        for z, poly, norm in zip(roots, polys, norms)
+    ]

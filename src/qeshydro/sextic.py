@@ -115,6 +115,29 @@ def rho_grid_for(params: ModelParams) -> RadialGrid:
     return RadialGrid.geometric(math.sqrt(DEFAULT_R_MIN), rho_max, DEFAULT_RHO_POINTS)
 
 
+def _sextic_potential(sextic: SexticState, grid: RadialGrid) -> np.ndarray:
+    """The sextic potential at the interior points of the rho ``grid``.
+
+    It depends only on the four coefficients, which all states of one level
+    share, so one slot per grid keeps the most recent coefficients' values.
+    """
+    key = (sextic.centrifugal_coeff, sextic.rho2_coeff, sextic.rho4_coeff,
+           sextic.rho6_coeff)
+
+    def potential():
+        _, rho4, rho6 = grid._rho_powers
+        inner = slice(1, -1)
+        rho = grid.points[inner]
+        return (
+            sextic.centrifugal_coeff / grid._squares[inner]
+            + sextic.rho2_coeff * rho * rho
+            + sextic.rho4_coeff * rho4[inner]
+            + sextic.rho6_coeff * rho6[inner]
+        )
+
+    return grid._slot("_sextic_potential_slot", key, potential)
+
+
 def sextic_residual(sextic: SexticState, grid: RadialGrid | None = None) -> float:
     """Max relative finite-difference residual of the sextic equation.
 
@@ -126,19 +149,12 @@ def sextic_residual(sextic: SexticState, grid: RadialGrid | None = None) -> floa
     grid = rho_grid_for(params) if grid is None else grid
     if len(grid) - 2 < 32:
         raise ValueError("rho grid too coarse: need at least 32 interior points")
-    sqrt_rho, rho4, rho6 = grid._rho_powers
-    zeta = sqrt_rho * sextic.source._grid_values(grid, squared=True)
+    sqrt_rho = grid._rho_powers[0]
+    zeta = sqrt_rho * sextic.source._rho_grid_values(grid)
     inner = slice(1, -1)
-    rho = grid.points[inner]
     operator = (
         -0.5 * _fd_second_interior(grid, zeta)
-        + (
-            sextic.centrifugal_coeff / grid._squares[inner]
-            + sextic.rho2_coeff * rho * rho
-            + sextic.rho4_coeff * rho4[inner]
-            + sextic.rho6_coeff * rho6[inner]
-        )
-        * zeta[inner]
+        + _sextic_potential(sextic, grid) * zeta[inner]
     )
     residual = operator - sextic.eigenvalue * zeta[inner]
     peak = float(np.max(np.abs(zeta)))

@@ -355,7 +355,7 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
     if matrix.exact:
         char = [float(c) for c in characteristic_polynomial(matrix)]
     else:
-        char = list(np.poly(a)[::-1])
+        char = np.poly(a)[::-1].tolist()
 
     level = matrix.dim
     energy = float(energy_x(j, m, omega_l, k))
@@ -394,18 +394,17 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
         diagnostics.append(f"no real eigenvalues at j={matrix.j}, m={m}")
 
     accepted.sort(key=lambda pair: pair[0])
-    states = []
-    for z, vec in accepted:
-        poly = tuple(float(c) for c in vec)
-        states.append(
-            QesState(
-                level=level,
-                j=float(matrix.j),
-                z=float(z),
-                energy=energy,
-                poly=poly,
-                norm_constant=model.l2_norm_constant(params, poly),
-                params=params,
-            )
+    polys = [tuple(float(c) for c in vec) for _, vec in accepted]
+    norms = model.l2_norm_constants(params, polys)
+    return [
+        QesState(
+            level=level,
+            j=float(matrix.j),
+            z=float(z),
+            energy=energy,
+            poly=poly,
+            norm_constant=norm,
+            params=params,
         )
-    return states
+        for (z, _), poly, norm in zip(accepted, polys, norms)
+    ]

@@ -11,11 +11,12 @@ import numpy as np
 from . import series, sl2
 from ._polyops import as_half_integer, is_exact, polyval
 from .model import (
+    _NODE_MESH_POINTS,
     DEFAULT_GRID_POINTS,
     QesState,
     RadialGrid,
+    _node_mesh,
     _simpson,
-    gauss_integrate,
     radial_operator_apply,
 )
 
@@ -42,8 +43,6 @@ class Tolerances:
 
 
 _TOLERANCES = Tolerances()
-#: Points of the sign scan in :func:`count_nodes`.
-_NODE_MESH_POINTS = 4096
 
 
 @dataclass(frozen=True)
@@ -87,12 +86,21 @@ def _state_label(state: QesState) -> str:
     )
 
 
+def _sign_changes(values: np.ndarray) -> int:
+    """Sign changes along ``values``, skipping exact zeros."""
+    signs = np.sign(values)
+    signs = signs[signs != 0]
+    return int(np.sum(signs[:-1] != signs[1:]))
+
+
 def count_nodes(poly, r_max: float) -> int:
-    """Sign changes of the polynomial factor on (0, r_max].
+    """Sign changes of the polynomial factor on (0, r_max]; 0 for a
+    constant.
 
     A sign scan over ``_NODE_MESH_POINTS`` equally spaced points from
     r_max / _NODE_MESH_POINTS to r_max: roots closer together, or closer
-    to 0, than that spacing are not resolved.
+    to 0, than that spacing are not resolved.  :func:`verify_state` scans
+    the same mesh of its grid's r_max.
     """
     coeffs = [float(c) for c in poly]
     degree = len(coeffs) - 1
@@ -100,23 +108,22 @@ def count_nodes(poly, r_max: float) -> int:
         degree -= 1
     if degree <= 0:
         return 0
-    mesh = np.linspace(r_max / _NODE_MESH_POINTS, r_max, _NODE_MESH_POINTS)
-    values = polyval(coeffs, mesh)
-    signs = np.sign(values)
-    signs = signs[signs != 0]
-    return int(np.sum(signs[:-1] != signs[1:]))
+    return _sign_changes(polyval(coeffs, _node_mesh(r_max)))
 
 
-def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray) -> float:
+def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray,
+                   head_poly: np.ndarray) -> float:
     """Simpson norm on the grid plus endpoint tail estimates, from the
-    state's ``samples`` on the grid points."""
+    state's ``samples`` on the grid points and its polynomial factor
+    ``head_poly`` at the grid's head nodes on [0, r_min]."""
     r = grid.points
     density = samples ** 2 * r
     total = float(_simpson(density, r, grid._simpson_weights))
 
-    head = gauss_integrate(
-        lambda s: state.radial_values(s) ** 2 * s, 0.0, grid.r_min, n=16
-    )
+    points, half, weights = grid._state_points
+    s = points[-head_poly.size:]
+    head_values = state.norm_constant * head_poly * state.params.envelope(s)
+    head = float(half * np.sum(weights * (head_values ** 2 * s)))
 
     # Beyond r_max the density is dominated by a decaying exponential whose
     # local rate includes the polynomial/power growth; bound the tail by a
@@ -141,14 +148,25 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     The residual is the interior maximum of |(H - E) R| scaled by
     max(|E R|, machine floor) over the grid; normalization error is the
     deviation of the Simpson-plus-tails norm from one.  Both are held to
-    the default :class:`Tolerances`.
+    the default :class:`Tolerances`.  The node count is
+    :func:`count_nodes` of the grid's r_max.
+
+    The polynomial factor is evaluated once, on the points the grid keeps
+    for this (the grid points, the node mesh and the head nodes of the
+    norm); each value is the one a separate evaluation on each set gives.
     """
     params = state.params
     grid = RadialGrid.for_params(params) if grid is None else grid
     if not any(abs(c) > 0 for c in state.poly):
         raise ValueError("state has an identically zero polynomial factor")
 
-    samples = state._grid_values(grid)
+    n = len(grid)
+    values = state.polynomial_values(grid._state_points[0])
+    on_grid = values[:n]
+    on_mesh = values[n:n + _NODE_MESH_POINTS]
+    on_head = values[n + _NODE_MESH_POINTS:]
+
+    samples = state.norm_constant * on_grid * grid._envelope_samples(params)
     residual, interior = radial_operator_apply(
         params.with_z(state.z), state.energy, grid, samples
     )
@@ -157,8 +175,10 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     scale = max(abs(state.energy) * peak, floor, 1e-300)
     max_residual = float(np.max(np.abs(residual[interior]))) / scale
 
-    norm_error = abs(_norm_estimate(state, grid, samples) - 1.0)
-    nodes = count_nodes(state.poly, grid.r_max)
+    norm_error = abs(_norm_estimate(state, grid, samples, on_head) - 1.0)
+    # A factor that is not identically zero and of degree 0 is a nonzero
+    # constant, so the scan gives count_nodes's 0 for it too.
+    nodes = _sign_changes(on_mesh)
 
     passed = (
         max_residual <= _TOLERANCES.max_residual

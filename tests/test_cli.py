@@ -91,6 +91,40 @@ class TestSolve:
         assert header.startswith("omega_l,k,m,level,j,root_index,z,energy")
 
 
+class TestNegativeZeroK:
+    """k = -0.0 is read as 0.0, so no sign of a zero reaches the output."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_solve_prints_what_k_zero_prints(self, fmt, capsys):
+        base = ["solve", "--omega-l", "1", "--m", "0", "--level", "2",
+                "--format", fmt]
+        negative = run_main(base + ["--k", "-0.0"], capsys)
+        assert negative == run_main(base + ["--k", "0"], capsys)
+        assert negative[0] == 0 and "-0.0" not in negative[1]
+
+    def test_scan_prints_what_k_zero_prints(self, capsys):
+        base = ["scan", "--omega-l-list", "1", "--m-list", "0",
+                "--level-list", "2"]
+        negative = run_main(base + ["--k-list=-0.0,1"], capsys)
+        assert negative == run_main(base + ["--k-list=0,1"], capsys)
+        assert negative[0] == 0 and "-0.0" not in negative[1]
+
+    def test_config_file_k(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("omega_l = 1\nk = -0.0\nm = 0\nlevel = 2\n")
+        from_file = run_main(["solve", "--config", str(config)], capsys)
+        assert from_file == run_main(
+            ["solve", "--omega-l", "1", "--k", "0", "--m", "0", "--level", "2"],
+            capsys)
+
+    def test_malformed_k_message(self, capsys):
+        code, _, err = run_main(
+            ["solve", "--omega-l", "1", "--k", "abc", "--m", "0", "--level", "2"],
+            capsys)
+        assert code == 2
+        assert "argument --k: invalid float value: 'abc'" in err
+
+
 class TestScan:
     def test_three_by_three_level_one(self, capsys):
         code, out, _ = run_main(

@@ -3,8 +3,10 @@ the per-state formulas they replace.
 
 The reference functions below are the per-state formulas, copied as they
 were before the stencil, the powers of the points, the envelope samples and
-the norm quadrature were kept on the grid or on the parameters.  Every
-comparison is ``==``: sharing must not move a single bit.
+the norm quadrature were kept on the grid or on the parameters, and before
+each state's polynomial factor was evaluated once for all its checks and
+the norm constants of a solve in one pass.  Every comparison is ``==``:
+sharing must not move a single bit.
 """
 
 import math
@@ -17,16 +19,23 @@ import pytest
 from qeshydro import (
     ModelParams,
     RadialGrid,
+    build_qes_matrix,
+    constraint_polynomial,
     count_nodes,
     envelope_r_max,
+    level_energy,
     rho_grid_for,
+    series,
     sextic_residual,
+    sl2,
     solve_admissible_z,
+    solve_series_states,
     to_sextic,
     verify_state,
 )
-from qeshydro.model import gauss_integrate, l2_norm_constant
-from qeshydro.series import _HALF, _terms
+from qeshydro._polyops import DomainError, newton_polish, real_roots
+from qeshydro.model import gauss_integrate, l2_norm_constant, l2_norm_constants
+from qeshydro.series import _HALF, _regenerate, _terms
 
 
 def ref_fd_derivatives(x, f):
@@ -98,6 +107,19 @@ def ref_simpson(y, x):
     return total
 
 
+def ref_count_nodes(poly, r_max):
+    coeffs = [float(c) for c in poly]
+    degree = len(coeffs) - 1
+    while degree > 0 and coeffs[degree] == 0.0:
+        degree -= 1
+    if degree <= 0:
+        return 0
+    mesh = np.linspace(r_max / 4096, r_max, 4096)
+    signs = np.sign(ref_polyval(coeffs, mesh))
+    signs = signs[signs != 0]
+    return int(np.sum(signs[:-1] != signs[1:]))
+
+
 def ref_report(state, grid):
     """(max_residual, norm_error, node_count) by the per-state formulas."""
     p = state.params
@@ -121,7 +143,7 @@ def ref_report(state, grid):
             - (2.0 * p.abs_m + 1.0 + 2.0 * (state.level - 1)) / r_max)
     rate = max(rate, omega * r_max)
     norm = total + head + float(density[-1]) / rate
-    return max_residual, abs(norm - 1.0), count_nodes(state.poly, grid.r_max)
+    return max_residual, abs(norm - 1.0), ref_count_nodes(state.poly, grid.r_max)
 
 
 def ref_sextic_residual(sextic, grid):
@@ -153,6 +175,28 @@ def ref_norm_constant(params, poly):
 
     total = gauss_integrate(integrand, 0.0, envelope_r_max(params), n=256)
     return 1.0 / math.sqrt(total)
+
+
+def ref_norm_outcome(params, poly):
+    """The per-state norm constant, or the type and text of what the
+    per-state ``l2_norm_constant`` raised."""
+    coeffs = [float(c) for c in poly]
+
+    def integrand(r):
+        base = ref_polyval(coeffs, r) * ref_envelope(params, r)
+        return base * base * r
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = gauss_integrate(integrand, 0.0, envelope_r_max(params), n=256)
+    if 0.0 < total < math.inf:
+        return 1.0 / math.sqrt(total)
+    if not any(coeffs):
+        return ValueError, "polynomial factor gives zero norm"
+    cause = "the envelope underflows" if total == 0.0 else "the state overflows"
+    return DomainError, (
+        f"{cause} double precision at omega-l = {float(params.omega_l)!r}, "
+        f"k = {float(params.k)!r}, m = {params.m}: its norm integral is "
+        f"{total!r}")
 
 
 def sweep_like_inputs(count, seed):
@@ -229,6 +273,168 @@ class TestSharedEqualsPerState:
             new, old = _fd_derivatives(grid, f), ref_fd_derivatives(grid.points, f)
             assert np.array_equal(new[0], old[0])
             assert np.array_equal(new[1], old[1])
+
+
+def deep_like_inputs(count, seed, levels):
+    """Seeded (omega_l, k, m, level) like the deep benchmark's: the sweep's
+    couplings and m, levels drawn from ``levels``."""
+    rng = random.Random(seed)
+    for i in range(count):
+        omega_l = 0.2 * 25.0 ** rng.random()
+        k = 0.0 if i % 6 == 0 else 4.0 * rng.random()
+        yield omega_l, k, rng.randint(-4, 4), rng.randint(*levels)
+
+
+def some(states):
+    """The first and the last state and about three between."""
+    if not states:
+        return []
+    step = max(1, len(states) // 4)
+    return [states[i] for i in sorted({*range(0, len(states), step),
+                                       len(states) - 1})]
+
+
+@pytest.fixture(scope="module")
+def solved():
+    """(params, grid, algebraic states, series states or the exception)
+    for 12 inputs at levels 14-200 and 4 at levels 1-13."""
+    out = []
+    inputs = [*deep_like_inputs(12, 15, (14, 200)),
+              *deep_like_inputs(4, 16, (1, 13))]
+    for omega_l, k, m, level in inputs:
+        params = ModelParams(omega_l, k, m)
+        algebra = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+        try:
+            series = solve_series_states(level, m, omega_l, k)
+        except (RuntimeError, ValueError) as exc:
+            series = exc
+        out.append((params, RadialGrid.for_params(params), algebra, series))
+    return out
+
+
+class TestOnePassPerState:
+    def test_reports_and_node_counts_at_depth(self, solved):
+        checked = 0
+        for params, grid, algebra, series in solved:
+            for states in (algebra, series):
+                if isinstance(states, Exception):
+                    continue
+                for state in some(states):
+                    report = verify_state(state, grid=grid)
+                    assert (report.max_residual, report.norm_error,
+                            report.node_count) == ref_report(state, grid)
+                    assert count_nodes(state.poly, grid.r_max) == report.node_count
+                    checked += 1
+        assert checked > 100
+
+    def test_norm_constants_at_depth(self, solved):
+        for params, _, algebra, series in solved:
+            for states in (algebra, series):
+                if isinstance(states, Exception):
+                    continue
+                polys = [s.poly for s in states]
+                norms = [s.norm_constant for s in states]
+                assert l2_norm_constants(params, polys) == norms
+                for state in some(states):
+                    assert l2_norm_constant(params, state.poly) == state.norm_constant
+                    assert state.norm_constant == ref_norm_outcome(params, state.poly)
+
+    def test_series_raises_what_the_first_failing_state_raised(self, solved):
+        # At this input the norm of one of the states overflows; the states
+        # before it are normalised, and the error names the overflow.
+        level, m, omega_l, k = 184, 2, 0.8202921792095698, 2.6954949851996086
+        params = ModelParams(omega_l, k, m)
+        constraint = constraint_polynomial(level, m, omega_l, k)
+        roots = real_roots([float(c) for c in constraint.coeffs], 1e-9)
+        energy = float(level_energy(level, m, omega_l, k))
+        terms = [_terms(n, m, omega_l, k, energy) for n in range(level + 1)]
+        outcomes = [ref_norm_outcome(params, _regenerate(terms, z)[:level])
+                    for z in roots]
+        failing = [o for o in outcomes if isinstance(o, tuple)]
+        assert failing and failing[0][0] is DomainError
+        with pytest.raises(DomainError) as caught:
+            solve_series_states(level, m, omega_l, k)
+        assert type(caught.value) is failing[0][0]
+        assert str(caught.value) == failing[0][1]
+
+    def test_norm_failure_before_an_unterminated_root_is_raised(self, monkeypatch):
+        # At m = 400 every norm overflows.  Root by root, the first state's
+        # norm raised before the appended root could fail to terminate.
+        true_roots = series.real_roots
+
+        def with_unterminated_root(coeffs, tol, diagnostics=None):
+            roots = true_roots(coeffs, tol, diagnostics)
+            return roots + [2.0 * roots[-1] + 1.0]
+
+        monkeypatch.setattr(series, "real_roots", with_unterminated_root)
+        with pytest.raises(DomainError, match="the state overflows"):
+            solve_series_states(2, 400, 1.0, 1.0)
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            solve_series_states(2, 3, 1.0, 1.0)
+
+    @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 2, 0)])
+    def test_batch_raises_for_the_first_failing_row(self, order):
+        params = ModelParams(1.0, 1.0, 0)
+        rows = [(1.0, -0.5), (1.0, 1e300, 1e300), (0.0, 0.0)]
+        ordered = [rows[i] for i in order]
+        expected = next(o for o in (ref_norm_outcome(params, r) for r in ordered)
+                        if isinstance(o, tuple))
+        with pytest.raises(ValueError) as caught:
+            l2_norm_constants(params, ordered)
+        assert (type(caught.value), str(caught.value)) == expected
+
+    def test_rows_of_different_lengths(self):
+        params = ModelParams(0.7, 2.5, -3)
+        polys = [(1.0,), (1.0, -0.3, 0.02), (1.0, 0.0, 0.0), (1.0, -2.0)]
+        expected = [ref_norm_outcome(params, p) for p in polys]
+        assert l2_norm_constants(params, polys) == expected
+        assert l2_norm_constants(params, []) == []
+
+    def test_one_grid_for_two_parameter_sets_at_depth(self):
+        first = solve_admissible_z(14.5, 3, 1.7, 0.4)
+        second = solve_admissible_z(8, -2, 0.5, 3.1)
+        grid = RadialGrid.for_params(first[0].params)
+        for states in (first, second, first[::-1], second[::-1]):
+            for state in some(states):
+                assert_report_matches(state, grid)
+
+    def test_sextic_potential_follows_the_level(self):
+        # Two levels at the same couplings and m differ only in the rho**2
+        # coefficient of the sextic potential.
+        rho = rho_grid_for(ModelParams(1.1, 0.9, 1))
+        low = solve_admissible_z(0.5, 1, 1.1, 0.9)
+        high = solve_admissible_z(2, 1, 1.1, 0.9)
+        for state in (low[0], high[0], high[-1], low[-1]):
+            sextic = to_sextic(state)
+            assert sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
+
+
+class TestNewtonPolishOnFloats:
+    @staticmethod
+    def ref_strengths(j, m, omega_l, k, tol=1e-9):
+        a = build_qes_matrix(j, m, omega_l, k).as_array()
+        eigvals = np.linalg.eig(a)[0]
+        scale = max(1.0, float(np.max(np.abs(eigvals))))
+        char = list(np.poly(a)[::-1])
+        return sorted(newton_polish(char, complex(lam).real) for lam in eigvals
+                      if abs(complex(lam).imag) <= tol * scale)
+
+    @pytest.mark.parametrize("level,m,omega_l,k", [
+        (1, 0, 1.0, 1.0), (2, -1, 0.3, 2.2), (7, 2, 2.5, 0.0), (13, -4, 0.7, 3.9),
+        (40, 1, 1.0, 1.0), (100, 0, 4.1, 0.6), (200, -3, 0.45, 1.8)])
+    def test_polished_strengths_and_float_coefficients(self, level, m, omega_l, k,
+                                                       monkeypatch):
+        seen = []
+
+        def polish(coeffs, root):
+            seen.append({type(c) for c in coeffs})
+            return newton_polish(coeffs, root)
+
+        monkeypatch.setattr(sl2, "newton_polish", polish)
+        states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+        assert seen and all(types == {float} for types in seen)
+        assert [s.z for s in states] == \
+            self.ref_strengths((level - 1) / 2, m, omega_l, k)
 
 
 class TestFloatRecurrenceTerms:
