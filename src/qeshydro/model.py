@@ -599,8 +599,12 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
         for col in range(coeffs.shape[1] - 1, -1, -1):
             np.multiply(acc, r, out=acc)
             acc += coeffs[:, col:col + 1]
-        base = acc * envelope
-        integrands = w * (base * base * r)
+        # In place, to keep one (n_states, nodes) temporary: acc becomes
+        # base = P * envelope, then integrands = w * (base * base * r).
+        acc *= envelope
+        integrands = acc * acc
+        integrands *= r
+        integrands *= w
         totals = [float(half * np.sum(row)) for row in integrands]
     constants = []
     for values, total in zip(rows, totals):
