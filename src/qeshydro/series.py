@@ -270,17 +270,20 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
         scale = max(1.0, max(abs(c) for c in coeffs[:level]))
         tail = max(abs(coeffs[level]), abs(coeffs[level + 1]))
         if tail > tol * scale:
-            unterminated = RuntimeError(
-                f"series failed to terminate at level {level}, z={z!r}: "
-                f"tail coefficient {tail:.3e}"
-            )
+            unterminated = z, tail
             break
         polys.append(tuple(coeffs[:level]))
     # The states below the first unterminated root are normalised first, so
-    # a norm failure among them is raised ahead of it.
+    # a norm failure among them is raised ahead of it.  The error is made
+    # only at the raise: kept in a local, it and this frame would hold each
+    # other, and every caller's frame, until a cyclic garbage collection.
     norms = model.l2_norm_constants(params, polys)
     if unterminated is not None:
-        raise unterminated
+        z, tail = unterminated
+        raise RuntimeError(
+            f"series failed to terminate at level {level}, z={z!r}: "
+            f"tail coefficient {tail:.3e}"
+        )
     return [
         QesState(
             level=level,

@@ -9,6 +9,7 @@ the norm constants of a solve in one pass.  Every comparison is ``==``:
 sharing must not move a single bit.
 """
 
+import gc
 import math
 import random
 from fractions import Fraction
@@ -371,6 +372,23 @@ class TestOnePassPerState:
             solve_series_states(2, 400, 1.0, 1.0)
         with pytest.raises(RuntimeError, match="failed to terminate"):
             solve_series_states(2, 3, 1.0, 1.0)
+
+    def test_unterminated_root_leaves_no_reference_cycle(self, monkeypatch):
+        # A cycle through the solver's frame would keep every caller's frame,
+        # and the grids in their locals, alive until a cyclic collection.
+        true_roots = series.real_roots
+        monkeypatch.setattr(series, "real_roots", lambda coeffs, tol, diagnostics=None:
+                            true_roots(coeffs, tol, diagnostics) + [9.0])
+        gc.collect()
+        gc.disable()
+        try:
+            try:
+                solve_series_states(2, 3, 1.0, 1.0)
+            except RuntimeError:
+                pass
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 2, 0)])
     def test_batch_raises_for_the_first_failing_row(self, order):
