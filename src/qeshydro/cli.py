@@ -233,6 +233,14 @@ def _solve_and_verify(cfg: RunConfig, omega_l, k, m, level, diagnostics=None):
     return states, [verify_state(s, grid=grid) for s in states], grid
 
 
+def _incomplete(states, level: int) -> str | None:
+    """The diagnostic of a level that returned fewer than its ``level``
+    strengths, or None when all came back."""
+    if len(states) < level:
+        return f"incomplete level: {len(states)} of {level} strengths"
+    return None
+
+
 def _solve_with_reports(cfg: RunConfig):
     """Shared solve pipeline: states, per-state reports, cross check, notes,
     and the radial grid the reports were computed on."""
@@ -255,12 +263,17 @@ def _solve_with_reports(cfg: RunConfig):
             diags.append("cross-validation FAILED")
     else:
         diags.append("cross-validation skipped: level above the desk-scale cap")
+    incomplete = _incomplete(states, cfg.level)
+    if incomplete:
+        diags.append(incomplete)
     return states, reports, cross, diags, grid
 
 
-def _cross_exit(cross) -> int:
-    """Exit 4 when cross-validation ran (level <= 13) and failed."""
-    return EXIT_VERIFICATION if cross is not None and not cross.passed else EXIT_OK
+def _exit_code(cfg: RunConfig, states, cross) -> int:
+    """Exit 4 when the level is incomplete, or when cross-validation ran
+    (level <= 13) and failed."""
+    failed = _incomplete(states, cfg.level) or (cross is not None and not cross.passed)
+    return EXIT_VERIFICATION if failed else EXIT_OK
 
 
 def _payload(cfg: RunConfig, **fields) -> dict:
@@ -300,7 +313,7 @@ def cmd_solve(cfg: RunConfig) -> int:
             for i, (s, r) in enumerate(zip(states, reports))
         ]
         _emit(_csv_table(header, rows), cfg.out)
-    return _cross_exit(cross)
+    return _exit_code(cfg, states, cross)
 
 
 def cmd_scan(cfg: RunConfig) -> int:
@@ -311,6 +324,7 @@ def cmd_scan(cfg: RunConfig) -> int:
     header = ["omega_l", "k", "m", "level", "root_index", "z", "energy",
               "max_residual", "node_count"]
     rows: list[list] = []
+    incomplete = []
     # Rows are assembled in lexicographic input order then ascending z,
     # independent of any evaluation concurrency.
     for omega_l in sorted(cfg.omega_l_list):
@@ -318,6 +332,10 @@ def cmd_scan(cfg: RunConfig) -> int:
             for m in sorted(m_values):
                 for level in sorted(level_values):
                     states, reports, _ = _solve_and_verify(cfg, omega_l, k, m, level)
+                    note = _incomplete(states, level)
+                    if note:
+                        incomplete.append(f"{note} at omega_l={omega_l!r} "
+                                          f"k={k!r} m={m} level={level}")
                     for idx, (state, report) in enumerate(zip(states, reports)):
                         rows.append([
                             omega_l, k, m, level, idx, state.z, state.energy,
@@ -331,12 +349,15 @@ def cmd_scan(cfg: RunConfig) -> int:
             "rows": [dict(zip(header, row)) for row in rows],
         }
         _emit(_json_dump(payload), cfg.out)
-    return EXIT_OK
+    for note in incomplete:
+        print(f"error: {note}", file=sys.stderr)
+    return EXIT_VERIFICATION if incomplete else EXIT_OK
 
 
 def cmd_verify(cfg: RunConfig) -> int:
     states, reports, cross, diags, _ = _solve_with_reports(cfg)
-    all_passed = bool(states) and all(r.passed for r in reports)
+    all_passed = (not _incomplete(states, cfg.level)
+                  and all(r.passed for r in reports))
     if cross is not None:
         all_passed = all_passed and cross.passed
     payload = _payload(
@@ -386,7 +407,7 @@ def cmd_map_sextic(cfg: RunConfig) -> int:
         if sample_rows:
             text += "\n" + _csv_table(["root_index", "rho", "zeta"], sample_rows)
         _emit(text, cfg.out)
-    return _cross_exit(cross)
+    return _exit_code(cfg, states, cross)
 
 
 def cmd_export(cfg: RunConfig) -> int:
@@ -409,7 +430,7 @@ def cmd_export(cfg: RunConfig) -> int:
             values = state.radial_values(radii)
             rows.extend([idx, float(a), float(b)] for a, b in zip(radii, values))
         _emit(_csv_table(header, rows), cfg.out)
-    return _cross_exit(cross)
+    return _exit_code(cfg, states, cross)
 
 
 _DISPATCH = {

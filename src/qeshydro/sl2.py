@@ -335,6 +335,12 @@ def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den ** (n - e)) for e, c in enumerate(cur))
 
 
+#: The most recent successful solve: (key, states, diagnostics).  It is
+#: replaced by one assignment and read once per call, so a concurrent caller
+#: can only miss it, never read a key with another call's states.
+_last_solve = None
+
+
 def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
                        diagnostics: list[str] | None = None) -> list[QesState]:
     """Diagonalize the finite matrix and package the real-eigenvalue states.
@@ -343,11 +349,35 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
     few Newton steps on the characteristic polynomial, and are sorted
     ascending.  Eigenvalues with an imaginary part above ``tol`` times the
     spectral scale are excluded and reported through ``diagnostics``.
-    Eigenvectors are rescaled so the constant coefficient is one.
+    Eigenvectors are rescaled so the constant coefficient is one.  Every
+    state carries the level's energy, :func:`model.level_energy`.
+
+    The most recent solve is kept in one slot, keyed by the coerced inputs:
+    j, m, whether the couplings are exact, omega_l, k with the sign of a
+    zero k, and tol.  A call with the same key returns a new list of the
+    same immutable states and appends the same diagnostics; a call that
+    raises keeps nothing.
     """
+    global _last_solve
     if tol <= 0:
         raise ValueError("tol must be positive")
-    matrix = build_qes_matrix(j, m, omega_l, k)
+    jf = as_half_integer(j)
+    m = check_integer_m(m)
+    omega, kk, exact = coerce_couplings(omega_l, k)
+    key = (jf, m, exact, omega, kk, math.copysign(1.0, kk), tol)
+    last = _last_solve
+    if last is None or last[0] != key:
+        last = (key, *_solve(jf, m, omega, kk, tol))
+        _last_solve = last
+    if diagnostics is not None:
+        diagnostics.extend(last[2])
+    return list(last[1])
+
+
+def _solve(jf: Fraction, m: int, omega, kk, tol: float):
+    """The states of :func:`solve_admissible_z` for coerced inputs, as a
+    tuple, with the tuple of its diagnostics."""
+    matrix = build_qes_matrix(jf, m, omega, kk)
     a = matrix.as_array()
     eigvals, eigvecs = np.linalg.eig(a)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
@@ -358,17 +388,17 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
         char = np.poly(a)[::-1].tolist()
 
     level = matrix.dim
-    energy = float(energy_x(j, m, omega_l, k))
-    params = ModelParams(float(omega_l), float(k), int(m))
+    energy = float(model.level_energy(level, m, omega, kk))
+    params = ModelParams(float(omega), float(kk), m)
 
+    diagnostics: list[str] = []
     accepted = []
     for idx in range(eigvals.size):
         lam = complex(eigvals[idx])
         if abs(lam.imag) > tol * scale:
-            if diagnostics is not None:
-                diagnostics.append(
-                    f"excluded complex eigenvalue {lam!r} at j={matrix.j}, m={m}"
-                )
+            diagnostics.append(
+                f"excluded complex eigenvalue {lam!r} at j={matrix.j}, m={m}"
+            )
             continue
         z = newton_polish(char, lam.real)
         vec = np.real(eigvecs[:, idx])
@@ -377,26 +407,24 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
         else:
             lead = np.nonzero(np.abs(vec) > 1e-12 * float(np.max(np.abs(vec))))[0][0]
             vec = vec / vec[lead]
-            if diagnostics is not None:
-                diagnostics.append(
-                    f"eigenvector with vanishing constant term at z={z!r}; "
-                    f"scaled leading coefficient instead"
-                )
+            diagnostics.append(
+                f"eigenvector with vanishing constant term at z={z!r}; "
+                f"scaled leading coefficient instead"
+            )
         defect = float(np.max(np.abs(a @ vec - z * vec)))
         if defect > tol * scale * float(np.max(np.abs(vec))):
-            if diagnostics is not None:
-                diagnostics.append(
-                    f"eigenvector consistency defect {defect:.3e} at z={z!r}"
-                )
+            diagnostics.append(
+                f"eigenvector consistency defect {defect:.3e} at z={z!r}"
+            )
         accepted.append((z, vec))
 
-    if not accepted and diagnostics is not None:
+    if not accepted:
         diagnostics.append(f"no real eigenvalues at j={matrix.j}, m={m}")
 
     accepted.sort(key=lambda pair: pair[0])
     polys = [tuple(float(c) for c in vec) for _, vec in accepted]
     norms = model.l2_norm_constants(params, polys)
-    return [
+    states = tuple(
         QesState(
             level=level,
             j=float(matrix.j),
@@ -407,4 +435,5 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
             params=params,
         )
         for (z, _), poly, norm in zip(accepted, polys, norms)
-    ]
+    )
+    return states, tuple(diagnostics)

@@ -208,6 +208,10 @@ def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationRepo
     two sorted real sequences).  A root-count mismatch after reality
     filtering, and a series that fails to terminate, are reported as
     failures, not raised.
+
+    The algebraic states come from :func:`sl2.solve_admissible_z`, which
+    keeps its most recent solve in one slot; so a solve followed by this
+    check on the same set runs the algebraic route once.
     """
     jf = as_half_integer(j)
     level = int(2 * jf) + 1

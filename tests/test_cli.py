@@ -269,6 +269,43 @@ class TestVerificationExit:
         diagnostics = json.loads(out)["diagnostics"]
         assert any("series failed to terminate" in d for d in diagnostics)
 
+    def test_energy_near_zero_is_not_a_usage_error(self, capsys):
+        # The level-2 energy here is about -4e-3, where two energy formulas
+        # used to round apart by more than the state's own check allows.
+        code, out, err = run_main(
+            ["solve", "--omega-l", "1e7", "--k", "63245553209.69215", "--m", "0",
+             "--level", "2"], capsys)
+        assert code != 2, err
+        assert len(json.loads(out)["states"]) == 2
+
+
+class TestCompleteness:
+    def test_incomplete_level_exits_4(self, capsys):
+        code, out, _ = run_main(
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "200"],
+            capsys)
+        assert code == 4
+        payload = json.loads(out)
+        assert len(payload["states"]) == 136
+        assert "incomplete level: 136 of 200 strengths" in payload["diagnostics"]
+
+    def test_verify_fails_an_incomplete_level(self, capsys):
+        code, out, _ = run_main(
+            ["verify", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "76"],
+            capsys)
+        payload = json.loads(out)
+        assert code == 4 and payload["passed"] is False
+        assert "incomplete level: 74 of 76 strengths" in payload["diagnostics"]
+
+    def test_scan_with_an_incomplete_set_exits_4(self, capsys):
+        code, out, err = run_main(
+            ["scan", "--omega-l-list", "1", "--k-list", "1", "--m", "0",
+             "--level-list", "2,76"], capsys)
+        assert code == 4
+        assert len(out.strip().splitlines()) == 1 + 2 + 74
+        assert err == ("error: incomplete level: 74 of 76 strengths at "
+                       "omega_l=1.0 k=1.0 m=0 level=76\n")
+
 
 class TestDiagnostics:
     def test_each_diagnostic_once_without_numpy_reprs(self, capsys):
