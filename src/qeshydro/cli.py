@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -58,17 +59,16 @@ class RunConfig:
     m_list: tuple[int, ...] = ()
     level_list: tuple[int, ...] = ()
 
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise UsageError("tol must be positive")
-        if self.format not in _FORMATS:
-            raise UsageError(f"unsupported format {self.format!r}")
-        if self.grid_points < 64:
-            raise UsageError("grid-points must be at least 64")
-        if self.r_min <= 0:
-            raise UsageError("r-min must be positive")
-        if self.sample_points < 0:
-            raise UsageError("sample-points must be non-negative")
+
+def _checked(parse, accept, message: str):
+    """``parse``, then ArgumentTypeError(``message``) unless ``accept``."""
+    def check(text: str):
+        value = parse(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(message.format(value))
+        return value
+    check.__name__ = parse.__name__  # argparse names the type in its error text
+    return check
 
 
 def _float_list(text: str) -> tuple[float, ...]:
@@ -93,21 +93,25 @@ def _int_list(text: str) -> tuple[int, ...]:
 
 
 #: Every option: its config-file key, its flag (the key with '-' for '_'),
-#: and its parser.  The ``*_list`` flags belong to ``scan`` only.  Defaults
-#: live in RunConfig, except that scan writes CSV and export samples 100
-#: radii unless told otherwise.
+#: and its parser, which also checks the value's range, so flags and config
+#: files are checked once, alike.  The ``*_list`` flags belong to ``scan``
+#: only.  Defaults live in RunConfig, except that scan writes CSV and export
+#: samples 100 radii unless told otherwise.
 _OPTIONS = {
     "omega_l": float,
     "k": _k_float,
     "m": int,
     "level": int,
     "j": float,
-    "tol": float,
-    "grid_points": int,
-    "r_min": float,
-    "format": str,
+    "tol": _checked(float, lambda x: 0 < x < math.inf,
+                    "tol must be positive and finite"),
+    "grid_points": _checked(int, lambda n: n >= 64, "grid-points must be at least 64"),
+    "r_min": _checked(float, lambda x: 0 < x < math.inf,
+                      "r-min must be positive and finite"),
+    "format": _checked(str, _FORMATS.__contains__, "unsupported format {!r}"),
     "out": str,
-    "sample_points": int,
+    "sample_points": _checked(int, lambda n: n >= 0,
+                              "sample-points must be non-negative"),
     "omega_l_list": _float_list,
     "k_list": _k_list,
     "m_list": _int_list,
@@ -132,7 +136,7 @@ def _load_config_file(path: str) -> dict:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
                     values[key] = _OPTIONS[key](value.strip())
-                except ValueError as exc:
+                except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise UsageError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
@@ -156,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
             if key.endswith("_list") and name != "scan":
                 continue
             p.add_argument("--" + key.replace("_", "-"), type=parse, default=None,
-                           choices=_FORMATS if key == "format" else None)
+                           metavar="{json,csv}" if key == "format" else None)
     return parser
 
 
@@ -199,11 +203,14 @@ def _merge(args: argparse.Namespace) -> RunConfig:
 
 
 def _emit(text: str, out: str | None) -> None:
-    if out:
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc}") from exc
 
 
 def _json_dump(payload: dict) -> str:

@@ -246,11 +246,11 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
     """States of one level from the real roots of the termination constraint.
 
     Roots come from the companion matrix of the constraint polynomial with a
-    Newton polish on the exact coefficients; complex roots are excluded and
-    reported.  For each root the recurrence is re-run numerically and the
-    coefficients past the polynomial degree are checked to vanish.
+    Newton polish on its float-rounded coefficients; complex roots are
+    excluded and reported.  For each root the recurrence is re-run
+    numerically and the coefficients past the degree are checked to vanish.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     constraint = constraint_polynomial(level, m, omega_l, k)
     roots = real_roots([float(c) for c in constraint.coeffs], tol, diagnostics)

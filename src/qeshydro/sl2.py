@@ -9,10 +9,10 @@ it is tridiagonal with a closed form used throughout:
     M[n-1, n]   = -n (|m| + n/2)
     M[n+1, n]   = -omega_l (2j - n)
 
-and the admissible strengths are exactly its eigenvalues.  Its exact
-characteristic polynomial follows from the three-term continuant of these
-entries in O(n^2) operations on Python integers over one common
-denominator, with one rational reduction per coefficient.
+and the admissible strengths are exactly its eigenvalues, as a dense
+eigensolver returns them.  Its exact characteristic polynomial (the series
+constraint, up to normalisation) is the three-term continuant of these
+entries, O(n^2) operations on Python integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -24,12 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import model
-from ._polyops import (
-    as_half_integer,
-    check_integer_m,
-    coerce_couplings,
-    newton_polish,
-)
+from ._polyops import as_half_integer, check_integer_m, coerce_couplings
 from .model import ModelParams, QesState, gauge_transform  # noqa: F401  (re-export)
 
 __all__ = [
@@ -345,10 +340,11 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
                        diagnostics: list[str] | None = None) -> list[QesState]:
     """Diagonalize the finite matrix and package the real-eigenvalue states.
 
-    Eigenvalues come from a general dense eigensolver, are polished with a
-    few Newton steps on the characteristic polynomial, and are sorted
-    ascending.  Eigenvalues with an imaginary part above ``tol`` times the
-    spectral scale are excluded and reported through ``diagnostics``.
+    The strengths are a dense eigensolver's eigenvalues as it returns them,
+    sorted ascending: Newton steps on the ill-conditioned monomial
+    characteristic polynomial would only move them off.  Eigenvalues with an
+    imaginary part above ``tol`` times the spectral scale are excluded and
+    reported through ``diagnostics``.
     Eigenvectors are rescaled so the constant coefficient is one.  Every
     state carries the level's energy, :func:`model.level_energy`.
 
@@ -359,7 +355,7 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
     raises keeps nothing.
     """
     global _last_solve
-    if tol <= 0:
+    if not tol > 0:
         raise ValueError("tol must be positive")
     jf = as_half_integer(j)
     m = check_integer_m(m)
@@ -381,12 +377,6 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
     a = matrix.as_array()
     eigvals, eigvecs = np.linalg.eig(a)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
-
-    if matrix.exact:
-        char = [float(c) for c in characteristic_polynomial(matrix)]
-    else:
-        char = np.poly(a)[::-1].tolist()
-
     level = matrix.dim
     energy = float(model.level_energy(level, m, omega, kk))
     params = ModelParams(float(omega), float(kk), m)
@@ -400,7 +390,7 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
                 f"excluded complex eigenvalue {lam!r} at j={matrix.j}, m={m}"
             )
             continue
-        z = newton_polish(char, lam.real)
+        z = lam.real
         vec = np.real(eigvecs[:, idx])
         if abs(vec[0]) > 1e-12 * float(np.max(np.abs(vec))):
             vec = vec / vec[0]

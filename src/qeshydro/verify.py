@@ -3,7 +3,7 @@ node counts, cross-method agreement, and scaling audits."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -38,7 +38,7 @@ class Tolerances:
     cross_delta: float = 1e-9
 
     def __post_init__(self):
-        if min(self.max_residual, self.norm_error, self.cross_delta) <= 0:
+        if not all(t > 0 for t in astuple(self)):
             raise ValueError("tolerances must be positive")
 
 

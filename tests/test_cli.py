@@ -91,6 +91,46 @@ class TestSolve:
         assert header.startswith("omega_l,k,m,level,j,root_index,z,energy")
 
 
+class TestOptionRanges:
+    """Every option's range is checked by its parser, for flags and config
+    files alike, and a bad value exits 2 with the option named."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("tol", "nan"), ("tol", "inf"), ("tol", "0"), ("r-min", "nan"),
+        ("r-min", "inf"), ("r-min", "-1"), ("grid-points", "63"),
+        ("sample-points", "-1"), ("format", "xml")])
+    def test_flag(self, flag, value, capsys):
+        code, out, err = run_main(
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "90",
+             f"--{flag}", value], capsys)
+        assert code == 2 and out == ""
+        assert f"argument --{flag}: " in err
+        assert "NaN" not in err
+
+    @pytest.mark.parametrize("key,value", [
+        ("tol", "nan"), ("r_min", "inf"), ("grid_points", "10"),
+        ("sample_points", "-3"), ("format", "xml")])
+    def test_config_file(self, key, value, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"omega_l = 1\nk = 1\nm = 0\nlevel = 2\n{key} = {value}\n")
+        code, out, err = run_main(["solve", "--config", str(cfg)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: {cfg}:5: ")
+
+
+class TestUnwritableOut:
+    @pytest.mark.parametrize("command", [
+        ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "2"],
+        ["scan", "--omega-l-list", "1", "--k-list", "1", "--m", "0",
+         "--level", "2"]])
+    def test_usage_error_without_traceback(self, command, tmp_path, capsys):
+        target = tmp_path / "missing" / "x.json"
+        code, out, err = run_main(command + ["--out", str(target)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert len(err.splitlines()) == 1
+
+
 class TestNegativeZeroK:
     """k = -0.0 is read as 0.0, so no sign of a zero reaches the output."""
 
@@ -309,14 +349,16 @@ class TestCompleteness:
 
 class TestDiagnostics:
     def test_each_diagnostic_once_without_numpy_reprs(self, capsys):
-        # Nine eigenvector-consistency diagnostics come from the algebraic
-        # route at this input; their z is a numpy scalar unless converted.
+        # Twelve eigenvector-consistency diagnostics come from the algebraic
+        # route at this input and tol; their z is a numpy scalar unless
+        # converted.
         code, out, _ = run_main(
             ["solve", "--omega-l", "0.22317077664872895", "--k",
-             "2.9363511648986176", "--m", "-4", "--level", "12"], capsys)
+             "2.9363511648986176", "--m", "-4", "--level", "12",
+             "--tol", "1e-30"], capsys)
         assert code in (0, 4)
         diagnostics = json.loads(out)["diagnostics"]
-        assert sum("consistency defect" in d for d in diagnostics) == 9
+        assert sum("consistency defect" in d for d in diagnostics) == 12
         assert not any("np.float64" in d for d in diagnostics)
         assert len(diagnostics) == len(set(diagnostics))
 

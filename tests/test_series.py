@@ -107,6 +107,11 @@ class TestConstraintPolynomial:
 
 
 class TestSolveSeries:
+    @pytest.mark.parametrize("tol", [0.0, math.nan])
+    def test_rejects_non_positive_tol(self, tol):
+        with pytest.raises(ValueError):
+            solve_series_states(2, 0, 1, 1, tol)
+
     def test_level_one(self):
         states = solve_series_states(1, 0, 1, 1)
         assert len(states) == 1

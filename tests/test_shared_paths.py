@@ -20,7 +20,6 @@ import pytest
 from qeshydro import (
     ModelParams,
     RadialGrid,
-    build_qes_matrix,
     constraint_polynomial,
     count_nodes,
     envelope_r_max,
@@ -28,13 +27,12 @@ from qeshydro import (
     rho_grid_for,
     series,
     sextic_residual,
-    sl2,
     solve_admissible_z,
     solve_series_states,
     to_sextic,
     verify_state,
 )
-from qeshydro._polyops import DomainError, newton_polish, real_roots
+from qeshydro._polyops import DomainError, real_roots
 from qeshydro.model import gauss_integrate, l2_norm_constant, l2_norm_constants
 from qeshydro.series import _HALF, _regenerate, _terms
 
@@ -425,36 +423,6 @@ class TestOnePassPerState:
         for state in (low[0], high[0], high[-1], low[-1]):
             sextic = to_sextic(state)
             assert sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
-
-
-class TestNewtonPolishOnFloats:
-    @staticmethod
-    def ref_strengths(j, m, omega_l, k, tol=1e-9):
-        a = build_qes_matrix(j, m, omega_l, k).as_array()
-        eigvals = np.linalg.eig(a)[0]
-        scale = max(1.0, float(np.max(np.abs(eigvals))))
-        char = list(np.poly(a)[::-1])
-        return sorted(newton_polish(char, complex(lam).real) for lam in eigvals
-                      if abs(complex(lam).imag) <= tol * scale)
-
-    @pytest.mark.parametrize("level,m,omega_l,k", [
-        (1, 0, 1.0, 1.0), (2, -1, 0.3, 2.2), (7, 2, 2.5, 0.0), (13, -4, 0.7, 3.9),
-        (40, 1, 1.0, 1.0), (100, 0, 4.1, 0.6), (200, -3, 0.45, 1.8)])
-    def test_polished_strengths_and_float_coefficients(self, level, m, omega_l, k,
-                                                       monkeypatch):
-        seen = []
-
-        def polish(coeffs, root):
-            seen.append({type(c) for c in coeffs})
-            return newton_polish(coeffs, root)
-
-        monkeypatch.setattr(sl2, "newton_polish", polish)
-        # An earlier test may have left these inputs in the solve's slot.
-        monkeypatch.setattr(sl2, "_last_solve", None)
-        states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
-        assert seen and all(types == {float} for types in seen)
-        assert [s.z for s in states] == \
-            self.ref_strengths((level - 1) / 2, m, omega_l, k)
 
 
 class TestFloatRecurrenceTerms:

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from qeshydro import (
     QesMatrix,
+    _polyops,
     build_generators,
     build_qes_matrix,
     characteristic_polynomial,
@@ -13,6 +15,7 @@ from qeshydro import (
     constraint_polynomial,
     energy_x,
     qes_matrix_from_generators,
+    sl2,
     sl2_coefficients,
     solve_admissible_z,
 )
@@ -270,6 +273,78 @@ class TestSolveAdmissible:
             assert len(states) == two_j + 1
         assert not diags
 
-    def test_rejects_non_positive_tol(self):
+    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
+    def test_rejects_non_positive_tol(self, tol):
         with pytest.raises(ValueError):
-            solve_admissible_z(HALF, 0, 1, 1, tol=0.0)
+            solve_admissible_z(HALF, 0, 1, 1, tol=tol)
+
+
+def jacobi_strengths(level, m, omega_l, k):
+    """Strengths from numpy.linalg.eigvalsh on the symmetrized matrix.
+
+    The paired off-diagonals of the monomial matrix multiply to
+    n (|m| + n/2) omega_l (level - n) > 0, so a diagonal similarity makes it
+    symmetric tridiagonal with that product's square root off the diagonal.
+    Each entry is formed in the couplings' own arithmetic and rounded once.
+    """
+    am = abs(m)
+    ratio = k / omega_l
+    diag = [float(ratio * (n + am + HALF)) for n in range(level)]
+    off = [-math.sqrt(n * (am + HALF * n) * omega_l * (level - n))
+           for n in range(1, level)]
+    jacobi = np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    return np.linalg.eigvalsh(jacobi)
+
+
+def seeded_couplings(exact: bool, count: int = 60):
+    rng = random.Random(20261017 + exact)
+    for case in range(count):
+        level = 1 + case % 13
+        m = rng.randint(-6, 6)
+        if exact:
+            omega_l = Fraction(rng.randint(1, 40), rng.randint(1, 12))
+            k = Fraction(rng.randint(0, 60), rng.randint(1, 12))
+        else:
+            omega_l = 10 ** rng.uniform(-1, 1)
+            k = rng.uniform(0, 6) if case % 7 else 0.0
+        yield level, m, omega_l, k
+
+
+class TestStrengthAccuracy:
+    """The strengths are the dense eigensolver's eigenvalues, accurate to a
+    few ulps of the spectral scale; a Newton polish on the ill-conditioned
+    monomial characteristic polynomial used to move them by up to 4e-8."""
+
+    @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
+    def test_strengths_match_the_symmetric_eigensolver(self, exact):
+        worst = 0.0
+        for level, m, omega_l, k in seeded_couplings(exact):
+            states = solve_admissible_z(Fraction(level - 1, 2), m, omega_l, k)
+            reference = jacobi_strengths(level, m, omega_l, k)
+            assert len(states) == level
+            scale = max(1.0, float(np.max(np.abs(reference))))
+            error = float(np.max(np.abs([s.z for s in states] - reference)))
+            worst = max(worst, error / scale)
+        assert worst <= 1e-13
+
+    def test_no_characteristic_polynomial_and_no_polish(self, monkeypatch):
+        calls = []
+
+        def counted(owner, name):
+            original = getattr(owner, name)
+
+            def counting(*args, **kwargs):
+                calls.append(name)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counting)
+
+        counted(np, "poly")
+        counted(_polyops, "newton_polish")
+        counted(sl2, "characteristic_polynomial")
+        monkeypatch.setattr(sl2, "_last_solve", None)
+        for omega_l, k in [(0.7, 1.3), (Fraction(7, 10), Fraction(13, 10))]:
+            for level in (1, 6, 13):
+                assert len(solve_admissible_z(Fraction(level - 1, 2), -2,
+                                              omega_l, k)) == level
+        assert calls == []

@@ -13,9 +13,10 @@ from qeshydro import DomainError, cross_validate, level_energy, sl2, solve_admis
 
 HALF = Fraction(1, 2)
 
-# At this input the algebraic route reports nine eigenvector-consistency
-# defects at tol = 1e-9 and twelve at tol = 1e-30.
+# At this input the algebraic route reports no diagnostics at tol = 1e-9
+# and twelve eigenvector-consistency defects at tol = TIGHT.
 NOISY = (Fraction(11, 2), -4, 0.22317077664872895, 2.9363511648986176)
+TIGHT = 1e-30
 
 
 @pytest.fixture
@@ -54,15 +55,15 @@ def same_bits(a, b):
 class TestRepeatCall:
     def test_same_states_new_list_same_diagnostics(self, solves):
         first, second = [], []
-        a = solve_admissible_z(*NOISY, diagnostics=first)
-        b = solve_admissible_z(*NOISY, diagnostics=second)
+        a = solve_admissible_z(*NOISY, TIGHT, diagnostics=first)
+        b = solve_admissible_z(*NOISY, TIGHT, diagnostics=second)
         assert len(solves) == 1
         assert a is not b and a == b
         assert all(x is y for x, y in zip(a, b))
         assert first == second
-        assert sum("consistency defect" in d for d in first) == 9
+        assert sum("consistency defect" in d for d in first) == 12
         a.clear()
-        assert solve_admissible_z(*NOISY) == b
+        assert solve_admissible_z(*NOISY, TIGHT) == b
 
     def test_float_and_fraction_j_share_the_entry(self, solves):
         solve_admissible_z(2.5, 1, 0.7, 1.3)
@@ -70,24 +71,26 @@ class TestRepeatCall:
         assert len(solves) == 1
 
     def test_cross_validate_after_a_solve_matches_a_cold_call(self, solves):
-        reference = cross_validate(*NOISY)
+        reference = cross_validate(*NOISY, TIGHT)
         sl2._last_solve = None
-        solve_admissible_z(*NOISY)
-        report = cross_validate(*NOISY)
+        solve_admissible_z(*NOISY, TIGHT)
+        report = cross_validate(*NOISY, TIGHT)
         assert len(solves) == 2
         assert report == reference
-        assert sum("consistency defect" in n for n in report.notes) == 9
+        assert sum("consistency defect" in n for n in report.notes) == 12
 
 
 class TestKey:
     def test_exact_and_float_couplings_do_not_share(self, solves):
-        exact, _ = cold(Fraction(3, 2), 1, 1, 1)
-        floats, _ = cold(Fraction(3, 2), 1, 1.0, 1.0)
+        # k/omega_l = 1/3 is rounded once in the exact matrix's diagonal and
+        # twice in the float one's, so the two give different strengths.
+        exact, _ = cold(Fraction(3, 2), 1, 3, 1)
+        floats, _ = cold(Fraction(3, 2), 1, 3.0, 1.0)
         assert [s.z for s in exact] != [s.z for s in floats]
         del solves[:]
-        for omega_l, k, expected in [(1, 1, exact), (Fraction(1), Fraction(1), exact),
-                                     (1.0, 1.0, floats), (1.0, 1, floats),
-                                     (1, 1, exact)]:
+        for omega_l, k, expected in [(3, 1, exact), (Fraction(3), Fraction(1), exact),
+                                     (3.0, 1.0, floats), (3.0, 1, floats),
+                                     (3, 1, exact)]:
             assert same_bits(solve_admissible_z(Fraction(3, 2), 1, omega_l, k),
                              expected)
         # int and Fraction couplings are one exact input, a float and an int
@@ -103,9 +106,9 @@ class TestKey:
 
     def test_tol(self, solves):
         loose = cold(*NOISY)
-        tight = cold(*NOISY, tol=1e-30)
-        assert len(loose[1]) == 9 and len(tight[1]) == 12
-        for tol, (states, diagnostics) in [(1e-9, loose), (1e-30, tight),
+        tight = cold(*NOISY, tol=TIGHT)
+        assert len(loose[1]) == 0 and len(tight[1]) == 12
+        for tol, (states, diagnostics) in [(1e-9, loose), (TIGHT, tight),
                                            (1e-9, loose)]:
             seen = []
             assert same_bits(solve_admissible_z(*NOISY, tol, diagnostics=seen),

@@ -66,6 +66,11 @@ class TestVerifyState:
         with pytest.raises(ValueError):
             Tolerances(max_residual=0.0)
 
+    @pytest.mark.parametrize("field", ["max_residual", "norm_error", "cross_delta"])
+    def test_nan_tolerance_rejected(self, field):
+        with pytest.raises(ValueError):
+            Tolerances(**{field: math.nan})
+
 
 class TestNodeCounting:
     def test_known_polynomials(self):
