@@ -102,7 +102,8 @@ _OPTIONS = {
     "k": _k_float,
     "m": int,
     "level": int,
-    "j": float,
+    "j": _checked(float, lambda j: j >= 0 and (2 * j).is_integer(),
+                  "j must be a non-negative half-integer, got {!r}"),
     "tol": _checked(float, lambda x: 0 < x < math.inf,
                     "tol must be positive and finite"),
     "grid_points": _checked(int, lambda n: n >= 64, "grid-points must be at least 64"),
@@ -179,10 +180,7 @@ def _merge(args: argparse.Namespace) -> RunConfig:
     if level is not None and j is not None:
         raise UsageError("give only one of --level or --j")
     if level is None and j is not None:
-        two_j = 2.0 * float(j)
-        if two_j < 0 or two_j != round(two_j):
-            raise UsageError(f"j must be a non-negative half-integer, got {j!r}")
-        level = values["level"] = int(round(two_j)) + 1
+        level = values["level"] = int(2 * j) + 1
     if level is None and not (command == "scan" and values.get("level_list")):
         raise UsageError("exactly one of --level or --j must be given")
 

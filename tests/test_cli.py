@@ -98,10 +98,12 @@ class TestOptionRanges:
     @pytest.mark.parametrize("flag,value", [
         ("tol", "nan"), ("tol", "inf"), ("tol", "0"), ("r-min", "nan"),
         ("r-min", "inf"), ("r-min", "-1"), ("grid-points", "63"),
-        ("sample-points", "-1"), ("format", "xml")])
+        ("sample-points", "-1"), ("format", "xml"), ("j", "nan"), ("j", "inf"),
+        ("j", "-0.5"), ("j", "0.3")])
     def test_flag(self, flag, value, capsys):
+        level = [] if flag == "j" else ["--level", "90"]
         code, out, err = run_main(
-            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "90",
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", *level,
              f"--{flag}", value], capsys)
         assert code == 2 and out == ""
         assert f"argument --{flag}: " in err
@@ -109,7 +111,7 @@ class TestOptionRanges:
 
     @pytest.mark.parametrize("key,value", [
         ("tol", "nan"), ("r_min", "inf"), ("grid_points", "10"),
-        ("sample_points", "-3"), ("format", "xml")])
+        ("sample_points", "-3"), ("format", "xml"), ("j", "inf")])
     def test_config_file(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"omega_l = 1\nk = 1\nm = 0\nlevel = 2\n{key} = {value}\n")
