@@ -273,10 +273,10 @@ class TestSolveAdmissible:
             assert len(states) == two_j + 1
         assert not diags
 
-    @pytest.mark.parametrize("tol", [0.0, -1e-9, math.nan])
-    def test_rejects_non_positive_tol(self, tol):
-        with pytest.raises(ValueError):
-            solve_admissible_z(HALF, 0, 1, 1, tol=tol)
+    def test_rejects_non_positive_tol(self):
+        for tol in (0.0, -1e-9, math.nan):
+            with pytest.raises(ValueError):
+                solve_admissible_z(HALF, 0, 1, 1, tol=tol)
 
 
 def jacobi_strengths(level, m, omega_l, k):
@@ -285,7 +285,7 @@ def jacobi_strengths(level, m, omega_l, k):
     The paired off-diagonals of the monomial matrix multiply to
     n (|m| + n/2) omega_l (level - n) > 0, so a diagonal similarity makes it
     symmetric tridiagonal with that product's square root off the diagonal.
-    Each entry is formed in the couplings' own arithmetic and rounded once.
+    With Fraction couplings each entry is exact until one rounding to float.
     """
     am = abs(m)
     ratio = k / omega_l
@@ -312,8 +312,9 @@ def seeded_couplings(exact: bool, count: int = 60):
 
 class TestStrengthAccuracy:
     """The strengths are the dense eigensolver's eigenvalues, accurate to a
-    few ulps of the spectral scale; a Newton polish on the ill-conditioned
-    monomial characteristic polynomial used to move them by up to 4e-8."""
+    few ulps of the spectral scale.  Newton steps on the monomial
+    characteristic polynomial, ill-conditioned at these degrees, moved them
+    by up to 3.4e-6 on these inputs."""
 
     @pytest.mark.parametrize("exact", [False, True], ids=["float", "fraction"])
     def test_strengths_match_the_symmetric_eigensolver(self, exact):
