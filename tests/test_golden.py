@@ -1,11 +1,12 @@
 """Golden CLI outputs: stdout bytes and exit codes of fixed commands.
 
 Refactors that keep the numerics must leave these byte-identical.  Record
-the files once, before such a change, with
+new cases before such a change with
 
     PYTHONPATH=src python tests/test_golden.py
 
-and never regenerate them to make a refactor pass.
+which writes the files of cases that have none and only reports the ones
+that exist; never regenerate them to make a refactor pass.
 """
 
 import contextlib
@@ -50,6 +51,16 @@ CASES = [
     ("export_l4_json",
      ["export", "--omega-l", "0.75", "--k", "1", "--m", "3", "--level", "4",
       "--sample-points", "6"], 0),
+    ("solve_config_csv",
+     ["solve", "--config", str(GOLDEN / "solve_config.cfg")], 0),
+    ("solve_l14_json",
+     ["solve", "--omega-l", "0.7", "--k", "0.3", "--m", "2", "--level", "14"], 0),
+    ("map_sextic_l2_csv",
+     ["map-sextic", "--omega-l", "1", "--k", "0.5", "--m", "-1", "--level", "2",
+      "--format", "csv"], 0),
+    ("scan_m_list_json",
+     ["scan", "--omega-l-list", "1,0.5", "--k-list", "1", "--m-list=-2,1",
+      "--level", "2", "--format", "json"], 0),
 ]
 
 
@@ -70,8 +81,12 @@ def test_golden_output(name, argv, code):
 if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, argv, code in CASES:
+        path = GOLDEN / f"{name}.out"
+        if path.exists():
+            print(f"{name}: kept, {path.stat().st_size} bytes")
+            continue
         got_code, got_out = run_cli(argv)
         if got_code != code:
             sys.exit(f"{name}: exit {got_code}, expected {code}")
-        (GOLDEN / f"{name}.out").write_bytes(got_out)
-        print(f"{name}: {len(got_out)} bytes, exit {got_code}")
+        path.write_bytes(got_out)
+        print(f"{name}: written, {len(got_out)} bytes, exit {got_code}")
