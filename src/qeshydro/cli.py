@@ -14,7 +14,6 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,27 +38,6 @@ class UsageError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Merged flags > config file > defaults for one invocation."""
-
-    command: str
-    omega_l: float | None = None
-    k: float | None = None
-    m: int | None = None
-    level: int | None = None
-    tol: float = 1e-9
-    grid_points: int = DEFAULT_GRID_POINTS
-    r_min: float = DEFAULT_R_MIN
-    format: str = "json"
-    out: str | None = None
-    sample_points: int = 0
-    omega_l_list: tuple[float, ...] = ()
-    k_list: tuple[float, ...] = ()
-    m_list: tuple[int, ...] = ()
-    level_list: tuple[int, ...] = ()
-
-
 def _checked(parse, accept, message: str):
     """``parse``, then ArgumentTypeError(``message``) unless ``accept``."""
     def check(text: str):
@@ -71,10 +49,6 @@ def _checked(parse, accept, message: str):
     return check
 
 
-def _float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.split(",") if tok.strip())
-
-
 def _k_float(text: str) -> float:
     """float(text) with -0.0 read as 0.0, so the sign of a zero k does not
     reach the output."""
@@ -84,39 +58,42 @@ def _k_float(text: str) -> float:
 _k_float.__name__ = "float"  # argparse names the type in its error text
 
 
-def _k_list(text: str) -> tuple[float, ...]:
-    return tuple(_k_float(tok) for tok in text.split(",") if tok.strip())
-
-
-def _int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in text.split(",") if tok.strip())
+def _list_of(parse):
+    """Parser of a comma-separated list of ``parse`` values."""
+    def parse_list(text: str) -> tuple:
+        return tuple(parse(tok) for tok in text.split(",") if tok.strip())
+    parse_list.__name__ = parse.__name__  # argparse names the type in its error text
+    return parse_list
 
 
 #: Every option: its config-file key, its flag (the key with '-' for '_'),
-#: and its parser, which also checks the value's range, so flags and config
-#: files are checked once, alike.  The ``*_list`` flags belong to ``scan``
-#: only.  Defaults live in RunConfig, except that scan writes CSV and export
-#: samples 100 radii unless told otherwise.
+#: its parser, which also checks the value's range, so flags and config
+#: files are checked once, alike, and its default.  The ``*_list`` flags
+#: belong to ``scan`` only.  Besides these defaults, scan writes CSV and
+#: export samples 100 radii unless told otherwise.
 _OPTIONS = {
-    "omega_l": float,
-    "k": _k_float,
-    "m": int,
-    "level": int,
-    "j": _checked(float, lambda j: j >= 0 and (2 * j).is_integer(),
-                  "j must be a non-negative half-integer, got {!r}"),
-    "tol": _checked(float, lambda x: 0 < x < math.inf,
-                    "tol must be positive and finite"),
-    "grid_points": _checked(int, lambda n: n >= 64, "grid-points must be at least 64"),
-    "r_min": _checked(float, lambda x: 0 < x < math.inf,
-                      "r-min must be positive and finite"),
-    "format": _checked(str, _FORMATS.__contains__, "unsupported format {!r}"),
-    "out": str,
-    "sample_points": _checked(int, lambda n: n >= 0,
-                              "sample-points must be non-negative"),
-    "omega_l_list": _float_list,
-    "k_list": _k_list,
-    "m_list": _int_list,
-    "level_list": _int_list,
+    "omega_l": (float, None),
+    "k": (_k_float, None),
+    "m": (int, None),
+    "level": (int, None),
+    "j": (_checked(float, lambda j: j >= 0 and (2 * j).is_integer(),
+                   "j must be a non-negative half-integer, got {!r}"), None),
+    "tol": (_checked(float, lambda x: 0 < x < math.inf,
+                     "tol must be positive and finite"), 1e-9),
+    "grid_points": (_checked(int, lambda n: n >= 64,
+                             "grid-points must be at least 64"),
+                    DEFAULT_GRID_POINTS),
+    "r_min": (_checked(float, lambda x: 0 < x < math.inf,
+                       "r-min must be positive and finite"), DEFAULT_R_MIN),
+    "format": (_checked(str, _FORMATS.__contains__, "unsupported format {!r}"),
+               "json"),
+    "out": (str, None),
+    "sample_points": (_checked(int, lambda n: n >= 0,
+                               "sample-points must be non-negative"), 0),
+    "omega_l_list": (_list_of(float), ()),
+    "k_list": (_list_of(_k_float), ()),
+    "m_list": (_list_of(int), ()),
+    "level_list": (_list_of(int), ()),
 }
 
 
@@ -136,7 +113,7 @@ def _load_config_file(path: str) -> dict:
                 if key not in _OPTIONS:
                     raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
                 try:
-                    values[key] = _OPTIONS[key](value.strip())
+                    values[key] = _OPTIONS[key][0](value.strip())
                 except (ValueError, argparse.ArgumentTypeError) as exc:
                     raise UsageError(f"{path}:{lineno}: {exc}") from exc
     except OSError as exc:
@@ -157,7 +134,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name)
         p.add_argument("--config", type=str, default=None,
                        help="flat key = value configuration file")
-        for key, parse in _OPTIONS.items():
+        for key, (parse, _) in _OPTIONS.items():
             if key.endswith("_list") and name != "scan":
                 continue
             p.add_argument("--" + key.replace("_", "-"), type=parse, default=None,
@@ -165,31 +142,33 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _merge(args: argparse.Namespace) -> RunConfig:
-    """Flags over config file over RunConfig's defaults; every coupling pair
-    the command will solve passes :func:`coerce_couplings` here."""
+def _merge(args: argparse.Namespace) -> argparse.Namespace:
+    """The command and every option's value: flags over config file over
+    the defaults of :data:`_OPTIONS`.  Every coupling pair the command will
+    solve passes :func:`coerce_couplings` here."""
     values = _load_config_file(args.config) if args.config else {}
     values.update((key, value) for key, value in vars(args).items()
                   if key in _OPTIONS and value is not None)
-    command = values["command"] = args.command
+    command = args.command
     if command == "scan":
         values.setdefault("format", "csv")
+    cfg = argparse.Namespace(command=command, **{
+        key: values.get(key, default) for key, (_, default) in _OPTIONS.items()})
+    if command == "verify" and cfg.format != "json":
+        raise UsageError("verify writes JSON only")
 
-    level = values.get("level")
-    j = values.pop("j", None)
-    if level is not None and j is not None:
+    if cfg.level is not None and cfg.j is not None:
         raise UsageError("give only one of --level or --j")
-    if level is None and j is not None:
-        level = values["level"] = int(2 * j) + 1
-    if level is None and not (command == "scan" and values.get("level_list")):
+    if cfg.level is None and cfg.j is not None:
+        cfg.level = int(2 * cfg.j) + 1
+    if cfg.level is None and not (command == "scan" and cfg.level_list):
         raise UsageError("exactly one of --level or --j must be given")
 
     if command != "scan":
-        if any(values.get(key) is None for key in ("omega_l", "k", "m")):
+        if cfg.omega_l is None or cfg.k is None or cfg.m is None:
             raise UsageError("--omega-l, --k and --m are required")
-        coerce_couplings(values["omega_l"], values["k"])
-    cfg = RunConfig(**values)
-    if command == "scan":
+        coerce_couplings(cfg.omega_l, cfg.k)
+    else:
         if not cfg.omega_l_list or not cfg.k_list:
             raise UsageError("scan requires non-empty --omega-l-list and --k-list")
         for omega_l in sorted(cfg.omega_l_list):
@@ -228,12 +207,13 @@ def _csv_table(header: "list[str]", rows: "list[list]") -> str:
     return "\n".join(lines) + "\n"
 
 
-def _solve_and_verify(cfg: RunConfig, omega_l, k, m, level, diagnostics=None):
-    """One parameter set: the algebraic states, the radial grid and the
-    per-state reports on it."""
+def _solve_and_verify(cfg, omega_l, k, m, level, diagnostics=None):
+    """One parameter set: the algebraic states, the per-state reports on
+    the radial grid, and that grid.  The grid is built on the parameter set
+    the states carry, so the set's ``r_max`` is bisected once."""
     states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k, cfg.tol,
                                     diagnostics=diagnostics)
-    params = ModelParams(omega_l, k, m)
+    params = states[0].params if states else ModelParams(omega_l, k, m)
     grid = RadialGrid.for_params(params, n=cfg.grid_points, r_min=cfg.r_min)
     return states, [verify_state(s, grid=grid) for s in states], grid
 
@@ -246,7 +226,7 @@ def _incomplete(states, level: int) -> str | None:
     return None
 
 
-def _solve_with_reports(cfg: RunConfig):
+def _solve_with_reports(cfg):
     """Shared solve pipeline: states, per-state reports, cross check, notes,
     and the radial grid the reports were computed on."""
     if cfg.level < 1:
@@ -274,14 +254,14 @@ def _solve_with_reports(cfg: RunConfig):
     return states, reports, cross, diags, grid
 
 
-def _exit_code(cfg: RunConfig, states, cross) -> int:
+def _exit_code(cfg, states, cross) -> int:
     """Exit 4 when the level is incomplete, or when cross-validation ran
     (level <= 13) and failed."""
     failed = _incomplete(states, cfg.level) or (cross is not None and not cross.passed)
     return EXIT_VERIFICATION if failed else EXIT_OK
 
 
-def _payload(cfg: RunConfig, **fields) -> dict:
+def _payload(cfg, **fields) -> dict:
     """JSON payload of a single-set command: version, parameters, then the
     command's own ``fields``."""
     parameters = {
@@ -304,7 +284,7 @@ def _state_entry(state: QesState, report) -> dict:
     return entry
 
 
-def cmd_solve(cfg: RunConfig) -> int:
+def cmd_solve(cfg) -> int:
     states, reports, cross, diags, _ = _solve_with_reports(cfg)
     if cfg.format == "json":
         entries = [_state_entry(s, r) for s, r in zip(states, reports)]
@@ -321,7 +301,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     return _exit_code(cfg, states, cross)
 
 
-def cmd_scan(cfg: RunConfig) -> int:
+def cmd_scan(cfg) -> int:
     m_values = cfg.m_list or (cfg.m,)
     level_values = cfg.level_list or (cfg.level,)
     if any(level < 1 for level in level_values):
@@ -359,12 +339,10 @@ def cmd_scan(cfg: RunConfig) -> int:
     return EXIT_VERIFICATION if incomplete else EXIT_OK
 
 
-def cmd_verify(cfg: RunConfig) -> int:
+def cmd_verify(cfg) -> int:
     states, reports, cross, diags, _ = _solve_with_reports(cfg)
-    all_passed = (not _incomplete(states, cfg.level)
+    all_passed = (_exit_code(cfg, states, cross) == EXIT_OK
                   and all(r.passed for r in reports))
-    if cross is not None:
-        all_passed = all_passed and cross.passed
     payload = _payload(
         cfg,
         reports=[r.to_dict() for r in reports],
@@ -376,10 +354,9 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_VERIFICATION
 
 
-def cmd_map_sextic(cfg: RunConfig) -> int:
+def cmd_map_sextic(cfg) -> int:
     states, reports, cross, diags, _ = _solve_with_reports(cfg)
-    params = ModelParams(cfg.omega_l, cfg.k, cfg.m)
-    rho_grid = rho_grid_for(params)
+    rho_grid = rho_grid_for(states[0].params) if states else None
     entries = []
     sample_rows = []
     for idx, (state, report) in enumerate(zip(states, reports)):
@@ -415,26 +392,18 @@ def cmd_map_sextic(cfg: RunConfig) -> int:
     return _exit_code(cfg, states, cross)
 
 
-def cmd_export(cfg: RunConfig) -> int:
+def cmd_export(cfg) -> int:
     states, reports, cross, diags, grid = _solve_with_reports(cfg)
-    n_samples = cfg.sample_points or 100
-    radii = np.geomspace(grid.r_min, grid.r_max, n_samples)
-
+    radii = np.geomspace(grid.r_min, grid.r_max, cfg.sample_points or 100)
+    samples = [[[float(a), float(b)] for a, b in zip(radii, s.radial_values(radii))]
+               for s in states]
     if cfg.format == "json":
-        entries = []
-        for state, report in zip(states, reports):
-            entry = _state_entry(state, report)
-            values = state.radial_values(radii)
-            entry["samples"] = [[float(a), float(b)] for a, b in zip(radii, values)]
-            entries.append(entry)
+        entries = [dict(_state_entry(s, r), samples=pairs)
+                   for s, r, pairs in zip(states, reports, samples)]
         _emit(_json_dump(_payload(cfg, states=entries, diagnostics=diags)), cfg.out)
     else:
-        header = ["root_index", "r", "radial_value"]
-        rows = []
-        for idx, state in enumerate(states):
-            values = state.radial_values(radii)
-            rows.extend([idx, float(a), float(b)] for a, b in zip(radii, values))
-        _emit(_csv_table(header, rows), cfg.out)
+        rows = [[idx, *pair] for idx, pairs in enumerate(samples) for pair in pairs]
+        _emit(_csv_table(["root_index", "r", "radial_value"], rows), cfg.out)
     return _exit_code(cfg, states, cross)
 
 

@@ -74,12 +74,6 @@ class ModelParams:
     def abs_m(self) -> int:
         return abs(self.m)
 
-    @property
-    def delta(self):
-        """Linear envelope coefficient k / omega_l."""
-        omega, k, exact = coerce_couplings(self.omega_l, self.k)
-        return k / omega if exact else float(self.k) / float(self.omega_l)
-
     def require_z(self) -> float:
         if self.z_coulomb is None:
             raise ValueError("z_coulomb is required for this operation")
@@ -221,6 +215,20 @@ class QesState:
             norm_constant=float(data["norm_constant"]),
             params=params,
         )
+
+
+def level_states(params: ModelParams, level: int, energy: float, strengths,
+                 polys) -> list[QesState]:
+    """The states of one level of ``params``: one per polynomial factor in
+    ``polys``, with the strength at its place in ``strengths`` and the
+    level's ``energy``, normalised together by :func:`l2_norm_constants`,
+    whose errors it raises before any state is built."""
+    norms = l2_norm_constants(params, polys)
+    return [
+        QesState(level=level, j=0.5 * (level - 1), z=float(z), energy=energy,
+                 poly=poly, norm_constant=norm, params=params)
+        for z, poly, norm in zip(strengths, polys, norms)
+    ]
 
 
 def envelope_r_max(params: ModelParams) -> float:

@@ -10,6 +10,7 @@ exactly normalizable.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -241,6 +242,17 @@ def _regenerate(terms, z: float) -> list[float]:
     return coeffs
 
 
+#: Floor of the two checks whose outcome decides a run's verdict, the
+#: series tail here and the route agreement of ``verify._compare_routes``:
+#: a ``tol`` below it is raised to it.  4096 machine epsilons, 9.1e-13.  At
+#: omega_l = k = 1, m = 0, level 3 the routes agree to 4 eps in z and 5 eps
+#: in the polynomial coefficients, and the largest scaled tail is 0.3 eps,
+#: so a tol of 1e-15 failed correct solves.  At omega_l = 2, k = 0.25,
+#: m = 1, level 6 the differences are 96 and 768 eps: the floor leaves 5
+#: times the larger.
+TOL_FLOOR = 4096 * sys.float_info.epsilon
+
+
 def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
                         diagnostics: list[str] | None = None) -> list[QesState]:
     """States of one level from the real roots of the termination constraint.
@@ -248,11 +260,26 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
     Roots come from the companion matrix of the constraint polynomial with a
     Newton polish on its float-rounded coefficients; complex roots are
     excluded and reported.  For each root the recurrence is re-run
-    numerically and the coefficients past the degree are checked to vanish.
+    numerically and the coefficients past the degree are checked to vanish,
+    to ``tol`` but no closer than :data:`TOL_FLOOR`.
     """
+    return _series_states(level, m, omega_l, k, tol, diagnostics)
+
+
+def _series_states(level: int, m: int, omega_l, k, tol: float,
+                   diagnostics: list[str] | None,
+                   params: ModelParams | None = None) -> list[QesState]:
+    """:func:`solve_series_states`, with the states on ``params`` when it is
+    given: the parameter set of these couplings that another route's states
+    carry, so its ``r_max`` and norm rule serve both."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     constraint = constraint_polynomial(level, m, omega_l, k)
+    if tol < TOL_FLOOR and diagnostics is not None:
+        diagnostics.append(
+            f"tol {tol!r} is below the floor {TOL_FLOOR!r}: series termination "
+            f"and route agreement are checked at the floor"
+        )
     roots = real_roots([float(c) for c in constraint.coeffs], tol, diagnostics)
     if not roots and diagnostics is not None:
         diagnostics.append(
@@ -260,16 +287,18 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
         )
 
     energy = float(level_energy(level, m, omega_l, k))
-    params = ModelParams(float(omega_l), float(k), int(m))
+    if params is None:
+        params = ModelParams(float(omega_l), float(k), int(m))
     terms = [_terms(n, m, float(omega_l), float(k), energy)
              for n in range(level + 1)]
+    limit = max(tol, TOL_FLOOR)
     polys = []
     unterminated = None
     for z in roots:
         coeffs = _regenerate(terms, z)
         scale = max(1.0, max(abs(c) for c in coeffs[:level]))
         tail = max(abs(coeffs[level]), abs(coeffs[level + 1]))
-        if tail > tol * scale:
+        if tail > limit * scale:
             unterminated = z, tail
             break
         polys.append(tuple(coeffs[:level]))
@@ -277,22 +306,11 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
     # a norm failure among them is raised ahead of it.  The error is made
     # only at the raise: kept in a local, it and this frame would hold each
     # other, and every caller's frame, until a cyclic garbage collection.
-    norms = model.l2_norm_constants(params, polys)
+    states = model.level_states(params, level, energy, roots, polys)
     if unterminated is not None:
         z, tail = unterminated
         raise RuntimeError(
             f"series failed to terminate at level {level}, z={z!r}: "
             f"tail coefficient {tail:.3e}"
         )
-    return [
-        QesState(
-            level=level,
-            j=0.5 * (level - 1),
-            z=float(z),
-            energy=energy,
-            poly=poly,
-            norm_constant=norm,
-            params=params,
-        )
-        for z, poly, norm in zip(roots, polys, norms)
-    ]
+    return states

@@ -412,18 +412,7 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
         diagnostics.append(f"no real eigenvalues at j={matrix.j}, m={m}")
 
     accepted.sort(key=lambda pair: pair[0])
-    polys = [tuple(float(c) for c in vec) for _, vec in accepted]
-    norms = model.l2_norm_constants(params, polys)
-    states = tuple(
-        QesState(
-            level=level,
-            j=float(matrix.j),
-            z=float(z),
-            energy=energy,
-            poly=poly,
-            norm_constant=norm,
-            params=params,
-        )
-        for (z, _), poly, norm in zip(accepted, polys, norms)
-    )
-    return states, tuple(diagnostics)
+    states = model.level_states(
+        params, level, energy, [z for z, _ in accepted],
+        [tuple(float(c) for c in vec) for _, vec in accepted])
+    return tuple(states), tuple(diagnostics)

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qeshydro import sl2, verify_state
+from qeshydro import series, sl2, verify_state
 from qeshydro.cli import main, solution_from_json
 
 
@@ -455,6 +455,59 @@ class TestConfigFile:
         code, out, _ = run_main(["scan", "--config", str(cfg)], capsys)
         assert code == 0
         assert len(out.strip().splitlines()) == 5  # header + 4 rows
+
+
+class TestVerifyWritesJsonOnly:
+    def test_csv_flag(self, capsys):
+        code, out, err = run_main(
+            ["verify", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "2",
+             "--format", "csv"], capsys)
+        assert (code, out, err) == (2, "", "error: verify writes JSON only\n")
+
+    def test_csv_config_key(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega_l = 1\nk = 1\nm = 0\nlevel = 2\nformat = csv\n")
+        code, out, err = run_main(["verify", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", "error: verify writes JSON only\n")
+
+    def test_json_flag(self, capsys):
+        code, out, _ = run_main(
+            ["verify", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "2",
+             "--format", "json"], capsys)
+        assert code == 0
+        assert json.loads(out)["passed"] is True
+
+
+class TestTolFloor:
+    @pytest.mark.parametrize("tol", ["1e-15", "1e-16", "1e-20"])
+    def test_tol_below_floor_solves(self, tol, capsys):
+        code, out, _ = run_main(
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "3",
+             "--tol", tol], capsys)
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics[-1].startswith("cross-validation passed")
+        assert sum(repr(series.TOL_FLOOR) in d for d in diagnostics) == 1
+
+
+class TestOneBisectionPerSet:
+    """A set's algebraic states, series states and radial grid share one
+    ModelParams, so its r_max is bisected once."""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "map-sextic", "export"])
+    def test_single_set(self, bisections, command, capsys):
+        code, _, _ = run_main(
+            [command, "--omega-l", "1.5", "--k", "0.5", "--m", "1", "--level", "3"],
+            capsys)
+        assert code in (0, 4)
+        assert len(bisections) == 1
+
+    def test_scan(self, bisections, capsys):
+        code, _, _ = run_main(
+            ["scan", "--omega-l-list", "1,2", "--k-list", "0,1", "--m", "0",
+             "--level", "2"], capsys)
+        assert code == 0
+        assert len(bisections) == 4
 
 
 class TestEnvelopeUnderflow:

@@ -18,6 +18,7 @@ from qeshydro import (
     solve_series_states,
     verify_state,
 )
+from qeshydro import series
 from qeshydro.verify import _simpson
 
 HALF = Fraction(1, 2)
@@ -66,7 +67,7 @@ class TestVerifyState:
         with pytest.raises(ValueError):
             Tolerances(max_residual=0.0)
 
-    @pytest.mark.parametrize("field", ["max_residual", "norm_error", "cross_delta"])
+    @pytest.mark.parametrize("field", ["max_residual", "norm_error"])
     def test_nan_tolerance_rejected(self, field):
         with pytest.raises(ValueError):
             Tolerances(**{field: math.nan})
@@ -149,6 +150,50 @@ class TestCrossValidate:
         report = cross_validate(6, 0, 0.2, 4)
         assert not report.passed
         assert any("series failed to terminate" in n for n in report.notes)
+
+
+class TestOneParameterSet:
+    """Both routes of a cross-validated set share the algebraic states'
+    ModelParams, so the set's r_max is bisected once."""
+
+    @pytest.mark.parametrize("omega_l,k", [(1.5, 0.75), (Fraction(3, 2), Fraction(3, 4))])
+    def test_one_bisection_per_cross_validated_set(self, bisections, omega_l, k):
+        states = solve_admissible_z(Fraction(5, 2), 1, omega_l, k)
+        report = cross_validate(Fraction(5, 2), 1, omega_l, k)
+        assert report.passed
+        assert len(bisections) == 1
+        assert bisections[0] is states[0].params
+
+    @pytest.mark.parametrize("omega_l,k", [(0.5, 2.0), (Fraction(1, 2), 2)])
+    def test_cold_cross_validation(self, bisections, omega_l, k):
+        assert cross_validate(2, -1, omega_l, k).passed
+        assert len(bisections) == 1
+
+
+class TestTolFloor:
+    """Series termination and route agreement are checked no closer than
+    series.TOL_FLOOR, so a tol below rounding does not fail a correct solve."""
+
+    def test_floor_is_a_rounding_scale(self):
+        assert 1000 * np.finfo(float).eps < series.TOL_FLOOR <= 1e-12
+
+    @pytest.mark.parametrize("tol", [1e-15, 1e-16, 1e-20])
+    def test_below_floor(self, tol):
+        default = cross_validate(1, 0, 1.0, 1.0)
+        report = cross_validate(1, 0, 1.0, 1.0, tol=tol)
+        assert report.passed
+        assert report.cross_method_delta == default.cross_method_delta
+        assert report.cross_poly_delta == default.cross_poly_delta
+        assert sum(repr(series.TOL_FLOOR) in n for n in report.notes) == 1
+        assert not any("floor" in n for n in default.notes)
+        assert len(solve_series_states(3, 0, 1.0, 1.0, tol=tol)) == 3
+
+    def test_floor_note_through_the_public_series_route(self):
+        notes = []
+        solve_series_states(2, 0, 1.0, 1.0, tol=1e-20, diagnostics=notes)
+        assert notes == [f"tol 1e-20 is below the floor {series.TOL_FLOOR!r}: "
+                         f"series termination and route agreement are "
+                         f"checked at the floor"]
 
 
 class TestScalingAudit:
