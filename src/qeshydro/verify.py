@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import series, sl2
-from ._polyops import as_half_integer, is_exact, polyval
+from ._polyops import _BLOCK, as_half_integer, is_exact, polyval
 from .model import (
     _NODE_MESH_POINTS,
     DEFAULT_GRID_POINTS,
@@ -150,20 +150,29 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     the default :class:`Tolerances`.  The node count is
     :func:`count_nodes` of the grid's r_max.
 
-    The polynomial factor is evaluated once, on the points the grid keeps
-    for this (the grid points, the node mesh and the head nodes of the
-    norm); each value is the one a separate evaluation on each set gives.
+    The polynomial factor is evaluated on the points the grid keeps for
+    this: the grid points, the node mesh and the head nodes of the norm.
+    Below 16 coefficients (levels up to 15) that is one Horner call on the
+    three sets as one array, and each value, so each report, is the one
+    separate Horner calls give.  From 16 coefficients :func:`polyval`
+    evaluates in blocks, within Horner's error bound ``2 D eps sum_i
+    |a_i| |x|**i``; a block product's bits can depend on the size of its
+    array, so each set gets its own call.  The node count is then
+    :func:`count_nodes`'s and the samples on the grid points are
+    ``state.radial_values(grid.points)``, bit for bit, at every level.
     """
     params = state.params
     grid = RadialGrid.for_params(params) if grid is None else grid
     if not any(abs(c) > 0 for c in state.poly):
         raise ValueError("state has an identically zero polynomial factor")
 
-    n = len(grid)
-    values = state.polynomial_values(grid._state_points[0])
-    on_grid = values[:n]
-    on_mesh = values[n:n + _NODE_MESH_POINTS]
-    on_head = values[n + _NODE_MESH_POINTS:]
+    cuts = [len(grid), len(grid) + _NODE_MESH_POINTS]
+    points = grid._state_points[0]
+    if len(state.poly) < _BLOCK:
+        parts = np.split(state.polynomial_values(points), cuts)
+    else:
+        parts = [state.polynomial_values(p) for p in np.split(points, cuts)]
+    on_grid, on_mesh, on_head = parts
 
     samples = state.norm_constant * on_grid * grid._envelope_samples(params)
     residual, interior = radial_operator_apply(

@@ -1,11 +1,15 @@
 """The float matrix build and the one-buffer Horner loop give the same bits
-as the code they replace.
+as the code they replace, and the blocked evaluation of 16 or more
+coefficients gives the bits of its reference copy and stays within
+Horner's error bound.
 
 The reference functions are copies of the float build through `Fraction`
-rows and of the allocating Horner loop.  Arrays are compared with
-``np.array_equal`` and by their sign bits, so a -0.0 for 0.0 also fails.
+rows, of the allocating Horner loop and of the blocked evaluation.  Arrays
+are compared with ``np.array_equal`` and by their sign bits, so a -0.0 for
+0.0 also fails.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -37,6 +41,25 @@ def ref_polyval(coeffs, x):
     acc = 0 * x
     for c in reversed(coeffs):
         acc = acc * x + c
+    return acc
+
+
+def ref_blocks(coeffs, x):
+    """The blocked evaluation: one product of the 16-coefficient blocks
+    with the rows x**0 .. x**15, then Horner's rule in x**16."""
+    nb = -(-len(coeffs) // 16)
+    blocks = np.zeros(nb * 16)
+    blocks[:len(coeffs)] = coeffs
+    rows = np.empty((16, x.size))
+    rows[0] = 1.0
+    rows[1] = x
+    for i in range(2, 16):
+        rows[i] = rows[i - 1] * x
+    q = blocks.reshape(nb, 16) @ rows
+    step = rows[15] * x
+    acc = q[nb - 1]
+    for b in range(nb - 2, -1, -1):
+        acc = acc * step + q[b]
     return acc
 
 
@@ -72,15 +95,70 @@ class TestFloatBuild:
             assert same_bits(mat.as_array(), ref)
 
 
+def exact_error_and_bound(coeffs, points):
+    """For each (x, computed value) in ``points``: the error |p^(x) - p(x)|
+    and Horner's a-priori bound 2 D eps sum |a_i| |x|**i, both exact.
+
+    Every double is an integer over a power of two, so p(x) and the bound's
+    sum are integers over one common power of two."""
+    ratios = [float(c).as_integer_ratio() for c in coeffs]
+    degree = len(coeffs) - 1
+    eps = Fraction(np.finfo(float).eps)
+    errors, bounds = [], []
+    for x, got in points:
+        num, den = x.as_integer_ratio()
+        shifts = [(d * den ** i).bit_length() - 1 for i, (_, d) in enumerate(ratios)]
+        top = max(shifts)
+        value = majorant = 0
+        power = 1
+        for (n, _), shift in zip(ratios, shifts):
+            term = n * power << (top - shift)
+            value += term
+            majorant += abs(term)
+            power *= num
+        errors.append(abs(Fraction(got) - Fraction(value, 1 << top)))
+        bounds.append(2 * degree * eps * Fraction(majorant, 1 << top))
+    return errors, bounds
+
+
 class TestPolyval:
     def test_float_arrays_match_the_allocating_loop(self):
+        # Below 16 coefficients: Horner's loop, bit for bit.
         rng = np.random.default_rng(14)
         x = np.linspace(-3.0, 25.0, 4096)
-        for degree in (7, 13, 40, 100, 200):
+        for degree in (7, 13, 14):
             coeffs = tuple(float(c) for c in rng.normal(size=degree + 1))
             assert same_bits(polyval(coeffs, x), ref_polyval(coeffs, x))
             as_numpy = tuple(rng.normal(size=degree + 1))   # np.float64
             assert same_bits(polyval(as_numpy, x), ref_polyval(as_numpy, x))
+
+    def test_float_arrays_match_the_blocked_reference(self):
+        # From 16 coefficients on a 1-D array: the blocked evaluation.
+        rng = np.random.default_rng(14)
+        x = np.linspace(-3.0, 25.0, 4096)
+        for degree in (15, 16, 40, 100, 200):
+            coeffs = tuple(float(c) for c in rng.normal(size=degree + 1))
+            assert same_bits(polyval(coeffs, x), ref_blocks(coeffs, x))
+            as_numpy = tuple(rng.normal(size=degree + 1))   # np.float64
+            assert same_bits(polyval(as_numpy, x), ref_blocks(as_numpy, x))
+            assert same_bits(polyval(coeffs, x[:16]), ref_blocks(coeffs, x[:16]))
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 17, 31, 32, 33, 100, 201])
+    def test_within_horners_error_bound(self, count):
+        # Exactly 16 coefficients is one block: Horner's rule in x**16 must
+        # not add it twice.
+        rng = np.random.default_rng(count)
+        x = np.linspace(-3.0, 25.0, 4096)
+        picked = list(range(0, x.size, 97)) + [x.size - 1]
+        families = [tuple(float(c) for c in rng.normal(size=count)),
+                    # (x - 2)**D, rounded: cancels near x = 2.
+                    tuple(float(math.comb(count - 1, i) * (-2.0) ** (count - 1 - i))
+                          for i in range(count))]
+        for coeffs in families:
+            values = polyval(coeffs, x)
+            errors, bounds = exact_error_and_bound(
+                coeffs, [(float(x[i]), float(values[i])) for i in picked])
+            assert all(e <= b for e, b in zip(errors, bounds))
 
     def test_two_dimensional_and_overflowing_points(self):
         x = np.array([[0.0, -0.0, 1e300], [np.inf, -np.inf, np.nan]])

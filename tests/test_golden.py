@@ -61,6 +61,10 @@ CASES = [
     ("scan_m_list_json",
      ["scan", "--omega-l-list", "1,0.5", "--k-list", "1", "--m-list=-2,1",
       "--level", "2", "--format", "json"], 0),
+    # 20 coefficients: the blocked evaluation, whose last bits follow the
+    # BLAS kernel (see the _polyops docstring).
+    ("verify_l20_fail",
+     ["verify", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "20"], 4),
 ]
 
 

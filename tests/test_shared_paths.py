@@ -7,6 +7,11 @@ the norm quadrature were kept on the grid or on the parameters, and before
 each state's polynomial factor was evaluated once for all its checks and
 the norm constants of a solve in one pass.  Every comparison is ``==``:
 sharing must not move a single bit.
+
+A state's polynomial factor of 16 or more coefficients is evaluated in
+blocks (``ref_blocks``), whose bits depend on the size of the array of
+points; so ``ref_state_values`` evaluates each point set alone, as the
+library does.  The norm constants keep Horner's loop at every degree.
 """
 
 import gc
@@ -73,6 +78,31 @@ def ref_polyval(coeffs, x):
     return acc
 
 
+def ref_blocks(coeffs, x):
+    """The blocked evaluation: one product of the 16-coefficient blocks
+    with the rows x**0 .. x**15, then Horner's rule in x**16."""
+    nb = -(-len(coeffs) // 16)
+    blocks = np.zeros(nb * 16)
+    blocks[:len(coeffs)] = coeffs
+    rows = np.empty((16, x.size))
+    rows[0] = 1.0
+    rows[1] = x
+    for i in range(2, 16):
+        rows[i] = rows[i - 1] * x
+    q = blocks.reshape(nb, 16) @ rows
+    step = rows[15] * x
+    acc = q[nb - 1]
+    for b in range(nb - 2, -1, -1):
+        acc = acc * step + q[b]
+    return acc
+
+
+def ref_state_values(coeffs, x):
+    """A state's polynomial factor on the points ``x`` alone: Horner's loop
+    below 16 coefficients, the blocked evaluation from 16."""
+    return ref_polyval(coeffs, x) if len(coeffs) < 16 else ref_blocks(coeffs, x)
+
+
 def ref_envelope(params, r):
     omega = float(params.omega_l)
     delta = float(params.k) / omega
@@ -80,7 +110,7 @@ def ref_envelope(params, r):
 
 
 def ref_radial_values(state, r):
-    return (state.norm_constant * np.asarray(ref_polyval(state.poly, r))
+    return (state.norm_constant * np.asarray(ref_state_values(state.poly, r))
             * ref_envelope(state.params, r))
 
 
@@ -114,7 +144,7 @@ def ref_count_nodes(poly, r_max):
     if degree <= 0:
         return 0
     mesh = np.linspace(r_max / 4096, r_max, 4096)
-    signs = np.sign(ref_polyval(coeffs, mesh))
+    signs = np.sign(ref_state_values(coeffs, mesh))
     signs = signs[signs != 0]
     return int(np.sum(signs[:-1] != signs[1:]))
 
@@ -413,6 +443,43 @@ class TestOnePassPerState:
         for states in (first, second, first[::-1], second[::-1]):
             for state in some(states):
                 assert_report_matches(state, grid)
+
+    @pytest.mark.parametrize("level,m,omega_l,k", [
+        (17, 0, 1.0, 1.0), (40, -2, 0.6, 2.2), (80, 4, 3.1, 0.8),
+        (120, 3, 2.5, 0.0), (200, 1, 1.0, 1.0)])
+    def test_blocked_values_match_the_public_evaluations(
+            self, monkeypatch, level, m, omega_l, k):
+        # verify_state evaluates the grid points, the node mesh and the head
+        # nodes in separate calls, so its samples, node count and head
+        # values are those of radial_values, count_nodes and an evaluation
+        # on the head nodes alone, bit for bit.  Level 80 (5 blocks) is one
+        # where OpenBLAS's Haswell kernel gives other bits for the grid
+        # points inside one call on all three sets.
+        from qeshydro import verify
+        samples, heads = [], []
+        apply, norm = verify.radial_operator_apply, verify._norm_estimate
+
+        def keeping(params, energy, grid, values):
+            samples.append(values)
+            return apply(params, energy, grid, values)
+
+        def keeping_head(state, grid, values, head_poly):
+            heads.append(head_poly)
+            return norm(state, grid, values, head_poly)
+
+        monkeypatch.setattr(verify, "radial_operator_apply", keeping)
+        monkeypatch.setattr(verify, "_norm_estimate", keeping_head)
+        states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+        grid = RadialGrid.for_params(states[0].params)
+        for state in some(states):
+            report = verify_state(state, grid=grid)
+            assert report.node_count == count_nodes(state.poly, grid.r_max)
+            want = state.radial_values(grid.points)
+            assert np.array_equal(samples[-1], want)
+            assert np.array_equal(np.signbit(samples[-1]), np.signbit(want))
+            head = np.linspace(0.0, 1.0, 16)
+            head[:] = grid._state_points[0][-16:]
+            assert np.array_equal(heads[-1], state.polynomial_values(head))
 
     def test_sextic_potential_follows_the_level(self):
         # Two levels at the same couplings and m differ only in the rho**2
