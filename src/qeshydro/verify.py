@@ -166,13 +166,16 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     if not any(abs(c) > 0 for c in state.poly):
         raise ValueError("state has an identically zero polynomial factor")
 
-    cuts = [len(grid), len(grid) + _NODE_MESH_POINTS]
+    n = len(grid)
+    sets = (slice(0, n), slice(n, n + _NODE_MESH_POINTS),
+            slice(n + _NODE_MESH_POINTS, None))
     points = grid._state_points[0]
     if len(state.poly) < _BLOCK:
-        parts = np.split(state.polynomial_values(points), cuts)
+        values = state.polynomial_values(points)
+        on_grid, on_mesh, on_head = (values[s] for s in sets)
     else:
-        parts = [state.polynomial_values(p) for p in np.split(points, cuts)]
-    on_grid, on_mesh, on_head = parts
+        on_grid, on_mesh, on_head = (state.polynomial_values(points[s])
+                                     for s in sets)
 
     samples = state.norm_constant * on_grid * grid._envelope_samples(params)
     residual, interior = radial_operator_apply(
