@@ -1,7 +1,6 @@
 """Fingerprint of what the program returns on the benchmark's seeded units.
 
     python tests/fingerprint.py record DIR [--src SRC] [--seed N]
-                                           [--workloads cli,sweep,exact,deep]
     python tests/fingerprint.py compare OLD_DIR NEW_DIR
 
 ``record`` runs the prefix (the first block) of each workload's units, as
@@ -87,7 +86,7 @@ def record(args) -> int:
     workloads = importlib.import_module("workloads")
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name in args.workloads.split(","):
+    for name in ORDER:
         wl = workloads.WORKLOADS[name](args.seed, str(ROOT))
         digest = hashlib.sha256()
         with gzip.open(outdir / f"{name}.jsonl.gz", "wt", encoding="utf-8") as fh:
@@ -140,12 +139,6 @@ def describe_difference(a, b) -> str:
     return f"{a!r} vs {b!r}"
 
 
-def field_value(unit: dict, key: str):
-    if key == "describe":
-        return unit["describe"]
-    return unit["fields"].get(key, "<absent>")
-
-
 def state_counts(units: list[dict]) -> tuple[int, int, int]:
     """(reported states, node count == index, passed) over the units."""
     reported = indexed = passed = 0
@@ -164,10 +157,7 @@ def compare(args) -> int:
     old_dir, new_dir = Path(args.old), Path(args.new)
     differ_any = False
     for name in ORDER:
-        old_path, new_path = old_dir / f"{name}.jsonl.gz", new_dir / f"{name}.jsonl.gz"
-        if not (old_path.exists() and new_path.exists()):
-            continue
-        old, new = load(old_path), load(new_path)
+        old, new = load(old_dir / f"{name}.jsonl.gz"), load(new_dir / f"{name}.jsonl.gz")
         print(f"{name}: {len(old)} vs {len(new)} units")
         first = None
         differing = 0
@@ -177,16 +167,14 @@ def compare(args) -> int:
             keys = list(fa) + [k for k in fb if k not in fa]
             changed = [k for k in keys
                        if k not in fa or k not in fb or not same(fa[k], fb[k])]
-            if a["describe"] != b["describe"]:
-                changed.insert(0, "describe")
             if not changed:
                 continue
             differing += 1
             if first is None:
                 k = changed[0]
                 first = (f"  first difference: unit {a['unit']} ({a['describe']}), "
-                         f"{k}: " + describe_difference(field_value(a, k),
-                                                        field_value(b, k)))
+                         f"{k}: " + describe_difference(fa.get(k, "<absent>"),
+                                                        fb.get(k, "<absent>")))
             for field in {re.sub(r"\[\d+\]", "[]", k) for k in changed}:
                 by_field.setdefault(field, []).append(a["level"])
         print(f"  units that differ: {differing}")
@@ -210,7 +198,6 @@ def main(argv=None) -> int:
     rec.add_argument("dir")
     rec.add_argument("--src", default=str(ROOT / "src"))
     rec.add_argument("--seed", type=int, default=1)
-    rec.add_argument("--workloads", default=",".join(ORDER))
     cmp_ = sub.add_parser("compare", help="compare two fingerprints")
     cmp_.add_argument("old")
     cmp_.add_argument("new")
