@@ -477,8 +477,7 @@ class TestOnePassPerState:
             want = state.radial_values(grid.points)
             assert np.array_equal(samples[-1], want)
             assert np.array_equal(np.signbit(samples[-1]), np.signbit(want))
-            head = np.linspace(0.0, 1.0, 16)
-            head[:] = grid._state_points[0][-16:]
+            head = grid._state_points[0][-16:].copy()
             assert np.array_equal(heads[-1], state.polynomial_values(head))
 
     def test_sextic_potential_follows_the_level(self):
