@@ -11,11 +11,12 @@ product gives every block's value from the rows ``x**0 .. x**15``, and
 Horner's rule in ``x**16`` combines the blocks.  Its error stays within
 Horner's a-priori bound, ``|p^(x) - p(x)| <= 2 D eps sum_i |a_i| |x|**i``
 at degree ``D`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2002, section 5.1).  Its last bits follow the BLAS kernel and may depend
-on the size of the array: on one host, evaluations of the same
-coefficients on arrays of the same size agree bit for bit.  Below 16
-coefficients, and for every other input, it is Horner's loop, so every
-value at levels up to 15 is Horner's, byte for byte.
+2002, section 5.1).  Its last bits follow the BLAS kernel and the number
+of threads BLAS splits the product over, and may depend on the size of
+the array: in one process, evaluations of the same coefficients on arrays
+of the same size agree bit for bit.  Below 16 coefficients, and for every
+other input, it is Horner's loop, so every value at levels up to 15 is
+Horner's, byte for byte.
 """
 
 from __future__ import annotations

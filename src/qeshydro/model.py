@@ -320,14 +320,12 @@ class RadialGrid:
 
     @cached_property
     def _state_points(self):
-        """Every point where a state's polynomial factor is evaluated to
-        verify it, in one array: the grid points, then the node mesh
-        :func:`_node_mesh` of r_max, then the Gauss-Legendre head nodes on
-        [0, r_min]; with the head rule's half-width and weights."""
+        """The points besides the grid points where a state's polynomial
+        factor is evaluated to verify it: the node mesh :func:`_node_mesh`
+        of r_max and the Gauss-Legendre head nodes on [0, r_min]; with the
+        head rule's half-width and weights."""
         half, weights, head = _gauss_rule(0.0, self.r_min, _HEAD_NODES)
-        points = np.concatenate([self.points, _node_mesh(self.r_max), head])
-        points.setflags(write=False)
-        return points, half, weights
+        return _node_mesh(self.r_max), head, half, weights
 
     def _slot(self, name: str, key, compute):
         """``compute()``, kept in the one-entry slot ``name`` of this grid

@@ -9,9 +9,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import series, sl2
-from ._polyops import _BLOCK, as_half_integer, is_exact, polyval
+from ._polyops import as_half_integer, is_exact, polyval
 from .model import (
-    _NODE_MESH_POINTS,
     DEFAULT_GRID_POINTS,
     QesState,
     RadialGrid,
@@ -119,8 +118,7 @@ def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray,
     density = samples ** 2 * r
     total = float(_simpson(density, r, grid._simpson_weights))
 
-    points, half, weights = grid._state_points
-    s = points[-head_poly.size:]
+    _, s, half, weights = grid._state_points
     head_values = state.norm_constant * head_poly * state.params.envelope(s)
     head = float(half * np.sum(weights * (head_values ** 2 * s)))
 
@@ -150,32 +148,24 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     the default :class:`Tolerances`.  The node count is
     :func:`count_nodes` of the grid's r_max.
 
-    The polynomial factor is evaluated on the points the grid keeps for
-    this: the grid points, the node mesh and the head nodes of the norm.
-    Below 16 coefficients (levels up to 15) that is one Horner call on the
-    three sets as one array, and each value, so each report, is the one
-    separate Horner calls give.  From 16 coefficients :func:`polyval`
-    evaluates in blocks, within Horner's error bound ``2 D eps sum_i
-    |a_i| |x|**i``; a block product's bits can depend on the size of its
-    array, so each set gets its own call.  The node count is then
-    :func:`count_nodes`'s and the samples on the grid points are
-    ``state.radial_values(grid.points)``, bit for bit, at every level.
+    The polynomial factor is evaluated once on each of three point sets,
+    each in its own call: the grid points, the node mesh and the head
+    nodes of the norm.  Below 16 coefficients (levels up to 15) that is
+    Horner's rule, so every report is the one earlier versions gave, byte
+    for byte.  From 16 coefficients :func:`polyval` evaluates in blocks,
+    within Horner's error bound ``2 D eps sum_i |a_i| |x|**i``, and a block
+    product's bits can depend on the size of its array; separate calls
+    keep the node count :func:`count_nodes`'s and the samples on the grid
+    points ``state.radial_values(grid.points)``, bit for bit.
     """
     params = state.params
     grid = RadialGrid.for_params(params) if grid is None else grid
     if not any(abs(c) > 0 for c in state.poly):
         raise ValueError("state has an identically zero polynomial factor")
 
-    n = len(grid)
-    sets = (slice(0, n), slice(n, n + _NODE_MESH_POINTS),
-            slice(n + _NODE_MESH_POINTS, None))
-    points = grid._state_points[0]
-    if len(state.poly) < _BLOCK:
-        values = state.polynomial_values(points)
-        on_grid, on_mesh, on_head = (values[s] for s in sets)
-    else:
-        on_grid, on_mesh, on_head = (state.polynomial_values(points[s])
-                                     for s in sets)
+    mesh, head = grid._state_points[:2]
+    on_grid, on_mesh, on_head = (state.polynomial_values(x)
+                                 for x in (grid.points, mesh, head))
 
     samples = state.norm_constant * on_grid * grid._envelope_samples(params)
     residual, interior = radial_operator_apply(

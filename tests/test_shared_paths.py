@@ -9,9 +9,10 @@ the norm constants of a solve in one pass.  Every comparison is ``==``:
 sharing must not move a single bit.
 
 A state's polynomial factor of 16 or more coefficients is evaluated in
-blocks (``ref_blocks``), whose bits depend on the size of the array of
-points; so ``ref_state_values`` evaluates each point set alone, as the
-library does.  The norm constants keep Horner's loop at every degree.
+blocks (``ref_blocks``, the reference copy in ``test_float_paths``), whose
+bits depend on the size of the array of points; so ``ref_state_values``
+evaluates each point set alone, as the library does.  The norm constants
+keep Horner's loop at every degree.
 """
 
 import gc
@@ -40,6 +41,7 @@ from qeshydro import (
 from qeshydro._polyops import DomainError, real_roots
 from qeshydro.model import gauss_integrate, l2_norm_constant, l2_norm_constants
 from qeshydro.series import _HALF, _regenerate, _terms
+from test_float_paths import ref_blocks
 
 
 def ref_fd_derivatives(x, f):
@@ -75,25 +77,6 @@ def ref_polyval(coeffs, x):
     acc = 0 * x
     for c in reversed(coeffs):
         acc = acc * x + c
-    return acc
-
-
-def ref_blocks(coeffs, x):
-    """The blocked evaluation: one product of the 16-coefficient blocks
-    with the rows x**0 .. x**15, then Horner's rule in x**16."""
-    nb = -(-len(coeffs) // 16)
-    blocks = np.zeros(nb * 16)
-    blocks[:len(coeffs)] = coeffs
-    rows = np.empty((16, x.size))
-    rows[0] = 1.0
-    rows[1] = x
-    for i in range(2, 16):
-        rows[i] = rows[i - 1] * x
-    q = blocks.reshape(nb, 16) @ rows
-    step = rows[15] * x
-    acc = q[nb - 1]
-    for b in range(nb - 2, -1, -1):
-        acc = acc * step + q[b]
     return acc
 
 
@@ -477,7 +460,7 @@ class TestOnePassPerState:
             want = state.radial_values(grid.points)
             assert np.array_equal(samples[-1], want)
             assert np.array_equal(np.signbit(samples[-1]), np.signbit(want))
-            head = grid._state_points[0][-16:].copy()
+            head = grid._state_points[1]
             assert np.array_equal(heads[-1], state.polynomial_values(head))
 
     def test_sextic_potential_follows_the_level(self):
