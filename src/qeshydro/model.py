@@ -325,7 +325,10 @@ class RadialGrid:
         of r_max and the Gauss-Legendre head nodes on [0, r_min]; with the
         head rule's half-width and weights."""
         half, weights, head = _gauss_rule(0.0, self.r_min, _HEAD_NODES)
-        return _node_mesh(self.r_max), head, half, weights
+        mesh = _node_mesh(self.r_max)
+        for points in (mesh, head):
+            points.setflags(write=False)
+        return mesh, head, half, weights
 
     def _slot(self, name: str, key, compute):
         """``compute()``, kept in the one-entry slot ``name`` of this grid
