@@ -8,7 +8,9 @@ mix inside one polynomial.
 :func:`polyval` evaluates a float64 1-D array of points with 16 or more
 float coefficients in blocks of ``_BLOCK`` = 16 (Estrin, 1960): one matrix
 product gives every block's value from the rows ``x**0 .. x**15``, and
-Horner's rule in ``x**16`` combines the blocks.  Its error stays within
+Horner's rule in ``x**16`` combines the blocks; :func:`_polyval_sets`
+keeps the rows of the point sets of the most recent grid, so the states
+verified on one grid build them once.  Its error stays within
 Horner's a-priori bound, ``|p^(x) - p(x)| <= 2 D eps sum_i |a_i| |x|**i``
 at degree ``D`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
 2002, section 5.1).  Its last bits follow the BLAS kernel and the number
@@ -118,7 +120,7 @@ def polyval(coeffs, x):
     if (isinstance(x, np.ndarray) and x.ndim and x.dtype == np.float64
             and all(isinstance(c, float) for c in coeffs)):
         if x.ndim == 1 and len(coeffs) >= _BLOCK:
-            return _polyval_blocks(coeffs, x)
+            return _polyval_blocks(_blocks(coeffs), _block_powers(x))
         for c in reversed(coeffs):
             np.multiply(acc, x, out=acc)
             acc += c
@@ -128,26 +130,57 @@ def polyval(coeffs, x):
     return acc
 
 
-def _polyval_blocks(coeffs, x: np.ndarray) -> np.ndarray:
-    """``sum_b q_b(x) x**(16 b)`` for the blocks ``q_b`` of 16 coefficients,
-    the last one padded with zeros: one matrix product with the rows
-    ``x**0 .. x**15`` gives every ``q_b``, then Horner's rule in ``x**16``
-    runs over the blocks, highest first."""
+#: (owner, block powers of its point sets) of the most recent owner.  Read
+#: once and replaced by one assignment per call; it keeps the owner alive,
+#: so no new object can reuse the owner's id and match it.
+_last_powers = None
+
+
+def _polyval_sets(coeffs, owner, point_sets):
+    """``[polyval(coeffs, x) for x in point_sets]``, bit for bit, for the 1-D
+    float64 arrays ``point_sets`` of ``owner``, padding ``_BLOCK`` or more
+    float coefficients once and keeping the sets' block powers."""
+    global _last_powers
+    if len(coeffs) < _BLOCK or not all(isinstance(c, float) for c in coeffs):
+        return [polyval(coeffs, x) for x in point_sets]
+    blocks = _blocks(coeffs)
+    last = _last_powers
+    if last is None or last[0] is not owner:
+        last = (owner, [_block_powers(x) for x in point_sets])
+        _last_powers = last
+    return [_polyval_blocks(blocks, powers) for powers in last[1]]
+
+
+def _blocks(coeffs) -> np.ndarray:
+    """The coefficients in rows of ``_BLOCK``, the last padded with zeros."""
     nb = -(-len(coeffs) // _BLOCK)
     blocks = np.zeros(nb * _BLOCK)
     blocks[:len(coeffs)] = coeffs
+    return blocks.reshape(nb, _BLOCK)
+
+
+def _block_powers(x: np.ndarray):
+    """The rows ``x**0 .. x**15`` by repeated multiplication, and ``x**16``."""
     rows = np.empty((_BLOCK, x.size))
     rows[0] = 1.0
     rows[1] = x
     for i in range(2, _BLOCK):
         np.multiply(rows[i - 1], x, out=rows[i])
-    q = blocks.reshape(nb, _BLOCK) @ rows
-    if nb == 1:
+    return rows, rows[-1] * x
+
+
+def _polyval_blocks(blocks: np.ndarray, powers) -> np.ndarray:
+    """``sum_b q_b(x) x**(16 b)`` for the rows ``q_b`` of ``blocks``
+    (:func:`_blocks`) on the points of ``powers`` (:func:`_block_powers`):
+    one matrix product with the rows ``x**0 .. x**15`` gives every ``q_b``,
+    then Horner's rule in ``x**16`` runs over the blocks, highest first."""
+    rows, step = powers
+    q = blocks @ rows
+    if len(q) == 1:
         return q[0]
-    step = rows[-1] * x
     acc = q[-1] * step
     acc += q[-2]
-    for b in range(nb - 3, -1, -1):
+    for b in range(len(q) - 3, -1, -1):
         acc *= step
         acc += q[b]
     return acc

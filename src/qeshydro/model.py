@@ -2,11 +2,13 @@
 
 Parameters, states and grids are immutable after construction.  What depends
 only on a grid (its stencil spacings, powers of its points, its Simpson
-weights, the points where verification evaluates a state, the envelope
-sampled on it) or only on a parameter set (``r_max`` and the quadrature of
-:func:`l2_norm_constants`) is memoised: computed on first use and kept on
-that grid or parameter set, so the states and routes that share it compute
-it once.  A memo is a pure function of immutable
+weights, the points where verification evaluates a state) or only on a
+parameter set (``r_max`` and the quadrature of :func:`l2_norm_constants`)
+is memoised: computed on first use and kept on that grid or parameter set,
+so the states and routes that share it compute it once.  A grid also keeps
+the envelope sampled on it for the most recent (omega_l, k, |m|), and the
+part of the potential of :func:`radial_operator_apply` without ``z`` for
+the most recent (omega_l, k, m).  A memo is a pure function of immutable
 data, so filling it twice, as two threads may, stores equal values and is
 harmless; evaluating concurrently over grids and parameter sets stays safe.
 
@@ -526,13 +528,11 @@ def radial_operator_apply(params: ModelParams, energy: float, grid: RadialGrid,
     k = float(params.k)
     m = params.m
     f1, f2 = _fd_derivatives(grid, f)
-    potential = (
-        0.5 * omega * omega * x * x
-        + k * x
-        + omega * m
-        - z / x
-        + 0.5 * m * m / grid._squares
-    )
+    # The terms without z, summed in the order of the full potential.
+    base, centrifugal = grid._slot("_potential_slot", (omega, k, m), lambda: (
+        0.5 * omega * omega * x * x + k * x + omega * m,
+        0.5 * m * m / grid._squares))
+    potential = base - z / x + centrifugal
     residual = -0.5 * f2 - 0.5 * f1 / x + (potential - float(energy)) * f
     interior = np.ones_like(x, dtype=bool)
     interior[0] = interior[-1] = False

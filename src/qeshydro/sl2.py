@@ -392,17 +392,18 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
             continue
         z = lam.real
         vec = np.real(eigvecs[:, idx])
-        if abs(vec[0]) > 1e-12 * float(np.max(np.abs(vec))):
-            vec = vec / vec[0]
-        else:
-            lead = np.nonzero(np.abs(vec) > 1e-12 * float(np.max(np.abs(vec))))[0][0]
-            vec = vec / vec[lead]
+        peak = float(np.max(np.abs(vec)))
+        pivot = vec[0]
+        if not abs(pivot) > 1e-12 * peak:
+            pivot = vec[np.nonzero(np.abs(vec) > 1e-12 * peak)[0][0]]
             diagnostics.append(
                 f"eigenvector with vanishing constant term at z={z!r}; "
                 f"scaled leading coefficient instead"
             )
+        vec = vec / pivot
         defect = float(np.max(np.abs(a @ vec - z * vec)))
-        if defect > tol * scale * float(np.max(np.abs(vec))):
+        # Rounding is monotone, so this is max |vec| after the division.
+        if defect > tol * scale * (peak / abs(pivot)):
             diagnostics.append(
                 f"eigenvector consistency defect {defect:.3e} at z={z!r}"
             )
@@ -414,5 +415,5 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
     accepted.sort(key=lambda pair: pair[0])
     states = model.level_states(
         params, level, energy, [z for z, _ in accepted],
-        [tuple(float(c) for c in vec) for _, vec in accepted])
+        [tuple(vec.tolist()) for _, vec in accepted])
     return tuple(states), tuple(diagnostics)

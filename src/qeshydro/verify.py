@@ -9,7 +9,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import series, sl2
-from ._polyops import as_half_integer, is_exact, polyval
+from ._polyops import _polyval_sets, as_half_integer, is_exact, polyval
 from .model import (
     DEFAULT_GRID_POINTS,
     QesState,
@@ -149,13 +149,14 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     :func:`count_nodes` of the grid's r_max.
 
     The polynomial factor is evaluated once on each of three point sets,
-    each in its own call: the grid points, the node mesh and the head
-    nodes of the norm.  Below 16 coefficients (levels up to 15) that is
-    Horner's rule, so every report is the one earlier versions gave, byte
-    for byte.  From 16 coefficients :func:`polyval` evaluates in blocks,
-    within Horner's error bound ``2 D eps sum_i |a_i| |x|**i``, and a block
-    product's bits can depend on the size of its array; separate calls
-    keep the node count :func:`count_nodes`'s and the samples on the grid
+    each alone: the grid points, the node mesh and the head nodes of the
+    norm.  Below 16 coefficients (levels up to 15) that is Horner's rule,
+    so every report is the one earlier versions gave, byte for byte.  From
+    16 coefficients it is :func:`polyval`'s blocked evaluation, within
+    Horner's error bound ``2 D eps sum_i |a_i| |x|**i``, with the powers of
+    the three sets built once for the most recent grid; a block product's
+    bits can depend on the size of its array, so evaluating each set alone
+    keeps the node count :func:`count_nodes`'s and the samples on the grid
     points ``state.radial_values(grid.points)``, bit for bit.
     """
     params = state.params
@@ -164,17 +165,17 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
         raise ValueError("state has an identically zero polynomial factor")
 
     mesh, head = grid._state_points[:2]
-    on_grid, on_mesh, on_head = (state.polynomial_values(x)
-                                 for x in (grid.points, mesh, head))
+    on_grid, on_mesh, on_head = _polyval_sets(state.poly, grid,
+                                              (grid.points, mesh, head))
 
     samples = state.norm_constant * on_grid * grid._envelope_samples(params)
-    residual, interior = radial_operator_apply(
+    residual = radial_operator_apply(
         params.with_z(state.z), state.energy, grid, samples
-    )
+    )[0]
     peak = float(np.max(np.abs(samples)))
     floor = float(np.finfo(float).eps) * peak
     scale = max(abs(state.energy) * peak, floor, 1e-300)
-    max_residual = float(np.max(np.abs(residual[interior]))) / scale
+    max_residual = float(np.max(np.abs(residual[1:-1]))) / scale
 
     norm_error = abs(_norm_estimate(state, grid, samples, on_head) - 1.0)
     # A factor that is not identically zero and of degree 0 is a nonzero

@@ -68,6 +68,11 @@ CASES = [
 ]
 
 
+# Goldens whose last digits follow the OpenBLAS kernel that numpy picks for
+# the CPU.  Not skipped and given no tolerance: a failure says so instead.
+KERNEL_BOUND = {"verify_l5_fail", "solve_l14_json", "verify_l20_fail"}
+
+
 def run_cli(argv):
     buffer = io.StringIO()
     with contextlib.redirect_stdout(buffer), contextlib.redirect_stderr(io.StringIO()):
@@ -78,8 +83,12 @@ def run_cli(argv):
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
 def test_golden_output(name, argv, code):
     got_code, got_out = run_cli(argv)
-    assert got_code == code
-    assert got_out == (GOLDEN / f"{name}.out").read_bytes()
+    note = (f"the golden {name} follows the OpenBLAS kernel numpy picks for "
+            "the CPU (see the FOUND line on OPENBLAS_CORETYPE in CHANGES.md): "
+            "on another kernel it can differ with no change to the program"
+            if name in KERNEL_BOUND else "")
+    assert got_code == code, note
+    assert got_out == (GOLDEN / f"{name}.out").read_bytes(), note
 
 
 if __name__ == "__main__":

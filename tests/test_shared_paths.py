@@ -18,6 +18,7 @@ keep Horner's loop at every degree.
 import gc
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -276,6 +277,20 @@ class TestSharedEqualsPerState:
         for state in (a, b, a):
             assert_report_matches(state, grid)
 
+    @pytest.mark.parametrize("j", [1, 9.5])
+    def test_same_couplings_opposite_m_is_a_new_potential(self, j):
+        # m = 2 and m = -2 share the envelope, which depends on |m|, but
+        # not the potential, whose omega_l m term has the sign of m.
+        plus = solve_admissible_z(j, 2, 1.0, 1.0)[0]
+        minus = solve_admissible_z(j, -2, 1.0, 1.0)[0]
+        grid = RadialGrid.for_params(plus.params)
+        for state in (plus, minus, plus):
+            fresh = RadialGrid.for_params(state.params)
+            report = verify_state(state, grid=grid)
+            assert report == verify_state(state, grid=fresh)
+            assert (report.max_residual, report.norm_error,
+                    report.node_count) == ref_report(state, fresh)
+
     def test_fd_derivatives_of_the_grid(self):
         from qeshydro.model import _fd_derivatives
         for grid in (RadialGrid.for_params(ModelParams(0.7, 1.5, 2)),
@@ -462,6 +477,24 @@ class TestOnePassPerState:
             assert np.array_equal(np.signbit(samples[-1]), np.signbit(want))
             head = grid._state_points[1]
             assert np.array_equal(heads[-1], state.polynomial_values(head))
+
+    def test_block_powers_follow_the_grid(self):
+        # verify_state keeps the block powers of the most recent grid only:
+        # A, then B, then A again each need their own grid's powers, and
+        # the one kept grid must not outlive the caller's last use of A.
+        first = solve_admissible_z(8, 3, 1.7, 0.4)
+        second = solve_admissible_z(39.5, -2, 0.6, 2.2)
+        third = solve_admissible_z(19.5, 1, 1.1, 0.9)
+        grid_a = RadialGrid.for_params(first[0].params)
+        grid_b = RadialGrid.for_params(second[0].params)
+        for grid in (grid_a, grid_b, grid_a):
+            for states in (first, second, third):
+                for state in some(states)[:3]:
+                    assert_report_matches(state, grid)
+        probe = weakref.ref(grid_a)
+        del grid, grid_a
+        verify_state(second[-1], grid=grid_b)
+        assert probe() is None
 
     def test_sextic_potential_follows_the_level(self):
         # Two levels at the same couplings and m differ only in the rho**2
