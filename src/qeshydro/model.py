@@ -11,6 +11,9 @@ part of the potential of :func:`radial_operator_apply` without ``z`` for
 the most recent (omega_l, k, m).  A memo is a pure function of immutable
 data, so filling it twice, as two threads may, stores equal values and is
 harmless; evaluating concurrently over grids and parameter sets stays safe.
+The interior of (H - E) R has one kernel, :func:`_interior_residual`, which
+:func:`radial_operator_apply` and ``verify_state`` share: every element gets
+the same operations in the same order, in buffers reused in place.
 
 Conventions (atomic units throughout):
 
@@ -459,46 +462,61 @@ def _simpson(y: np.ndarray, x: np.ndarray, weights=None):
     return total
 
 
-def _fd_second_interior(grid: RadialGrid, f: np.ndarray) -> np.ndarray:
-    """Second-order centered second derivative at the interior points."""
+def _fd_second_interior(grid: RadialGrid, f: np.ndarray, out=None, work=None):
+    """Second-order centered second derivative at the interior points, in
+    ``out`` with ``work`` as a spare buffer when they are given."""
     hm, hp, total, denom = grid._stencil
-    return 2.0 * (hm * f[2:] - total * f[1:-1] + hp * f[:-2]) / denom
+    out = np.multiply(hm, f[2:], out=out)
+    out -= np.multiply(total, f[1:-1], out=work)
+    out += np.multiply(hp, f[:-2], out=work)
+    out *= 2.0
+    out /= denom
+    return out
 
 
-def _fd_derivatives(grid: RadialGrid, f: np.ndarray):
-    """Second-order centered first/second derivatives on a non-uniform grid.
+def _potential_without_z(params: ModelParams, grid: RadialGrid):
+    """The terms of the radial potential without z at the grid points,
+    ``0.5 omega_l^2 x^2 + k x + omega_l m`` and ``0.5 m^2 / x^2``, kept on
+    the grid for the most recent (omega_l, k, m)."""
+    omega, k, m, x = float(params.omega_l), float(params.k), params.m, grid.points
+    return grid._slot("_potential_slot", (omega, k, m), lambda: (
+        0.5 * omega * omega * x * x + k * x + omega * m,
+        0.5 * m * m / grid._squares))
 
-    Endpoints use 3-point one-sided stencils; callers flag them separately.
-    """
+
+def _interior_residual(params: ModelParams, z, energy, grid: RadialGrid, f):
+    """``-f''/2 - f'/(2x) + (V - E) f`` at the interior points, for the
+    Coulomb strength ``z``: the interior of :func:`radial_operator_apply`,
+    in three buffers reused in place.  Raises as that function does for
+    the samples and the grid."""
     x = grid.points
-    f1 = np.empty_like(f)
-    f2 = np.empty_like(f)
-
+    if f.shape != x.shape:
+        raise ValueError("r_samples must match the grid")
+    if x.size - 2 < 32:
+        raise GridError(f"grid too coarse: {x.size - 2} interior points, "
+                        f"need at least 32")
+    if not np.isfinite(f).all():
+        raise ValueError("r_samples must be finite")
+    base, centrifugal = _potential_without_z(params, grid)
     hm2, mixed, hp2 = grid._slope_weights
-    denom = grid._stencil[3]
-    f1[1:-1] = (hm2 * f[2:] + mixed * f[1:-1] - hp2 * f[:-2]) / denom
-    f2[1:-1] = _fd_second_interior(grid, f)
-
-    h1, h2 = x[1] - x[0], x[2] - x[1]
-    f1[0] = (
-        -(2.0 * h1 + h2) / (h1 * (h1 + h2)) * f[0]
-        + (h1 + h2) / (h1 * h2) * f[1]
-        - h1 / (h2 * (h1 + h2)) * f[2]
-    )
-    f2[0] = 2.0 * (
-        f[0] / (h1 * (h1 + h2)) - f[1] / (h1 * h2) + f[2] / (h2 * (h1 + h2))
-    )
-
-    g1, g2 = x[-1] - x[-2], x[-2] - x[-3]
-    f1[-1] = (
-        (2.0 * g1 + g2) / (g1 * (g1 + g2)) * f[-1]
-        - (g1 + g2) / (g1 * g2) * f[-2]
-        + g1 / (g2 * (g1 + g2)) * f[-3]
-    )
-    f2[-1] = 2.0 * (
-        f[-1] / (g1 * (g1 + g2)) - f[-2] / (g1 * g2) + f[-3] / (g2 * (g1 + g2))
-    )
-    return f1, f2
+    denom, inner, mid = grid._stencil[3], x[1:-1], f[1:-1]
+    work = np.empty_like(inner)
+    residual = _fd_second_interior(grid, f, np.empty_like(inner), work)
+    residual *= -0.5
+    slope = np.multiply(hm2, f[2:])
+    slope += np.multiply(mixed, mid, out=work)
+    slope -= np.multiply(hp2, f[:-2], out=work)
+    slope /= denom
+    slope *= 0.5
+    slope /= inner
+    residual -= slope
+    potential = np.divide(float(z), inner, out=slope)
+    np.subtract(base[1:-1], potential, out=potential)
+    potential += centrifugal[1:-1]
+    potential -= float(energy)
+    potential *= mid
+    residual += potential
+    return residual
 
 
 def radial_operator_apply(params: ModelParams, energy: float, grid: RadialGrid,
@@ -506,8 +524,8 @@ def radial_operator_apply(params: ModelParams, energy: float, grid: RadialGrid,
     """Apply (H - E) to sampled radial function values.
 
     Returns ``(residual, interior)`` where ``interior`` flags the points
-    computed with centered stencils (endpoints use one-sided stencils and are
-    flagged False).
+    computed with centered stencils (:func:`_interior_residual`); the
+    endpoints use one-sided stencils and are flagged False.
 
     Raises if the Coulomb strength is absent, the grid has fewer than 32
     interior points, or the samples are not finite.
@@ -515,25 +533,20 @@ def radial_operator_apply(params: ModelParams, energy: float, grid: RadialGrid,
     z = params.require_z()
     x = grid.points
     f = np.asarray(r_samples, dtype=float)
-    if f.shape != x.shape:
-        raise ValueError("r_samples must match the grid")
-    if x.size - 2 < 32:
-        raise GridError(
-            f"grid too coarse: {x.size - 2} interior points, need at least 32"
-        )
-    if not np.all(np.isfinite(f)):
-        raise ValueError("r_samples must be finite")
+    residual = np.empty_like(x)
+    residual[1:-1] = _interior_residual(params, z, energy, grid, f)
 
-    omega = float(params.omega_l)
-    k = float(params.k)
-    m = params.m
-    f1, f2 = _fd_derivatives(grid, f)
-    # The terms without z, summed in the order of the full potential.
-    base, centrifugal = grid._slot("_potential_slot", (omega, k, m), lambda: (
-        0.5 * omega * omega * x * x + k * x + omega * m,
-        0.5 * m * m / grid._squares))
-    potential = base - z / x + centrifugal
-    residual = -0.5 * f2 - 0.5 * f1 / x + (potential - float(energy)) * f
+    # One one-sided stencil for both ends, each read inward; the right
+    # end's spacings are negative, which flips signs exactly.
+    ends, inward = [0, -1], [[0, 1, 2], [-1, -2, -3]]
+    (x0, x1, x2), (f0, f1, f2) = x[inward].T, f[inward].T
+    h1, h2 = x1 - x0, x2 - x1
+    slope = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * f0 + (h1 + h2) / (h1 * h2) * f1
+             - h1 / (h2 * (h1 + h2)) * f2)
+    curve = 2.0 * (f0 / (h1 * (h1 + h2)) - f1 / (h1 * h2) + f2 / (h2 * (h1 + h2)))
+    base, centrifugal = _potential_without_z(params, grid)
+    potential = base[ends] - z / x0 + centrifugal[ends]
+    residual[ends] = -0.5 * curve - 0.5 * slope / x0 + (potential - float(energy)) * f0
     interior = np.ones_like(x, dtype=bool)
     interior[0] = interior[-1] = False
     return residual, interior
@@ -592,33 +605,34 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
     finite, DomainError when that factor is nonzero (the envelope
     underflows, or the state overflows) and ValueError when it is zero.
     """
-    rows = [[float(c) for c in poly] for poly in polys]
-    if not rows:
+    if not polys:
         return []
-    coeffs = np.zeros((len(rows), max(len(row) for row in rows)))
-    for row, values in zip(coeffs, rows):
+    coeffs = np.zeros((len(polys), max(len(poly) for poly in polys)))
+    for row, poly in zip(coeffs, polys):
         # Zero coefficients above a short row's degree leave its Horner
         # values unchanged: 0.0 * r + 0.0 is 0.0 at the positive nodes.
-        row[:len(values)] = values
+        row[:len(poly)] = poly
     # A total that is not finite is raised below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
         half, w, r, envelope = params._norm_rule
-        acc = np.empty((len(rows), r.size))
+        acc = np.empty((len(polys), r.size))
         acc[:] = 0 * r
+        # The nodes in every row: a full-shape operand, not a broadcast row.
+        nodes = np.broadcast_to(r, acc.shape).copy()
         for col in range(coeffs.shape[1] - 1, -1, -1):
-            np.multiply(acc, r, out=acc)
+            np.multiply(acc, nodes, out=acc)
             acc += coeffs[:, col:col + 1]
         # In place, to keep one (n_states, nodes) temporary: acc becomes
         # base = P * envelope, then integrands = w * (base * base * r).
         acc *= envelope
         integrands = acc * acc
-        integrands *= r
+        integrands *= nodes
         integrands *= w
         totals = [float(half * np.sum(row)) for row in integrands]
     constants = []
-    for values, total in zip(rows, totals):
+    for row, total in zip(coeffs, totals):
         if not 0.0 < total < math.inf:
-            if not any(values):
+            if not row.any():
                 raise ValueError("polynomial factor gives zero norm")
             cause = ("the envelope underflows" if total == 0.0
                      else "the state overflows")

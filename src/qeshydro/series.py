@@ -14,6 +14,8 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import model
 from ._polyops import (
     check_integer_m,
@@ -152,8 +154,9 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
     the series at degree level - 1.  Exact rational coefficients whenever the
     couplings are rational; degree equals the level exactly.
 
-    Float couplings run the recurrence of :func:`recurrence_next` on float
-    coefficient lists.  Rational couplings run it on Python integers over
+    Float couplings run the recurrence of :func:`recurrence_next` on arrays
+    of float coefficients, each with the operations, in the order, of a
+    loop over a list.  Rational couplings run it on Python integers over
     one common denominator (Bareiss, Math. Comp. 22 (1968) 565).  At the
     level energy the a_{n-1} coefficient is exactly omega_l (n - level), and
     the divisor of a_{n+1} is h_n / 2 with h_n = (n + 1)(2|m| + n + 1).
@@ -180,21 +183,20 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
                                     _exact_constraint(level, m, omega, kk))
     energy = level_energy(level, m, omega, kk)
 
-    # Coefficients a_n are linear-combination polynomials in z.
-    a_prev: list = []          # a_{-1} = 0
-    a_cur: list = [1.0]        # a_0 = 1
-    for n in range(level):
-        e_term, b_term, denom = _terms(n, m, omega, kk, energy)
-        width = max(len(a_prev), len(a_cur) + 1)
-        nxt = [0.0] * width
-        for i, c in enumerate(a_prev):
-            nxt[i] += e_term * c
-        for i, c in enumerate(a_cur):
-            nxt[i] += b_term * c          # constant part of the z bracket
-            nxt[i + 1] -= c               # the -z part shifts the powers
-        nxt = [c / denom for c in nxt]
-        a_prev, a_cur = a_cur, nxt
-    return ConstraintPolynomial(level, m, omega, kk, tuple(a_cur))
+    # Coefficients a_n are arrays of polynomials in z.  Each coefficient of
+    # a_{n+1} is ((0.0 + e a_{n-1}) - z-shifted a_n + b a_n) / divisor.
+    a_prev = np.zeros(0)       # a_{-1} = 0
+    a_cur = np.ones(1)         # a_0 = 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in range(level):
+            e_term, b_term, denom = _terms(n, m, omega, kk, energy)
+            nxt = np.zeros(a_cur.size + 1)
+            nxt[:a_prev.size] += e_term * a_prev
+            nxt[1:] -= a_cur
+            nxt[:-1] += b_term * a_cur
+            nxt /= denom
+            a_prev, a_cur = a_cur, nxt
+    return ConstraintPolynomial(level, m, omega, kk, tuple(a_cur.tolist()))
 
 
 def _exact_constraint(level: int, m: int, omega: Fraction, k: Fraction):

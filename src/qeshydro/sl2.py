@@ -372,7 +372,9 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
 
 def _solve(jf: Fraction, m: int, omega, kk, tol: float):
     """The states of :func:`solve_admissible_z` for coerced inputs, as a
-    tuple, with the tuple of its diagnostics."""
+    tuple, with the tuple of its diagnostics.  The accepted eigenvectors
+    are scaled as one array; a printed defect's last digits follow the one
+    matrix product that gives them all."""
     matrix = build_qes_matrix(jf, m, omega, kk)
     a = matrix.as_array()
     eigvals, eigvecs = np.linalg.eig(a)
@@ -381,39 +383,42 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
     energy = float(model.level_energy(level, m, omega, kk))
     params = ModelParams(float(omega), float(kk), m)
 
-    diagnostics: list[str] = []
-    accepted = []
-    for idx in range(eigvals.size):
-        lam = complex(eigvals[idx])
-        if abs(lam.imag) > tol * scale:
-            diagnostics.append(
-                f"excluded complex eigenvalue {lam!r} at j={matrix.j}, m={m}"
-            )
-            continue
-        z = lam.real
-        vec = np.real(eigvecs[:, idx])
-        peak = float(np.max(np.abs(vec)))
-        pivot = vec[0]
-        if not abs(pivot) > 1e-12 * peak:
-            pivot = vec[np.nonzero(np.abs(vec) > 1e-12 * peak)[0][0]]
-            diagnostics.append(
-                f"eigenvector with vanishing constant term at z={z!r}; "
-                f"scaled leading coefficient instead"
-            )
-        vec = vec / pivot
-        defect = float(np.max(np.abs(a @ vec - z * vec)))
-        # Rounding is monotone, so this is max |vec| after the division.
-        if defect > tol * scale * (peak / abs(pivot)):
-            diagnostics.append(
-                f"eigenvector consistency defect {defect:.3e} at z={z!r}"
-            )
-        accepted.append((z, vec))
+    # The accepted eigenvectors as the columns of one array, each given the
+    # operations of a column alone; one matrix product gives the defects.
+    real = ~(np.abs(eigvals.imag) > tol * scale)
+    cols = np.flatnonzero(real)
+    strengths = eigvals.real[cols]
+    vecs = eigvecs.real[:, cols]
+    peaks = np.max(np.abs(vecs), axis=0)
+    pivots = vecs[0].copy()
+    vanishing = ~(np.abs(pivots) > 1e-12 * peaks)
+    for c in np.flatnonzero(vanishing):
+        pivots[c] = vecs[np.flatnonzero(np.abs(vecs[:, c]) > 1e-12 * peaks[c])[0], c]
+    vecs /= pivots
+    defects = np.max(np.abs(a @ vecs - vecs * strengths), axis=0)
+    # Rounding is monotone, so peak / |pivot| is max |vec| after the division.
+    defective = defects > tol * scale * (peaks / np.abs(pivots))
 
-    if not accepted:
+    diagnostics: list[str] = []
+    flagged = ~real
+    flagged[cols] = vanishing | defective
+    for idx in np.flatnonzero(flagged):
+        if not real[idx]:
+            diagnostics.append(f"excluded complex eigenvalue "
+                               f"{complex(eigvals[idx])!r} at j={matrix.j}, m={m}")
+            continue
+        c = np.count_nonzero(real[:idx])
+        z = float(strengths[c])
+        if vanishing[c]:
+            diagnostics.append(f"eigenvector with vanishing constant term at "
+                               f"z={z!r}; scaled leading coefficient instead")
+        if defective[c]:
+            diagnostics.append(f"eigenvector consistency defect "
+                               f"{float(defects[c]):.3e} at z={z!r}")
+    if not cols.size:
         diagnostics.append(f"no real eigenvalues at j={matrix.j}, m={m}")
 
-    accepted.sort(key=lambda pair: pair[0])
-    states = model.level_states(
-        params, level, energy, [z for z, _ in accepted],
-        [tuple(vec.tolist()) for _, vec in accepted])
+    order = np.argsort(strengths, kind="stable")
+    states = model.level_states(params, level, energy, strengths[order].tolist(),
+                                [tuple(vec) for vec in vecs.T[order].tolist()])
     return tuple(states), tuple(diagnostics)

@@ -1,7 +1,7 @@
 """Fingerprint of what the program returns on the benchmark's seeded units.
 
-    python tests/fingerprint.py record DIR [--src SRC]
-    python tests/fingerprint.py compare OLD_DIR NEW_DIR
+    python tests/fingerprint.py record DIR [--src SRC] [--workload NAME]...
+    python tests/fingerprint.py compare OLD_DIR NEW_DIR [--workload NAME]...
 
 ``record`` runs the prefix (the first block) of each workload's units, as
 ``perfbench/workloads.py`` draws them for seed 1, in this process, with
@@ -12,6 +12,11 @@ returned: strengths, energies, polynomial coefficients, norm constants,
 report fields, exceptions, and for ``cli`` the exit code and output.  Field
 names are flattened, as in ``states[3].poly[17]``.  JSON numbers round-trip
 floats bit for bit.  It prints one SHA-256 digest per workload.
+
+``--workload`` limits either mode to the named workloads, in the order
+given; it can be repeated.  Without it, both run ``cli``, ``sweep``,
+``exact`` and ``deep``.  A workload's file and digest do not depend on
+which others run.
 
 ``compare`` reads two such directories.  For each workload it names the
 first unit and field that differ, with the difference of two floats in
@@ -88,7 +93,7 @@ def record(args) -> int:
     workloads = importlib.import_module("workloads")
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    for name in ORDER:
+    for name in args.workloads or ORDER:
         wl = workloads.WORKLOADS[name](1, str(ROOT))
         digest = hashlib.sha256()
         with gzip.open(outdir / f"{name}.jsonl.gz", "wt", encoding="utf-8") as fh:
@@ -158,7 +163,7 @@ def state_counts(units: list[dict]) -> tuple[int, int, int]:
 def compare(args) -> int:
     old_dir, new_dir = Path(args.old), Path(args.new)
     differ_any = False
-    for name in ORDER:
+    for name in args.workloads or ORDER:
         old, new = load(old_dir / f"{name}.jsonl.gz"), load(new_dir / f"{name}.jsonl.gz")
         print(f"{name}: {len(old)} vs {len(new)} units")
         first = None
@@ -202,6 +207,9 @@ def main(argv=None) -> int:
     cmp_ = sub.add_parser("compare", help="compare two fingerprints")
     cmp_.add_argument("old")
     cmp_.add_argument("new")
+    for mode in (rec, cmp_):
+        mode.add_argument("--workload", action="append", choices=ORDER,
+                          dest="workloads", help="only this workload (repeatable)")
     args = parser.parse_args(argv)
     return record(args) if args.mode == "record" else compare(args)
 

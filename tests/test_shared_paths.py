@@ -18,6 +18,7 @@ keep Horner's loop at every degree.
 import gc
 import math
 import random
+import re
 import weakref
 from fractions import Fraction
 
@@ -25,22 +26,28 @@ import numpy as np
 import pytest
 
 from qeshydro import (
+    GridError,
     ModelParams,
+    QesState,
     RadialGrid,
+    build_qes_matrix,
     constraint_polynomial,
     count_nodes,
     envelope_r_max,
     level_energy,
+    radial_operator_apply,
     rho_grid_for,
     series,
     sextic_residual,
+    sl2,
     solve_admissible_z,
     solve_series_states,
     to_sextic,
     verify_state,
 )
 from qeshydro._polyops import DomainError, real_roots
-from qeshydro.model import gauss_integrate, l2_norm_constant, l2_norm_constants
+from qeshydro.model import (gauss_integrate, l2_norm_constant, l2_norm_constants,
+                            level_states)
 from qeshydro.series import _HALF, _regenerate, _terms
 from test_float_paths import ref_blocks
 
@@ -133,16 +140,22 @@ def ref_count_nodes(poly, r_max):
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
+def ref_residual(params, z, energy, x, f):
+    """(H - E) f on the points ``x``, endpoints included."""
+    omega, k, m = float(params.omega_l), float(params.k), params.m
+    f1, f2 = ref_fd_derivatives(x, f)
+    potential = (0.5 * omega * omega * x * x + k * x + omega * m - z / x
+                 + 0.5 * m * m / (x * x))
+    return -0.5 * f2 - 0.5 * f1 / x + (potential - float(energy)) * f
+
+
 def ref_report(state, grid):
     """(max_residual, norm_error, node_count) by the per-state formulas."""
     p = state.params
     x = grid.points
     f = ref_radial_values(state, x)
-    omega, k, m, z = float(p.omega_l), float(p.k), p.m, state.z
-    f1, f2 = ref_fd_derivatives(x, f)
-    potential = (0.5 * omega * omega * x * x + k * x + omega * m - z / x
-                 + 0.5 * m * m / (x * x))
-    residual = -0.5 * f2 - 0.5 * f1 / x + (potential - float(state.energy)) * f
+    omega, k = float(p.omega_l), float(p.k)
+    residual = ref_residual(p, state.z, state.energy, x, f)
     floor = float(np.finfo(float).eps) * float(np.max(np.abs(f)))
     scale = max(abs(state.energy) * float(np.max(np.abs(f))), floor, 1e-300)
     max_residual = float(np.max(np.abs(residual[1:-1]))) / scale
@@ -291,15 +304,42 @@ class TestSharedEqualsPerState:
             assert (report.max_residual, report.norm_error,
                     report.node_count) == ref_report(state, fresh)
 
-    def test_fd_derivatives_of_the_grid(self):
-        from qeshydro.model import _fd_derivatives
-        for grid in (RadialGrid.for_params(ModelParams(0.7, 1.5, 2)),
-                     RadialGrid.geometric(1e-3, 9.0, 101),
-                     RadialGrid.uniform(0.1, 3.0, 34)):
-            f = np.sin(grid.points) * np.exp(-grid.points)
-            new, old = _fd_derivatives(grid, f), ref_fd_derivatives(grid.points, f)
-            assert np.array_equal(new[0], old[0])
-            assert np.array_equal(new[1], old[1])
+    def test_interior_residual_of_the_grid(self):
+        # verify_state and radial_operator_apply share one interior kernel;
+        # both must give the residual built from the reference derivatives.
+        # The 34-point grid has the 32 interior points allowed at least.
+        grids = (RadialGrid.for_params(ModelParams(0.7, 1.5, 2)),
+                 RadialGrid.geometric(1e-3, 9.0, 101),
+                 RadialGrid.uniform(0.1, 3.0, 34))
+        states = [solve_admissible_z(j, m, omega_l, k)[i]
+                  for j, m, omega_l, k in ((2, 2, 0.7, 1.5), (1.5, -3, 1.3, 0.0),
+                                           (9.5, 0, 0.9, 2.2), (0, -1, 2.0, 0.4))
+                  for i in (0, -1)]
+        for grid in grids:
+            x = grid.points
+            for state in states:
+                assert_report_matches(state, grid)
+                for f in (ref_radial_values(state, x), np.sin(x) * np.exp(-x)):
+                    residual, interior = radial_operator_apply(
+                        state.params.with_z(state.z), state.energy, grid, f)
+                    want = ref_residual(state.params, state.z, state.energy, x, f)
+                    assert np.array_equal(residual, want)
+                    assert np.array_equal(np.signbit(residual), np.signbit(want))
+                    assert not interior[0] and not interior[-1]
+                    assert interior[1:-1].all()
+
+    def test_interior_residual_refuses_what_it_refused(self):
+        state = solve_admissible_z(1, -2, 1.0, 0.5)[0]
+        with pytest.raises(GridError, match="31 interior points"):
+            verify_state(state, grid=RadialGrid.uniform(0.1, 3.0, 33))
+        params = ModelParams(1.0, 1.0, 0)
+        energy = float(level_energy(2, 0, 1.0, 1.0))
+        overflowing = QesState(level=2, j=0.5, z=1.0, energy=energy,
+                               poly=(1.0, 1e300), norm_constant=1e300,
+                               params=params)
+        with np.errstate(over="ignore"), \
+                pytest.raises(ValueError, match="^r_samples must be finite$"):
+            verify_state(overflowing)
 
 
 def deep_like_inputs(count, seed, levels):
@@ -455,17 +495,17 @@ class TestOnePassPerState:
         # points inside one call on all three sets.
         from qeshydro import verify
         samples, heads = [], []
-        apply, norm = verify.radial_operator_apply, verify._norm_estimate
+        apply, norm = verify._interior_residual, verify._norm_estimate
 
-        def keeping(params, energy, grid, values):
+        def keeping(params, z, energy, grid, values):
             samples.append(values)
-            return apply(params, energy, grid, values)
+            return apply(params, z, energy, grid, values)
 
         def keeping_head(state, grid, values, head_poly):
             heads.append(head_poly)
             return norm(state, grid, values, head_poly)
 
-        monkeypatch.setattr(verify, "radial_operator_apply", keeping)
+        monkeypatch.setattr(verify, "_interior_residual", keeping)
         monkeypatch.setattr(verify, "_norm_estimate", keeping_head)
         states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
         grid = RadialGrid.for_params(states[0].params)
@@ -538,3 +578,122 @@ class TestFloatRecurrenceTerms:
             assert denom == self.ref_terms(n, -3, omega, k, Fraction(1, 3))[2]
             if isinstance(omega, Fraction):
                 assert isinstance(b_term, Fraction)
+
+
+def ref_solve(jf, m, omega, kk, tol):
+    """``sl2._solve`` by its loop over the eigenvectors one column at a
+    time."""
+    matrix = build_qes_matrix(jf, m, omega, kk)
+    a = matrix.as_array()
+    eigvals, eigvecs = np.linalg.eig(a)
+    scale = max(1.0, float(np.max(np.abs(eigvals))))
+    level = matrix.dim
+    energy = float(level_energy(level, m, omega, kk))
+    params = ModelParams(float(omega), float(kk), m)
+    diagnostics = []
+    accepted = []
+    for idx in range(eigvals.size):
+        lam = complex(eigvals[idx])
+        if abs(lam.imag) > tol * scale:
+            diagnostics.append(
+                f"excluded complex eigenvalue {lam!r} at j={matrix.j}, m={m}")
+            continue
+        z = lam.real
+        vec = np.real(eigvecs[:, idx])
+        peak = float(np.max(np.abs(vec)))
+        pivot = vec[0]
+        if not abs(pivot) > 1e-12 * peak:
+            pivot = vec[np.nonzero(np.abs(vec) > 1e-12 * peak)[0][0]]
+            diagnostics.append(
+                f"eigenvector with vanishing constant term at z={z!r}; "
+                f"scaled leading coefficient instead")
+        vec = vec / pivot
+        defect = float(np.max(np.abs(a @ vec - z * vec)))
+        if defect > tol * scale * (peak / abs(pivot)):
+            diagnostics.append(
+                f"eigenvector consistency defect {defect:.3e} at z={z!r}")
+        accepted.append((z, vec))
+    if not accepted:
+        diagnostics.append(f"no real eigenvalues at j={matrix.j}, m={m}")
+    accepted.sort(key=lambda pair: pair[0])
+    states = level_states(params, level, energy, [z for z, _ in accepted],
+                          [tuple(vec.tolist()) for _, vec in accepted])
+    return tuple(states), tuple(diagnostics)
+
+
+#: The deep-like inputs, at most of whose levels from 76 up the eigensolver
+#: returns complex pairs, and omega_l = k = 1, m = 0 at level 76.
+EIGEN_INPUTS = [*deep_like_inputs(12, 15, (14, 200)),
+                *deep_like_inputs(4, 16, (1, 13)), (1.0, 1.0, 0, 76)]
+
+
+def bits(values):
+    return [(v, math.copysign(1.0, v)) for v in values]
+
+
+class TestOneEigenvectorPass:
+    def test_states_and_diagnostics_equal_the_column_loop(self):
+        excluded = 0
+        for omega_l, k, m, level in EIGEN_INPUTS:
+            jf = Fraction(level - 1, 2)
+            states, notes = sl2._solve(jf, m, omega_l, k, 1e-9)
+            want_states, want_notes = ref_solve(jf, m, omega_l, k, 1e-9)
+            assert states == want_states
+            for state, want in zip(states, want_states):
+                assert bits(state.poly) == bits(want.poly)
+            assert notes == want_notes
+            excluded += sum(n.startswith("excluded complex") for n in notes)
+        assert excluded >= 4
+
+    def test_tight_diagnostics_keep_their_kinds_order_and_strengths(self):
+        # At tol = 1e-30 most eigenvectors report a defect.  One matrix
+        # product may round a defect otherwise than a column's product, so
+        # only its printed value may differ.
+        def kinds(notes):
+            return [re.sub(r"defect \S+ at", "defect at", n) for n in notes]
+
+        defects = 0
+        for omega_l, k, m, level in EIGEN_INPUTS[::3]:
+            jf = Fraction(level - 1, 2)
+            states, notes = sl2._solve(jf, m, omega_l, k, 1e-30)
+            want_states, want_notes = ref_solve(jf, m, omega_l, k, 1e-30)
+            assert states == want_states
+            assert kinds(notes) == kinds(want_notes)
+            defects += sum("consistency defect" in n for n in notes)
+        assert defects > 100
+
+
+def ref_float_constraint(level, m, omega, kk):
+    """The float ``constraint_polynomial`` coefficients by the loop over
+    coefficient lists."""
+    energy = level_energy(level, m, omega, kk)
+    a_prev, a_cur = [], [1.0]
+    for n in range(level):
+        e_term, b_term, denom = _terms(n, m, omega, kk, energy)
+        width = max(len(a_prev), len(a_cur) + 1)
+        nxt = [0.0] * width
+        for i, c in enumerate(a_prev):
+            nxt[i] += e_term * c
+        for i, c in enumerate(a_cur):
+            nxt[i] += b_term * c
+            nxt[i + 1] -= c
+        nxt = [c / denom for c in nxt]
+        a_prev, a_cur = a_cur, nxt
+    return tuple(a_cur)
+
+
+class TestArrayRecurrence:
+    @pytest.mark.parametrize("omega_l,k,m,levels", [
+        (1.0, 0.0, 0, range(1, 201)),
+        (0.37, 2.9, -3, [*range(1, 25), 64, 127, 200]),
+        (4.1, 0.6, 4, [*range(1, 25), 99, 151, 200])])
+    def test_float_constraint_equals_the_list_loop(self, omega_l, k, m, levels):
+        zeros = 0
+        for level in levels:
+            got = constraint_polynomial(level, m, omega_l, k).coeffs
+            want = ref_float_constraint(level, m, omega_l, k)
+            assert all(type(c) is float for c in got)
+            assert bits(got) == bits(want)
+            zeros += sum(c == 0.0 for c in want)
+        # k = 0 leaves every other coefficient a signed zero.
+        assert zeros > 0 or k > 0
