@@ -13,27 +13,19 @@ __version__ = "0.1.0"
 
 from .model import (
     DomainError,
-    GaugeTransform,
     GridError,
     ModelParams,
     QesState,
     RadialGrid,
-    assemble_full_wavefunction,
     envelope_r_max,
-    gauge_transform,
     l2_norm_constant,
     level_energy,
     radial_operator_apply,
 )
 from .series import (
     ConstraintPolynomial,
-    IndicialData,
     NoGroundStateError,
-    RecurrenceState,
     constraint_polynomial,
-    constraint_value,
-    indicial_exponent,
-    recurrence_next,
     solve_series_states,
 )
 from .sextic import (
@@ -45,15 +37,8 @@ from .sextic import (
 )
 from .sl2 import (
     QesMatrix,
-    Sl2Coefficients,
-    Sl2Rep,
-    build_generators,
     build_qes_matrix,
     characteristic_polynomial,
-    commutator_defects,
-    energy_x,
-    qes_matrix_from_generators,
-    sl2_coefficients,
     solve_admissible_z,
 )
 from .verify import (
@@ -72,42 +57,27 @@ __all__ = [
     "GridError",
     "NoGroundStateError",
     "ModelParams",
-    "GaugeTransform",
     "QesState",
     "RadialGrid",
-    "IndicialData",
-    "RecurrenceState",
     "ConstraintPolynomial",
-    "Sl2Rep",
-    "Sl2Coefficients",
     "QesMatrix",
     "SexticState",
     "VerificationReport",
     "Tolerances",
-    "assemble_full_wavefunction",
-    "build_generators",
     "build_qes_matrix",
     "characteristic_polynomial",
-    "commutator_defects",
     "constraint_polynomial",
-    "constraint_value",
     "count_nodes",
     "cross_validate",
-    "energy_x",
     "envelope_r_max",
-    "gauge_transform",
-    "indicial_exponent",
     "l2_norm_constant",
     "level_energy",
-    "qes_matrix_from_generators",
     "radial_operator_apply",
-    "recurrence_next",
     "residual_convergence_ratio",
     "rho_grid_for",
     "scaling_audit",
     "sextic_residual",
     "sextic_wavefunction",
-    "sl2_coefficients",
     "solve_admissible_z",
     "solve_series_states",
     "to_sextic",

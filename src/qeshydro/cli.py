@@ -121,6 +121,30 @@ def _load_config_file(path: str) -> dict:
     return values
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """The parser of one command.  It adds the command's options when it
+    first parses, so a process builds the options of the command it runs
+    only; its usage, help and error texts are those of a parser built with
+    them."""
+
+    def __init__(self, command: str, **kwargs):
+        super().__init__(**kwargs)
+        self._command = command
+
+    def parse_known_args(self, args=None, namespace=None):
+        if self._command is not None:
+            self.add_argument("--config", type=str, default=None,
+                              help="flat key = value configuration file")
+            for key, (parse, _) in _OPTIONS.items():
+                if key.endswith("_list") and self._command != "scan":
+                    continue
+                self.add_argument("--" + key.replace("_", "-"), type=parse,
+                                  default=None,
+                                  metavar="{json,csv}" if key == "format" else None)
+            self._command = None
+        return super().parse_known_args(args, namespace)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qeshydro",
@@ -129,16 +153,10 @@ def _build_parser() -> argparse.ArgumentParser:
             "hydrogen-like atom with a linear potential in a magnetic field."
         ),
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True,
+                                parser_class=_CommandParser)
     for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", type=str, default=None,
-                       help="flat key = value configuration file")
-        for key, (parse, _) in _OPTIONS.items():
-            if key.endswith("_list") and name != "scan":
-                continue
-            p.add_argument("--" + key.replace("_", "-"), type=parse, default=None,
-                           metavar="{json,csv}" if key == "format" else None)
+        sub.add_parser(name, command=name)
     return parser
 
 

@@ -37,8 +37,6 @@ import numpy as np
 from ._polyops import (DomainError, bisect, check_integer_m, coerce_couplings,
                        polyval)
 
-TWO_PI = 2.0 * math.pi
-
 #: Default grid controls.  The spacing floor guards the second-difference
 #: stencil against float cancellation: without it a geometric grid reaches
 #: h ~ 2e-6 near r_min where eps/h^2 noise would swamp the residual budget.
@@ -50,8 +48,6 @@ _SPACING_FLOOR_AT_DEFAULT = 1.25e-4
 _NODE_MESH_POINTS = 4096
 #: Gauss-Legendre nodes of the norm's head on [0, r_min].
 _HEAD_NODES = 16
-
-_GAUSS_NODES = {}
 
 
 class GridError(ValueError):
@@ -115,26 +111,6 @@ class ModelParams:
         return power - 0.5 * omega * r * r - delta * r
 
 
-@dataclass(frozen=True)
-class GaugeTransform:
-    """Envelope coefficients (mu, delta, nu) of the normalizable gauge factor."""
-
-    mu: float
-    delta: float
-    nu: float
-
-
-def gauge_transform(params: ModelParams) -> GaugeTransform:
-    """Resolve the sign branches so the gauged wavefunction is normalizable.
-
-    The admissible branch is (mu, delta, nu) = (omega_l, k/omega_l, -|m|):
-    positive mu kills the Gaussian growth at infinity and nu = -|m| selects
-    the regular power law at the origin.
-    """
-    omega, k, exact = coerce_couplings(params.omega_l, params.k)
-    return GaugeTransform(mu=omega, delta=k / omega, nu=-params.abs_m)
-
-
 def level_energy(level: int, m: int, omega_l, k):
     """Energy of the level-n terminating solution:
     omega_l (n + |m| + m) - k^2 / (2 omega_l^2).
@@ -192,12 +168,6 @@ class QesState:
         """Normalized radial function R(r) on positive radii."""
         r = np.asarray(r, dtype=float)
         return self.norm_constant * self.polynomial_values(r) * self.params.envelope(r)
-
-    def _rho_grid_values(self, grid: "RadialGrid"):
-        """:meth:`radial_values` at the squares of the points of a rho grid,
-        with the envelope the grid keeps."""
-        return (self.norm_constant * self.polynomial_values(grid._squares)
-                * grid._envelope_samples(self.params, squared=True))
 
     def to_dict(self) -> dict:
         return {
@@ -552,36 +522,13 @@ def radial_operator_apply(params: ModelParams, energy: float, grid: RadialGrid,
     return residual, interior
 
 
-def assemble_full_wavefunction(state: QesState, m: int, r, theta) -> complex:
-    """Full wavefunction (2 pi)^(-1/2) e^{i m theta} R(r) at a point."""
-    m = check_integer_m(m)
-    r = float(r)
-    if r <= 0:
-        raise ValueError("r must be positive")
-    radial = float(state.radial_values(r))
-    return radial / math.sqrt(TWO_PI) * complex(math.cos(m * theta), math.sin(m * theta))
-
-
-def _gauss_nodes(n: int):
-    if n not in _GAUSS_NODES:
-        x, w = np.polynomial.legendre.leggauss(n)
-        _GAUSS_NODES[n] = (x, w)
-    return _GAUSS_NODES[n]
-
-
 def _gauss_rule(a: float, b: float, n: int):
     """Half-width, weights and nodes of the n-point Gauss-Legendre rule on
-    [a, b]."""
-    x, w = _gauss_nodes(n)
+    [a, b], for n in :data:`_GAUSS_RULES`."""
+    x, w = _GAUSS_RULES[n]
     half = 0.5 * (b - a)
     mid = 0.5 * (b + a)
     return half, w, mid + half * x
-
-
-def gauss_integrate(fn, a: float, b: float, n: int = 256) -> float:
-    """Gauss-Legendre quadrature of fn over [a, b]."""
-    half, w, r = _gauss_rule(a, b, n)
-    return float(half * np.sum(w * fn(r)))
 
 
 def l2_norm_constant(params: ModelParams, poly) -> float:
@@ -643,3 +590,125 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
             )
         constants.append(1.0 / math.sqrt(total))
     return constants
+
+
+# The non-negative halves of the Gauss-Legendre rules on [-1, 1] that the
+# library uses: _X16 and _W16 for the norm's head, _X256 and _W256 for
+# l2_norm_constants.  Nodes ascend, and each weight belongs to its node.
+# The nodes are the eigenvalues of the rule's Jacobi matrix (Golub & Welsch,
+# Math. Comp. 23 (1969) 221); these literals are those of
+# numpy.polynomial.legendre.leggauss, which makes its rule exactly
+# symmetric, so the two halves rebuild its rule bit for bit.
+_X16 = (
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737,
+    0.6178762444026438, 0.755404408355003, 0.8656312023878318,
+    0.9445750230732326, 0.9894009349916499,
+)
+_W16 = (
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265,
+    0.1495959888165767, 0.12462897125553407, 0.0951585116824926,
+    0.062253523938647456, 0.027152459411754176,
+)
+_X256 = (
+    0.006123912375189531, 0.018370818478813666, 0.030614968779979032,
+    0.0428545265363791, 0.05508765569463399, 0.0673125211657164,
+    0.07952728910023296, 0.09173012716351955, 0.1039192048105094,
+    0.1160926935603328, 0.1282487672706071, 0.14038560241137588,
+    0.1525013783386564, 0.16459427756755385, 0.176662486044902,
+    0.18870419342138883, 0.20071759332312666, 0.21270088362262596,
+    0.22465226670913196, 0.23656994975828402, 0.24845214500105667,
+    0.2602970699919425, 0.2721029478763366, 0.28386800765708176,
+    0.29559048446013564, 0.3072686197993191, 0.3189006618401063,
+    0.33048486566241697, 0.34201949352237165, 0.35350281511297,
+    0.364933107823654, 0.3763086569987164, 0.38762775619451556,
+    0.3988887074354591, 0.41008982146871653, 0.4212294180176238,
+    0.4323058260337413, 0.44331738394752734, 0.45426243991759,
+    0.4651393520784793, 0.4759464887869833, 0.48668222886689033,
+    0.49734496185218147, 0.507933088228616, 0.5184450196736745,
+    0.5288791792948223, 0.5392340018660592, 0.5495079340627186,
+    0.5596994346944811, 0.5698069749365687, 0.579829038559083,
+    0.5897641221544543, 0.5996107353629683, 0.6093674010963339,
+    0.6190326557592613, 0.628605049469015, 0.6380831462729114,
+    0.6474655243637248, 0.6567507762929732, 0.6659375091820485,
+    0.6750243449311628, 0.684009920426076, 0.692892887742577,
+    0.7016719143486851, 0.7103456833045433, 0.7189128934599714,
+    0.7273722596496521, 0.7357225128859178, 0.7439624005491116,
+    0.752090686575492, 0.7601061516426555, 0.7680075933524456,
+    0.7757938264113258, 0.7834636828081838, 0.791016011989546,
+    0.7984496810321707, 0.8057635748129987, 0.8129565961764316,
+    0.8200276660989171, 0.8269757238508125, 0.8337997271555049,
+    0.8404986523457627, 0.8470714945172962, 0.853517267679503,
+    0.8598350049033764, 0.8660237584665545, 0.8720825999954883,
+    0.8780106206047066, 0.8838069310331583, 0.8894706617776109,
+    0.8950009632230845, 0.9003970057703036, 0.9056579799601446,
+    0.910783096595065, 0.9157715868574904, 0.9206227024251465,
+    0.9253357155833162, 0.9299099193340057, 0.9343446275020031,
+    0.9386391748378148, 0.9427929171174625, 0.9468052312391275,
+    0.9506755153166283, 0.9544031887697162, 0.9579876924111781,
+    0.9614284885307322, 0.9647250609757064, 0.9678769152284894,
+    0.970883578480743, 0.9737445997043704, 0.9764595497192342,
+    0.979028021257622, 0.9814496290254644, 0.9837240097603155,
+    0.985850822286126, 0.9878297475648606, 0.9896604887450652,
+    0.9913427712075831, 0.9928763426088221, 0.9942609729224097,
+    0.9954964544810964, 0.9965826020233816, 0.9975192527567208,
+    0.9983062664730065, 0.9989435258434088, 0.9994309374662614,
+    0.9997684374092631, 0.9999560500189922,
+)
+_W256 = (
+    0.01224767164028977, 0.012245834369747927, 0.012242160104272818,
+    0.012236649395040164, 0.012229303068710272, 0.012220122227303983,
+    0.012209108248037236, 0.012196262783114717, 0.0121815877594818,
+    0.01216508537853553, 0.012146758115794461, 0.01212660872052733,
+    0.012104640215340452, 0.012080855895724548, 0.012055259329560157,
+    0.01202785435658256, 0.011998645087805815, 0.011967635904905911,
+    0.011934831459563571, 0.011900236672766486, 0.011863856734071082,
+    0.011825697100824012, 0.011785763497343425, 0.011744061914060555,
+    0.01170059860662072, 0.01165538009494524, 0.011608413162253107,
+    0.011559704854043663, 0.011509262477039477, 0.01145709359809065,
+    0.01140320604303918, 0.011347607895545442, 0.011290307495875555,
+    0.011231313439649657, 0.011170634576553503, 0.011108280009009859,
+    0.011044259090813937, 0.010978581425729578, 0.010911256866049015,
+    0.010842295511114838, 0.010771707705804639, 0.010699504038979827,
+    0.01062569534189659, 0.010550292686581478, 0.010473307384170362,
+    0.010394750983211642, 0.010314635267933976, 0.01023297225647818,
+    0.010149774199094892, 0.01006505357630643, 0.009978823097034855,
+    0.009891095696695865, 0.009801884535257415, 0.009711202995266321,
+    0.009619064679840658, 0.009525483410629317, 0.009430473225737632,
+    0.009334048377623323, 0.009236223330956434, 0.00913701276045089,
+    0.009036431548662736, 0.008934494783758056, 0.008831217757248752,
+    0.008726615961698865, 0.008620705088401114, 0.0085135010250225,
+    0.008405019853221535, 0.008295277846235188, 0.008184291466438315,
+    0.008072077362873532, 0.007958652368754223, 0.007844033498939812,
+    0.007728237947381427, 0.0076112830845457505, 0.007493186454805949,
+    0.007373965773812469, 0.007253638925833793, 0.007132223961075262,
+    0.007009739092969723, 0.00688620269544629, 0.006761633300173868,
+    0.006636049593781082, 0.006509470415053494, 0.006381914752107766,
+    0.006253401739542205, 0.0061239506555676995, 0.0059935809191152024,
+    0.00586231208692235, 0.005730163850601189, 0.005597156033682747,
+    0.005463308588644495, 0.00532864159391577, 0.0051931752508694255,
+    0.005056929880786852, 0.004919925921813843, 0.004782183925892294,
+    0.004643724555680214, 0.004504568581447931, 0.004364736877968051,
+    0.004224250421381767, 0.004083130286052795, 0.003941397641408539,
+    0.003799073748765895, 0.003656179958142877, 0.0035127377050566265,
+    0.0033687685073154226, 0.0032242939617941786, 0.0030793357411993804,
+    0.0029339155908297237, 0.002788055325327215, 0.0026417768254266855,
+    0.0024951020347042303, 0.0023480529563273764, 0.0022006516498400642,
+    0.0020529202279657766, 0.0019048808534989038, 0.001756555736331586,
+    0.0016079671307496996, 0.0014591373333118964, 0.0013100886819022608,
+    0.0011608435575676233, 0.0010114243932076955, 0.0008618537014202671,
+    0.0007121541634721278, 0.0005623489540324628, 0.00041246325442342033,
+    0.00026253494430205363, 0.00011278901782107633,
+)
+
+
+def _unfold(nodes, weights):
+    """The whole rule, read-only, from its non-negative half."""
+    x, w = np.array(nodes), np.array(weights)
+    rule = np.concatenate([-x[::-1], x]), np.concatenate([w[::-1], w])
+    for values in rule:
+        values.setflags(write=False)
+    return rule
+
+
+#: Nodes and weights of the n-point Gauss-Legendre rule on [-1, 1], by n.
+_GAUSS_RULES = {16: _unfold(_X16, _W16), 256: _unfold(_X256, _W256)}

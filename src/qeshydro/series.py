@@ -1,6 +1,6 @@
-"""Analytic route: indicial analysis, the three-term recurrence for the
-polynomial part, and the termination constraint whose roots are the
-admissible Coulomb strengths.
+"""Analytic route: the three-term recurrence for the polynomial part, and
+the termination constraint whose roots are the admissible Coulomb
+strengths.
 
 With the level-n energy fixed, the coefficient in front of a_{n-1} in the
 recurrence vanishes at index n, so a vanishing a_n kills the whole tail of
@@ -29,13 +29,8 @@ from .model import DomainError, ModelParams, QesState, level_energy
 
 __all__ = [
     "NoGroundStateError",
-    "IndicialData",
-    "RecurrenceState",
     "ConstraintPolynomial",
-    "indicial_exponent",
-    "recurrence_next",
     "constraint_polynomial",
-    "constraint_value",
     "solve_series_states",
 ]
 
@@ -58,60 +53,15 @@ class NoGroundStateError(DomainError):
         super().__init__(message or self.DEFAULT_MESSAGE)
 
 
-@dataclass(frozen=True)
-class IndicialData:
-    """Power-law exponents at the origin: |m| + 1/2 for the reduced radial
-    function u = sqrt(r) R, and 0 for the polynomial factor."""
-
-    s_zero: Fraction
-    s_phi: int = 0
-
-
-def indicial_exponent(m: int) -> IndicialData:
-    m = check_integer_m(m)
-    return IndicialData(s_zero=abs(m) + _HALF, s_phi=0)
-
-
-@dataclass(frozen=True)
-class RecurrenceState:
-    """Coefficients a_0 .. a_current of the polynomial factor plus the model
-    data (m, omega_l, k, energy, z) that drives the recurrence."""
-
-    m: int
-    omega_l: object
-    k: object
-    energy: object
-    z: object
-    coeffs: tuple
-
-    def extended(self) -> "RecurrenceState":
-        n = len(self.coeffs) - 1
-        nxt = recurrence_next(self, n)
-        return RecurrenceState(
-            self.m, self.omega_l, self.k, self.energy, self.z,
-            self.coeffs + (nxt,),
-        )
-
-
-def recurrence_next(state: RecurrenceState, n: int):
-    """Next coefficient a_{n+1} from a_{n-1} and a_n (a_{-1} = 0).
-
-    a_{n+1} = { [omega_l (n + |m| + m) - k^2/(2 omega_l^2) - E] a_{n-1}
-              + [(|m| + 1/2 + n) k/omega_l - Z] a_n }
-              / [ (n + 1) (|m| + (1 + n)/2) ]
-
-    The denominator is strictly positive for every n >= 0.
-    """
-    if n < 0 or n >= len(state.coeffs):
-        raise ValueError(f"coefficient a_{n} is not available")
-    a_prev = state.coeffs[n - 1] if n >= 1 else 0
-    e_term, b_term, denom = _terms(n, state.m, state.omega_l, state.k, state.energy)
-    return (e_term * a_prev + (b_term - state.z) * state.coeffs[n]) / denom
-
-
 def _terms(n: int, m: int, omega, k, energy):
     """Step-n recurrence data: the a_{n-1} coefficient, the z-free part of
-    the a_n coefficient, and the divisor of a_{n+1}.
+    the a_n coefficient, and the divisor of a_{n+1} in
+
+        a_{n+1} = { [omega_l (n + |m| + m) - k^2/(2 omega_l^2) - E] a_{n-1}
+                  + [(|m| + 1/2 + n) k/omega_l - Z] a_n }
+                  / [ (n + 1) (|m| + (1 + n)/2) ],
+
+    with a_{-1} = 0 and a_0 = 1.  The divisor is positive for every n >= 0.
 
     Rational couplings keep the half-integers exact; float couplings take
     them as floats, which hold them exactly, so the results are the same
@@ -154,7 +104,7 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
     the series at degree level - 1.  Exact rational coefficients whenever the
     couplings are rational; degree equals the level exactly.
 
-    Float couplings run the recurrence of :func:`recurrence_next` on arrays
+    Float couplings run the recurrence of :func:`_terms` on arrays
     of float coefficients, each with the operations, in the order, of a
     loop over a list.  Rational couplings run it on Python integers over
     one common denominator (Bareiss, Math. Comp. 22 (1968) 565).  At the
@@ -226,11 +176,6 @@ def _exact_constraint(level: int, m: int, omega: Fraction, k: Fraction):
         h_prev = h
     return tuple(Fraction(c * scale ** e, reduce_by)
                  for e, c in enumerate(alpha))
-
-
-def constraint_value(level: int, m: int, omega_l, k, z):
-    """Feasibility check: evaluate the termination constraint at a given z."""
-    return constraint_polynomial(level, m, omega_l, k)(z)
 
 
 def _regenerate(terms, z: float) -> list[float]:

@@ -144,20 +144,27 @@ def sextic_residual(sextic: SexticState, grid: RadialGrid | None = None) -> floa
     Interior maximum of |(H_sextic - 4z) zeta| scaled by max(|4z zeta|,
     machine floor), mirroring the radial verification convention.  The
     powers of rho, the stencil and the envelope are those the grid keeps.
+    zeta is built in place, and the residual in one buffer with one work
+    buffer, both made per call, so concurrent calls share no buffer.  Each
+    element is -zeta''/2 + V zeta - 4z zeta, summed left to right, with
+    zeta''s stencil terms in the order of :func:`_fd_second_interior`.
     """
-    params = sextic.source.params
-    grid = rho_grid_for(params) if grid is None else grid
+    source = sextic.source
+    grid = rho_grid_for(source.params) if grid is None else grid
     if len(grid) - 2 < 32:
         raise ValueError("rho grid too coarse: need at least 32 interior points")
-    sqrt_rho = grid._rho_powers[0]
-    zeta = sqrt_rho * sextic.source._rho_grid_values(grid)
-    inner = slice(1, -1)
-    operator = (
-        -0.5 * _fd_second_interior(grid, zeta)
-        + _sextic_potential(sextic, grid) * zeta[inner]
-    )
-    residual = operator - sextic.eigenvalue * zeta[inner]
+    # zeta = sqrt(rho) R(rho^2) = sqrt(rho) ((c P(rho^2)) envelope(rho^2)).
+    zeta = source.polynomial_values(grid._squares)
+    zeta *= source.norm_constant
+    zeta *= grid._envelope_samples(source.params, squared=True)
+    zeta *= grid._rho_powers[0]
     peak = float(np.max(np.abs(zeta)))
+    inner = zeta[1:-1]
+    work = np.empty_like(inner)
+    residual = _fd_second_interior(grid, zeta, np.empty_like(inner), work)
+    residual *= -0.5
+    residual += np.multiply(_sextic_potential(sextic, grid), inner, out=work)
+    residual -= np.multiply(sextic.eigenvalue, inner, out=work)
     floor = float(np.finfo(float).eps) * peak
     scale = max(abs(sextic.eigenvalue) * peak, floor, 1e-300)
-    return float(np.max(np.abs(residual))) / scale
+    return float(np.max(np.abs(residual, out=residual))) / scale

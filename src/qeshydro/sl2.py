@@ -1,5 +1,5 @@
-"""Lie-algebraic route: generator matrices, coefficient dictionary, and the
-finite eigenproblem whose eigenvalues are the admissible Coulomb strengths.
+"""Lie-algebraic route: the finite eigenproblem whose eigenvalues are the
+admissible Coulomb strengths.
 
 The gauged radial operator, multiplied by r, restricts to the space of
 polynomials of degree <= 2j.  Expanded in ascending monomials r^0 .. r^{2j}
@@ -25,143 +25,14 @@ import numpy as np
 
 from . import model
 from ._polyops import as_half_integer, check_integer_m, coerce_couplings
-from .model import ModelParams, QesState, gauge_transform  # noqa: F401  (re-export)
+from .model import ModelParams, QesState
 
 __all__ = [
-    "Sl2Rep",
-    "Sl2Coefficients",
     "QesMatrix",
-    "build_generators",
-    "commutator_defects",
-    "sl2_coefficients",
-    "energy_x",
     "build_qes_matrix",
-    "qes_matrix_from_generators",
     "characteristic_polynomial",
     "solve_admissible_z",
-    "gauge_transform",
 ]
-
-
-@dataclass(frozen=True, eq=False)
-class Sl2Rep:
-    """Spin-j ladder matrices with their exact integer/half-integer data.
-
-    ``weights`` are the diagonal of t_zero (j, j-1, ..., -j) and
-    ``radicands[i]`` is the exact square of the i-th ladder entry
-    (i = 1 .. 2j), so commutator identities can be checked in rational
-    arithmetic even though the float matrices hold square roots.
-    """
-
-    j: Fraction
-    t_plus: np.ndarray
-    t_minus: np.ndarray
-    t_zero: np.ndarray
-    weights: tuple[Fraction, ...]
-    radicands: tuple[int, ...]
-
-    @property
-    def dim(self) -> int:
-        return int(2 * self.j) + 1
-
-
-def build_generators(j) -> Sl2Rep:
-    """Ladder matrices for spin j in the basis |j, j>, |j, j-1>, ..., |j, -j>.
-
-    The raising entry above the diagonal at step i is sqrt(i (2j + 1 - i)),
-    the lowering matrix is its transpose, and the weight matrix is diagonal
-    with entries j .. -j.
-    """
-    jf = as_half_integer(j)
-    two_j = int(2 * jf)
-    dim = two_j + 1
-    radicands = tuple(i * (two_j + 1 - i) for i in range(1, two_j + 1))
-    weights = tuple(jf - i for i in range(dim))
-
-    t_plus = np.zeros((dim, dim))
-    t_minus = np.zeros((dim, dim))
-    t_zero = np.diag([float(w) for w in weights])
-    for i, rad in enumerate(radicands, start=1):
-        entry = math.sqrt(rad)
-        t_plus[i - 1, i] = entry
-        t_minus[i, i - 1] = entry
-    return Sl2Rep(jf, t_plus, t_minus, t_zero, weights, radicands)
-
-
-def commutator_defects(rep: Sl2Rep) -> dict[str, Fraction]:
-    """Exact defects of the three sl(2) commutator identities.
-
-    All products that appear are rational: [T+, T-] is diagonal with entries
-    radicand differences, and [T0, T+-] rescales ladder entries by exact
-    weight differences.  Every defect is zero for a true representation.
-    """
-    rads = (0,) + rep.radicands + (0,)
-    w = rep.weights
-    plus_minus = max(
-        (abs(Fraction(rads[i + 1] - rads[i]) - 2 * w[i]) for i in range(rep.dim)),
-        default=Fraction(0),
-    )
-    zero_plus = max(
-        (abs((w[i] - w[i + 1]) - 1) for i in range(rep.dim - 1)),
-        default=Fraction(0),
-    )
-    zero_minus = max(
-        (abs((w[i + 1] - w[i]) + 1) for i in range(rep.dim - 1)),
-        default=Fraction(0),
-    )
-    return {
-        "plus_minus": plus_minus,
-        "zero_plus": zero_plus,
-        "zero_minus": zero_minus,
-    }
-
-
-@dataclass(frozen=True)
-class Sl2Coefficients:
-    """Coefficients of the generator combination for given (j, m, couplings).
-
-    ``c0_linear_part`` is the Coulomb-free part of the constant term, i.e.
-    the shift that makes the matrix eigenvalue exactly the admissible
-    strength z; ``x_energy`` is the common energy of the 2j+1 solved states.
-    """
-
-    j: Fraction
-    m: int
-    omega_l: object
-    k: object
-    c1: object
-    c2: object
-    c3: object
-    c4: object
-    c0_linear_part: object
-    x_energy: object
-
-
-def sl2_coefficients(j, m: int, omega_l, k) -> Sl2Coefficients:
-    jf = as_half_integer(j)
-    m = check_integer_m(m)
-    omega, kk, exact = coerce_couplings(omega_l, k)
-    half = Fraction(1, 2)
-    am = abs(m)
-    jval = jf if exact else float(jf)
-    return Sl2Coefficients(
-        j=jf,
-        m=m,
-        omega_l=omega,
-        k=kk,
-        c1=-half if exact else -0.5,
-        c2=-omega,
-        c3=kk / omega,
-        c4=-(1 + jval + 2 * am) / 2 if exact else -0.5 * (1 + jval + 2 * am),
-        c0_linear_part=(kk / omega) * (am + half + jval),
-        x_energy=omega * (2 * jval + 1 + m + am) - (kk / omega) ** 2 / 2,
-    )
-
-
-def energy_x(j, m: int, omega_l, k):
-    """Common energy of the spin-j block:
-    omega_l (2j + 1 + m + |m|) - (k/omega_l)^2 / 2."""
-    return sl2_coefficients(j, m, omega_l, k).x_energy
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,55 +96,6 @@ def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
             rows[n - 1][n] = Fraction(-(n * (2 * am + n)), 2)
         if n + 1 < dim:
             rows[n + 1][n] = Fraction(-a * (dim - 1 - n), b)
-    return QesMatrix(jf, m, omega, kk, rows, True)
-
-
-def qes_matrix_from_generators(j, m: int, omega_l, k) -> QesMatrix:
-    """Same operator assembled term by term from the generator combination.
-
-    Uses the polynomial realization (exact rational entries)
-
-        T+ r^n = (2j - n) r^{n+1},  T0 r^n = (n - j) r^n,  T- r^n = n r^{n-1},
-
-    so the result must coincide with :func:`build_qes_matrix`; kept as an
-    independent construction for cross-checking.
-    """
-    jf = as_half_integer(j)
-    m = check_integer_m(m)
-    omega, kk, exact = coerce_couplings(omega_l, k)
-    co = sl2_coefficients(jf, m, omega, kk)
-    dim = int(2 * jf) + 1
-
-    def mat():
-        return [[Fraction(0) if exact else 0.0 for _ in range(dim)] for _ in range(dim)]
-
-    t_plus, t_zero, t_minus = mat(), mat(), mat()
-    for n in range(dim):
-        if n + 1 < dim:
-            t_plus[n + 1][n] = 2 * jf - n if exact else float(2 * jf - n)
-        t_zero[n][n] = n - jf if exact else float(n - jf)
-        if n >= 1:
-            t_minus[n - 1][n] = n if exact else float(n)
-
-    def matmul(a, b):
-        return [
-            [sum(a[i][l] * b[l][q] for l in range(dim)) for q in range(dim)]
-            for i in range(dim)
-        ]
-
-    zero_minus = matmul(t_zero, t_minus)
-    rows = mat()
-    for i in range(dim):
-        for q in range(dim):
-            rows[i][q] = (
-                co.c1 * zero_minus[i][q]
-                + co.c2 * t_plus[i][q]
-                + co.c3 * t_zero[i][q]
-                + co.c4 * t_minus[i][q]
-                + (co.c0_linear_part if i == q else (Fraction(0) if exact else 0.0))
-            )
-    if not exact:
-        return QesMatrix(jf, m, omega, kk, np.array(rows, dtype=float), False)
     return QesMatrix(jf, m, omega, kk, rows, True)
 
 

@@ -9,7 +9,10 @@ the package imported from SRC: by default the ``src`` of this checkout;
 give another checkout's ``src`` to fingerprint that one.  It writes
 ``DIR/<workload>.jsonl.gz``, one line per unit, with every field the unit
 returned: strengths, energies, polynomial coefficients, norm constants,
-report fields, exceptions, and for ``cli`` the exit code and output.  Field
+report fields, exceptions, and for ``cli`` the exit code and output.  A
+unit whose run calls ``sextic_residual`` (a ``sweep`` unit, once per state
+on the unit's rho grid) also gets each value it returned, although the
+run discards them, as ``sextic_residual[i]`` in call order.  Field
 names are flattened, as in ``states[3].poly[17]``.  JSON numbers round-trip
 floats bit for bit.  It prints one SHA-256 digest per workload.
 
@@ -64,8 +67,9 @@ def flatten(value, name: str, out: dict) -> dict:
     return out
 
 
-def unit_fields(name: str, out) -> dict:
-    """The fields of one unit's outcome."""
+def unit_fields(name: str, out, sextic_residuals=()) -> dict:
+    """The fields of one unit's outcome, with the values its run's
+    ``sextic_residual`` calls returned."""
     if name == "cli":
         code, stdout, stderr = out
         return {"exit": code, "stdout": stdout, "stderr": stderr}
@@ -79,7 +83,23 @@ def unit_fields(name: str, out) -> dict:
         fields["cross"] = out.cross.to_dict()
     if out.identity is not None:
         fields["identity"] = out.identity
+    if sextic_residuals:
+        fields["sextic_residual"] = list(sextic_residuals)
     return flatten(fields, "", {})
+
+
+def recorded_calls(module, name: str) -> list:
+    """Replace ``module.name`` by a wrapper that appends each value it
+    returns to the list returned here."""
+    values = []
+    original = getattr(module, name)
+
+    def recording(*args, **kwargs):
+        values.append(original(*args, **kwargs))
+        return values[-1]
+
+    setattr(module, name, recording)
+    return values
 
 
 def record(args) -> int:
@@ -91,6 +111,7 @@ def record(args) -> int:
     if not Path(q.__file__).resolve().is_relative_to(src):
         sys.exit(f"fingerprint: qeshydro was imported from {q.__file__}, not {src}")
     workloads = importlib.import_module("workloads")
+    residuals = recorded_calls(q, "sextic_residual")
     outdir = Path(args.dir)
     outdir.mkdir(parents=True, exist_ok=True)
     for name in args.workloads or ORDER:
@@ -99,9 +120,10 @@ def record(args) -> int:
         with gzip.open(outdir / f"{name}.jsonl.gz", "wt", encoding="utf-8") as fh:
             for i in range(wl.prefix_size):
                 u = wl.unit(i)
+                residuals.clear()
+                fields = unit_fields(name, wl.replay(q, u), residuals)
                 line = json.dumps({"unit": i, "describe": u.describe(),
-                                   "level": max(u.level),
-                                   "fields": unit_fields(name, wl.replay(q, u))})
+                                   "level": max(u.level), "fields": fields})
                 digest.update(line.encode("utf-8") + b"\n")
                 fh.write(line + "\n")
         print(f"{name}: {wl.prefix_size} units, sha256 {digest.hexdigest()}")

@@ -19,7 +19,6 @@ from qeshydro import (
     build_qes_matrix,
     characteristic_polynomial,
     constraint_polynomial,
-    energy_x,
     level_energy,
     residual_convergence_ratio,
     rho_grid_for,
@@ -30,6 +29,7 @@ from qeshydro import (
     to_sextic,
     verify_state,
 )
+from oracles import energy_x
 from qeshydro.model import ModelParams
 
 OMEGA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)

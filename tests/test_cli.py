@@ -549,3 +549,27 @@ class TestSubprocessEntry:
                               capture_output=True, text=True)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--level", "3"],
+        ["scan", "--omega-l-list", "1,2", "--k-list", "0.5", "--m", "0",
+         "--level", "2"],
+        ["verify", "--level", "2"],
+        ["map-sextic", "--level", "2", "--sample-points", "3"],
+        ["export", "--level", "2", "--format", "csv"],
+    ], ids=lambda argv: argv[0])
+    def test_command_loads_no_numpy_polynomial(self, argv):
+        # The Gauss-Legendre rules are constants: no command computes one.
+        if argv[0] != "scan":
+            argv = argv + ["--omega-l", "1", "--k", "1", "--m", "0"]
+        code = (
+            "import contextlib, io, sys\n"
+            "from qeshydro.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    code = main({argv!r})\n"
+            "print(code, [n for n in sys.modules if n.startswith('numpy.polynomial')])"
+        )
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "0 []"

@@ -21,8 +21,8 @@ from qeshydro import (  # noqa: E402
     build_qes_matrix,
     characteristic_polynomial,
     constraint_polynomial,
-    qes_matrix_from_generators,
 )
+from oracles import qes_matrix_from_generators  # noqa: E402
 
 HALF = Fraction(1, 2)
 BIG = 10**6

@@ -10,15 +10,15 @@ from qeshydro import (
     ModelParams,
     QesState,
     RadialGrid,
-    assemble_full_wavefunction,
     envelope_r_max,
-    gauge_transform,
     l2_norm_constant,
     level_energy,
+    model,
     radial_operator_apply,
     solve_admissible_z,
     solve_series_states,
 )
+from oracles import assemble_full_wavefunction, gauge_transform
 
 
 class TestModelParams:
@@ -71,6 +71,42 @@ class TestGaugeTransform:
     def test_fractional_couplings(self):
         g = gauge_transform(ModelParams(Fraction(1, 2), 1, 1))
         assert (g.mu, g.delta, g.nu) == (Fraction(1, 2), 2, -1)
+
+
+class TestGaussRules:
+    """The rules are literals: they must be numpy's leggauss to the bit."""
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_equal_to_leggauss_bit_for_bit(self, n):
+        nodes, weights = model._GAUSS_RULES[n]
+        expected_nodes, expected_weights = np.polynomial.legendre.leggauss(n)
+        # tobytes compares every bit, sign bits included.
+        assert nodes.tobytes() == expected_nodes.tobytes()
+        assert weights.tobytes() == expected_weights.tobytes()
+
+    def test_one_rule_per_size_the_library_uses(self):
+        assert sorted(model._GAUSS_RULES) == sorted({model._HEAD_NODES, 256})
+
+    @pytest.mark.parametrize("n", [16, 256])
+    def test_shape_of_the_rule(self, n):
+        nodes, weights = model._GAUSS_RULES[n]
+        assert nodes.shape == weights.shape == (n,)
+        assert np.all(np.diff(nodes) > 0)
+        assert -1.0 < nodes[0] and nodes[-1] < 1.0
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(np.signbit(nodes), ~np.signbit(nodes[::-1]))
+        assert np.array_equal(weights, weights[::-1])
+        assert np.all(weights > 0)
+        assert abs(math.fsum(weights) - 2.0) <= 4 * np.finfo(float).eps
+        for i in range(9):
+            exact = 2.0 / (2 * i + 1)
+            assert abs(float(np.sum(weights * nodes ** (2 * i))) - exact) <= 1e-14
+
+    def test_read_only(self):
+        for rule in model._GAUSS_RULES.values():
+            for values in rule:
+                with pytest.raises(ValueError):
+                    values[0] = 0.0
 
 
 class TestLevelEnergy:

@@ -6,14 +6,16 @@ import pytest
 
 from qeshydro import (
     NoGroundStateError,
-    RecurrenceState,
     constraint_polynomial,
+    level_energy,
+    solve_series_states,
+)
+from oracles import (
+    RecurrenceState,
     constraint_value,
     energy_x,
     indicial_exponent,
-    level_energy,
     recurrence_next,
-    solve_series_states,
 )
 
 HALF = Fraction(1, 2)

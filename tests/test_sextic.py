@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -9,6 +10,7 @@ from qeshydro import (
     rho_grid_for,
     sextic_residual,
     sextic_wavefunction,
+    solve_admissible_z,
     solve_series_states,
     to_sextic,
 )
@@ -115,6 +117,23 @@ class TestResidual:
         with pytest.raises(ValueError):
             sextic_residual(mapped, grid)
 
+
+    @pytest.mark.parametrize("level,m", [(1, 0), (7, -2), (13, 3)])
+    def test_warm_call_holds_three_grid_arrays(self, level, m):
+        # zeta, the residual and one work buffer: a warm call (the grid's
+        # powers, stencil, envelope and potential kept) makes nothing else
+        # the size of the grid.
+        states = solve_admissible_z((level - 1) / 2, m, 1.3, 0.7)
+        rho = rho_grid_for(states[0].params)
+        mapped = to_sextic(states[-1])
+        sextic_residual(mapped, rho)
+        tracemalloc.start()
+        try:
+            sextic_residual(mapped, rho)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.1 * rho.points.nbytes
 
 class TestExponentIdentity:
     @pytest.mark.parametrize("m", range(-6, 7))

@@ -8,16 +8,18 @@ import pytest
 from qeshydro import (
     QesMatrix,
     _polyops,
-    build_generators,
     build_qes_matrix,
     characteristic_polynomial,
-    commutator_defects,
     constraint_polynomial,
+    sl2,
+    solve_admissible_z,
+)
+from oracles import (
+    build_generators,
+    commutator_defects,
     energy_x,
     qes_matrix_from_generators,
-    sl2,
     sl2_coefficients,
-    solve_admissible_z,
 )
 
 HALF = Fraction(1, 2)
