@@ -2,7 +2,7 @@
 
 Parameters, states and grids are immutable after construction.  What depends
 only on a grid (its stencil spacings, powers of its points, its Simpson
-weights, the points where verification evaluates a state) or only on a
+weights, the head nodes of verification's norm) or only on a
 parameter set (``r_max`` and the quadrature of :func:`l2_norm_constants`)
 is memoised: computed on first use and kept on that grid or parameter set,
 so the states and routes that share it compute it once.  A grid also keeps
@@ -44,8 +44,6 @@ DEFAULT_GRID_POINTS = 4096
 DEFAULT_R_MIN = 1e-3
 ENVELOPE_DECAY = 1e-12
 _SPACING_FLOOR_AT_DEFAULT = 1.25e-4
-#: Points of the node-count sign scan on (0, r_max].
-_NODE_MESH_POINTS = 4096
 #: Gauss-Legendre nodes of the norm's head on [0, r_min].
 _HEAD_NODES = 16
 
@@ -295,15 +293,12 @@ class RadialGrid:
 
     @cached_property
     def _state_points(self):
-        """The points besides the grid points where a state's polynomial
-        factor is evaluated to verify it: the node mesh :func:`_node_mesh`
-        of r_max and the Gauss-Legendre head nodes on [0, r_min]; with the
-        head rule's half-width and weights."""
+        """The Gauss-Legendre head nodes on [0, r_min], where verification
+        evaluates a state's polynomial factor besides the grid points; with
+        the rule's half-width and weights."""
         half, weights, head = _gauss_rule(0.0, self.r_min, _HEAD_NODES)
-        mesh = _node_mesh(self.r_max)
-        for points in (mesh, head):
-            points.setflags(write=False)
-        return mesh, head, half, weights
+        head.setflags(write=False)
+        return head, half, weights
 
     def _slot(self, name: str, key, compute):
         """``compute()``, kept in the one-entry slot ``name`` of this grid
@@ -352,12 +347,6 @@ class RadialGrid:
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
         pts = _floored_geometric(r_min, r_max, n, floor)
         return cls(pts, "geometric", r_min, r_max)
-
-
-def _node_mesh(r_max: float) -> np.ndarray:
-    """The node-count sign-scan mesh: ``_NODE_MESH_POINTS`` equally spaced
-    points from r_max / _NODE_MESH_POINTS to r_max."""
-    return np.linspace(r_max / _NODE_MESH_POINTS, r_max, _NODE_MESH_POINTS)
 
 
 def _floored_geometric(r_min: float, r_max: float, n: int, floor: float) -> np.ndarray:

@@ -15,7 +15,6 @@ from .model import (
     QesState,
     RadialGrid,
     _interior_residual,
-    _node_mesh,
     _simpson,
 )
 
@@ -91,14 +90,21 @@ def _sign_changes(values: np.ndarray) -> int:
     return int(np.sum(signs[:-1] != signs[1:]))
 
 
+#: Points of the sign scan of :func:`count_nodes` on (0, r_max].
+_NODE_MESH_POINTS = 4096
+
+
 def count_nodes(poly, r_max: float) -> int:
     """Sign changes of the polynomial factor on (0, r_max]; 0 for a
     constant.
 
     A sign scan over ``_NODE_MESH_POINTS`` equally spaced points from
     r_max / _NODE_MESH_POINTS to r_max: roots closer together, or closer
-    to 0, than that spacing are not resolved.  :func:`verify_state` scans
-    the same mesh of its grid's r_max.
+    to 0, than that spacing are not resolved.  It takes any polynomial,
+    so it cannot count coefficient signs as :func:`verify_state` does: a
+    cubic with three zeros in (0, 5) times ``1 + r + r**2`` has 5 sign
+    changes and 3 positive zeros, and ``(2, -3, 1)`` has 2 but 1 node on
+    (0, 1.5].
     """
     coeffs = [float(c) for c in poly]
     degree = len(coeffs) - 1
@@ -106,7 +112,8 @@ def count_nodes(poly, r_max: float) -> int:
         degree -= 1
     if degree <= 0:
         return 0
-    return _sign_changes(polyval(coeffs, _node_mesh(r_max)))
+    mesh = np.linspace(r_max / _NODE_MESH_POINTS, r_max, _NODE_MESH_POINTS)
+    return _sign_changes(polyval(coeffs, mesh))
 
 
 def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray,
@@ -118,7 +125,7 @@ def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray,
     density = samples ** 2 * r
     total = float(_simpson(density, r, grid._simpson_weights))
 
-    _, s, half, weights = grid._state_points
+    s, half, weights = grid._state_points
     head_values = state.norm_constant * head_poly * state.params.envelope(s)
     head = float(half * np.sum(weights * (head_values ** 2 * s)))
 
@@ -146,28 +153,31 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     max(|E R|, machine floor) over the grid, from the interior kernel of
     :func:`radial_operator_apply` alone; normalization error is the
     deviation of the Simpson-plus-tails norm from one.  Both are held to
-    the default :class:`Tolerances`.  The node count is
-    :func:`count_nodes` of the grid's r_max.
+    the default :class:`Tolerances`.  The node count is the sign changes
+    of the float coefficients, zeros skipped: by Descartes' rule, every
+    positive zero of a factor whose zeros are real and simple, as both
+    routes' are (Stieltjes), when each coefficient is accurate relative to
+    its own size.
 
-    The polynomial factor is evaluated once on each of three point sets,
-    each alone: the grid points, the node mesh and the head nodes of the
-    norm.  Below 16 coefficients (levels up to 15) that is Horner's rule,
-    so every report is the one earlier versions gave, byte for byte.  From
-    16 coefficients it is :func:`polyval`'s blocked evaluation, within
+    The polynomial factor is evaluated once on each of two point sets,
+    each alone: the grid points and the head nodes of the norm.  Below 16
+    coefficients (levels up to 15) that is Horner's rule, so the residual
+    and norm are the ones earlier versions gave, byte for byte.  From 16
+    coefficients it is :func:`polyval`'s blocked evaluation, within
     Horner's error bound ``2 D eps sum_i |a_i| |x|**i``, with the powers of
-    the three sets built once for the most recent grid; a block product's
+    the two sets built once for the most recent grid; a block product's
     bits can depend on the size of its array, so evaluating each set alone
-    keeps the node count :func:`count_nodes`'s and the samples on the grid
-    points ``state.radial_values(grid.points)``, bit for bit.
+    keeps the samples on the grid points
+    ``state.radial_values(grid.points)``, bit for bit.
     """
     params = state.params
     grid = RadialGrid.for_params(params) if grid is None else grid
-    if not any(abs(c) > 0 for c in state.poly):
+    coeffs = np.array(state.poly, dtype=float)
+    if not (np.abs(coeffs) > 0).any():
         raise ValueError("state has an identically zero polynomial factor")
 
-    mesh, head = grid._state_points[:2]
-    on_grid, on_mesh, on_head = _polyval_sets(state.poly, grid,
-                                              (grid.points, mesh, head))
+    on_grid, on_head = _polyval_sets(state.poly, grid,
+                                     (grid.points, grid._state_points[0]))
 
     samples = state.norm_constant * on_grid * grid._envelope_samples(params)
     residual = _interior_residual(params, state.z, state.energy, grid, samples)
@@ -177,9 +187,7 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     max_residual = float(np.max(np.abs(residual, out=residual))) / scale
 
     norm_error = abs(_norm_estimate(state, grid, samples, on_head) - 1.0)
-    # A factor that is not identically zero and of degree 0 is a nonzero
-    # constant, so the scan gives count_nodes's 0 for it too.
-    nodes = _sign_changes(on_mesh)
+    nodes = _sign_changes(coeffs)
 
     passed = (
         max_residual <= _TOLERANCES.max_residual

@@ -27,8 +27,9 @@ units in the last place (ulp).  It then counts the units that differ, and
 for each field that differs (indices dropped) the units and the lowest
 level where it does.  For each side it counts the states with a
 verification report, those whose node count equals their index in
-ascending order, and those that passed.  It exits 1 when any unit
-differs.
+ascending order, and those that passed, separately for states at levels
+up to 13 and above 13, so a change at desk scale does not hide in the
+totals at depth.  It exits 1 when any unit differs.
 
 This is a tool, not a test.  From level 16, what is computed from a
 state's polynomial factor on arrays of points follows the BLAS kernel (see
@@ -168,18 +169,22 @@ def describe_difference(a, b) -> str:
     return f"{a!r} vs {b!r}"
 
 
-def state_counts(units: list[dict]) -> tuple[int, int, int]:
-    """(reported states, node count == index, passed) over the units."""
-    reported = indexed = passed = 0
+def state_counts(units: list[dict]) -> dict[str, list[int]]:
+    """[reported states, node count == index, passed] over the units, by
+    the band of the state's level: "levels <= 13" or "levels > 13"."""
+    counts: dict[str, list[int]] = {}
     for unit in units:
         fields = unit["fields"]
         i = 0
         while f"reports[{i}].passed" in fields:
-            reported += 1
-            indexed += fields.get(f"reports[{i}].node_count") == i
-            passed += fields[f"reports[{i}].passed"] is True
+            level = int(re.search(r"level=(\d+)", fields[f"reports[{i}].state"])[1])
+            band = counts.setdefault("levels <= 13" if level <= 13
+                                     else "levels > 13", [0, 0, 0])
+            band[0] += 1
+            band[1] += fields.get(f"reports[{i}].node_count") == i
+            band[2] += fields[f"reports[{i}].passed"] is True
             i += 1
-    return reported, indexed, passed
+    return counts
 
 
 def compare(args) -> int:
@@ -213,10 +218,9 @@ def compare(args) -> int:
         for field, levels in sorted(by_field.items()):
             print(f"  {field}: {len(levels)} units, lowest level {min(levels)}")
         for side, units in (("old", old), ("new", new)):
-            reported, indexed, passed = state_counts(units)
-            if reported:
-                print(f"  {side}: {reported} reported states, node_count == index "
-                      f"{indexed}, passed {passed}")
+            for band, (reported, indexed, passed) in sorted(state_counts(units).items()):
+                print(f"  {side}, {band}: {reported} reported states, "
+                      f"node_count == index {indexed}, passed {passed}")
     return 1 if differ_any else 0
 
 

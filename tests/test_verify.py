@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +20,7 @@ from qeshydro import (
     verify_state,
 )
 from qeshydro import series
+from qeshydro.model import l2_norm_constant
 from qeshydro.verify import _simpson
 
 HALF = Fraction(1, 2)
@@ -46,6 +48,14 @@ class TestVerifyState:
         with pytest.raises(ValueError):
             verify_state(state)
 
+    @pytest.mark.parametrize("poly", [(math.nan,), (0.0, -0.0),
+                                      (Fraction(0), math.nan)])
+    def test_zero_or_nan_factor_rejected(self, poly):
+        # A NaN is not above zero in magnitude, so it counts as zero here.
+        state = solve_series_states(len(poly), 0, 1, 1)[0]
+        with pytest.raises(ValueError, match="identically zero"):
+            verify_state(replace(state, poly=poly))
+
     def test_norm_error_small_across_states(self):
         # normalization stays below 1e-8 on the default grid for the whole
         # desk-scale family (levels to 7, |m| to 4)
@@ -56,6 +66,16 @@ class TestVerifyState:
                     if grid is None:
                         grid = RadialGrid.for_params(s.params)
                     assert verify_state(s, grid=grid).norm_error < 1e-8
+
+    def test_node_count_reads_the_coefficients(self):
+        # The ground state's coefficients share one sign; a negated top
+        # coefficient adds one sign change and so one counted node.
+        ground = solve_admissible_z(3, 1, 1.0, 1.0)[0]
+        assert verify_state(ground).node_count == 0
+        poly = (*ground.poly[:-1], -ground.poly[-1])
+        flipped = replace(ground, poly=poly,
+                          norm_constant=l2_norm_constant(ground.params, poly))
+        assert verify_state(flipped).node_count == 1
 
     def test_report_dict(self):
         report = verify_state(solve_series_states(1, 0, 1, 1)[0])
@@ -95,7 +115,9 @@ class TestNodeCounting:
 
 class TestOscillationTheorem:
     """The i-th strength in ascending order has exactly i nodes: z is the
-    spectral parameter of a Sturm-Liouville problem with weight 1."""
+    spectral parameter of a Sturm-Liouville problem with weight 1.  On the
+    algebraic route's states verify_state's count of coefficient signs
+    agrees with it and with the mesh scan of count_nodes."""
 
     @pytest.mark.parametrize("omega_l,k", [(0.3, 4), (1, 1), (3, 0)])
     @pytest.mark.parametrize("m", [-2, 0, 3])
@@ -103,7 +125,11 @@ class TestOscillationTheorem:
         r_max = envelope_r_max(ModelParams(omega_l, k, m))
         checked = 0
         for level in range(1, 14):
-            routes = [solve_admissible_z((level - 1) / 2, m, omega_l, k)]
+            algebra = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+            grid = RadialGrid.for_params(algebra[0].params)
+            assert [verify_state(s, grid=grid).node_count for s in algebra] == \
+                list(range(level))
+            routes = [algebra]
             try:
                 routes.append(solve_series_states(level, m, omega_l, k))
             except RuntimeError:
