@@ -42,7 +42,6 @@ from .sl2 import (
     solve_admissible_z,
 )
 from .verify import (
-    Tolerances,
     VerificationReport,
     count_nodes,
     cross_validate,
@@ -63,7 +62,6 @@ __all__ = [
     "QesMatrix",
     "SexticState",
     "VerificationReport",
-    "Tolerances",
     "build_qes_matrix",
     "characteristic_polynomial",
     "constraint_polynomial",

@@ -160,16 +160,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _given(key: str, value) -> str:
+    """The option ``key`` as its flag with ``value``, for an error text."""
+    text = ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+    return f"--{key.replace('_', '-')} {text}".rstrip()
+
+
 def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """The command and every option's value: flags over config file over
     the defaults of :data:`_OPTIONS`.  Every coupling pair the command will
-    solve passes :func:`coerce_couplings` here."""
+    solve passes :func:`coerce_couplings` here.  ``scan`` refuses an
+    option it would not use: ``--omega-l`` and ``--k``, and ``--m``,
+    ``--level`` or ``--j`` next to the list that replaces it."""
     values = _load_config_file(args.config) if args.config else {}
     values.update((key, value) for key, value in vars(args).items()
                   if key in _OPTIONS and value is not None)
     command = args.command
     if command == "scan":
         values.setdefault("format", "csv")
+        # The couplings come from their lists only; m and the level from
+        # their lists when those are not empty.
+        for key, listed in (("omega_l", "omega_l_list"), ("k", "k_list"),
+                            ("m", "m_list"), ("level", "level_list"),
+                            ("j", "level_list")):
+            if key in values and (key in ("omega_l", "k") or values.get(listed)):
+                raise UsageError(f"scan does not take {_given(key, values[key])}: "
+                                 f"it scans {_given(listed, values.get(listed, ()))}")
     cfg = argparse.Namespace(command=command, **{
         key: values.get(key, default) for key, (_, default) in _OPTIONS.items()})
     if command == "verify" and cfg.format != "json":

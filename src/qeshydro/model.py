@@ -29,7 +29,7 @@ Conventions (atomic units throughout):
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -54,16 +54,12 @@ class GridError(ValueError):
 
 @dataclass(frozen=True)
 class ModelParams:
-    """Couplings and quantum number of the planar model.
-
-    ``z_coulomb`` is present when checking a fully specified model and absent
-    (None) when the Coulomb strength is the spectral unknown.
-    """
+    """Couplings and quantum number of the planar model; the Coulomb
+    strength is the spectral unknown, so each state carries its own."""
 
     omega_l: float
     k: float
     m: int
-    z_coulomb: float | None = None
 
     def __post_init__(self):
         coerce_couplings(self.omega_l, self.k)
@@ -72,14 +68,6 @@ class ModelParams:
     @property
     def abs_m(self) -> int:
         return abs(self.m)
-
-    def require_z(self) -> float:
-        if self.z_coulomb is None:
-            raise ValueError("z_coulomb is required for this operation")
-        return self.z_coulomb
-
-    def with_z(self, z) -> "ModelParams":
-        return replace(self, z_coulomb=z)
 
     @cached_property
     def _r_max(self) -> float:
@@ -135,7 +123,6 @@ class QesState:
     """
 
     level: int
-    j: float
     z: float
     energy: float
     poly: tuple[float, ...]
@@ -159,6 +146,11 @@ class QesState:
                 f"energy {self.energy} inconsistent with level {self.level}"
             )
 
+    @property
+    def j(self) -> float:
+        """The spin label of the level, (level - 1) / 2."""
+        return 0.5 * (self.level - 1)
+
     def polynomial_values(self, r):
         return np.asarray(polyval(self.poly, np.asarray(r, dtype=float)))
 
@@ -179,15 +171,20 @@ class QesState:
 
     @classmethod
     def from_dict(cls, data: dict, params: ModelParams) -> "QesState":
-        return cls(
+        """The state of a :meth:`to_dict` dictionary; its ``j`` must be
+        (level - 1) / 2."""
+        state = cls(
             level=int(data["level"]),
-            j=float(data["j"]),
             z=float(data["z"]),
             energy=float(data["energy"]),
             poly=tuple(float(c) for c in data["poly"]),
             norm_constant=float(data["norm_constant"]),
             params=params,
         )
+        if float(data["j"]) != state.j:
+            raise ValueError(f"j {data['j']!r} inconsistent with level "
+                             f"{state.level}: expected {state.j!r}")
+        return state
 
 
 def level_states(params: ModelParams, level: int, energy: float, strengths,
@@ -198,7 +195,7 @@ def level_states(params: ModelParams, level: int, energy: float, strengths,
     whose errors it raises before any state is built."""
     norms = l2_norm_constants(params, polys)
     return [
-        QesState(level=level, j=0.5 * (level - 1), z=float(z), energy=energy,
+        QesState(level=level, z=float(z), energy=energy,
                  poly=poly, norm_constant=norm, params=params)
         for z, poly, norm in zip(strengths, polys, norms)
     ]
@@ -208,7 +205,8 @@ def envelope_r_max(params: ModelParams) -> float:
     """Radius where the envelope has fallen below ENVELOPE_DECAY of its peak.
 
     Overshoots the crossing by half a decade so the bound holds strictly on
-    any grid that ends there.
+    any grid that ends there.  Raises DomainError when m != 0 and the
+    envelope's peak radius rounds to 0.
     """
     omega = float(params.omega_l)
     delta = float(params.k) / omega
@@ -217,9 +215,20 @@ def envelope_r_max(params: ModelParams) -> float:
         r_peak, log_peak = 0.0, 0.0
     else:
         r_peak = (-delta + math.sqrt(delta * delta + 4.0 * omega * am)) / (2.0 * omega)
+        if not r_peak > 0:
+            raise _scale_error(params, "the envelope's peak radius rounds to 0")
         log_peak = params.log_envelope(r_peak)
     target = log_peak + math.log(ENVELOPE_DECAY) - 0.5 * math.log(10.0)
     return _decay_cutoff(params.log_envelope, max(r_peak, 1e-12), target)
+
+
+def _scale_error(params: ModelParams, cause: str) -> DomainError:
+    """DomainError naming ``cause``, a length scale of ``params`` that
+    double precision or the grid cannot resolve, and the couplings."""
+    return DomainError(
+        f"{cause} at omega-l = {float(params.omega_l)!r}, "
+        f"k = {float(params.k)!r}, m = {params.m}"
+    )
 
 
 def _decay_cutoff(log_envelope, start: float, target: float) -> float:
@@ -233,16 +242,13 @@ def _decay_cutoff(log_envelope, start: float, target: float) -> float:
 
 @dataclass(frozen=True, eq=False)
 class RadialGrid:
-    """Strictly increasing positive radii with a named spacing policy.
+    """Strictly increasing positive radii.
 
     ``points`` is a read-only copy of the radii passed in, so the arrays
     derived from it and kept on the grid cannot go stale.
     """
 
     points: np.ndarray
-    policy: str
-    r_min: float
-    r_max: float
 
     def __post_init__(self):
         pts = np.array(self.points, dtype=float)
@@ -257,6 +263,14 @@ class RadialGrid:
 
     def __len__(self) -> int:
         return self.points.size
+
+    @property
+    def r_min(self) -> float:
+        return float(self.points[0])
+
+    @property
+    def r_max(self) -> float:
+        return float(self.points[-1])
 
     @cached_property
     def _squares(self) -> np.ndarray:
@@ -322,11 +336,11 @@ class RadialGrid:
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        return cls(np.linspace(r_min, r_max, n), "uniform", r_min, r_max)
+        return cls(np.linspace(r_min, r_max, n))
 
     @classmethod
     def geometric(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
-        return cls(np.geomspace(r_min, r_max, n), "geometric", r_min, r_max)
+        return cls(np.geomspace(r_min, r_max, n))
 
     @classmethod
     def for_params(
@@ -341,12 +355,15 @@ class RadialGrid:
         max(growth * r, floor) with floor scaled so that refining the
         point count refines the floor proportionally; this keeps the
         finite-difference residual second-order under grid doubling while
-        bounding eps/h^2 roundoff near the origin.
+        bounding eps/h^2 roundoff near the origin.  Raises DomainError when
+        r_max is not above r_min.
         """
         r_max = params._r_max
+        if not r_max > r_min:
+            raise _scale_error(params, f"the envelope decays before the grid "
+                                       f"starts: r_max = {r_max!r} <= r_min = {r_min!r}")
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
-        pts = _floored_geometric(r_min, r_max, n, floor)
-        return cls(pts, "geometric", r_min, r_max)
+        return cls(_floored_geometric(r_min, r_max, n, floor))
 
 
 def _floored_geometric(r_min: float, r_max: float, n: int, floor: float) -> np.ndarray:
@@ -478,18 +495,18 @@ def _interior_residual(params: ModelParams, z, energy, grid: RadialGrid, f):
     return residual
 
 
-def radial_operator_apply(params: ModelParams, energy: float, grid: RadialGrid,
+def radial_operator_apply(params: ModelParams, z, energy: float, grid: RadialGrid,
                           r_samples: np.ndarray):
-    """Apply (H - E) to sampled radial function values.
+    """Apply (H - E) for the Coulomb strength ``z`` to sampled radial
+    function values.
 
     Returns ``(residual, interior)`` where ``interior`` flags the points
     computed with centered stencils (:func:`_interior_residual`); the
     endpoints use one-sided stencils and are flagged False.
 
-    Raises if the Coulomb strength is absent, the grid has fewer than 32
-    interior points, or the samples are not finite.
+    Raises if the grid has fewer than 32 interior points or the samples
+    are not finite.
     """
-    z = params.require_z()
     x = grid.points
     f = np.asarray(r_samples, dtype=float)
     residual = np.empty_like(x)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (DEFAULT_R_MIN, ENVELOPE_DECAY, ModelParams, QesState,
-                    RadialGrid, _decay_cutoff, _fd_second_interior)
+                    RadialGrid, _decay_cutoff, _fd_second_interior, _scale_error)
 
 __all__ = [
     "SexticState",
@@ -102,17 +102,26 @@ def _log_zeta_envelope(params: ModelParams, rho: float) -> float:
 
 def rho_grid_for(params: ModelParams) -> RadialGrid:
     """Geometric rho grid of DEFAULT_RHO_POINTS points from sqrt(DEFAULT_R_MIN)
-    to where the mapped envelope falls below ENVELOPE_DECAY of its peak."""
+    to where the mapped envelope falls below ENVELOPE_DECAY of its peak.
+
+    Raises DomainError when the envelope's peak rounds to 0 or the cutoff
+    is not above sqrt(DEFAULT_R_MIN)."""
     power = 2 * params.abs_m + 0.5
     omega = float(params.omega_l)
     delta = float(params.k) / omega
     # Peak of the log envelope: power = 2 omega rho^4 + 2 delta rho^2.
     u_peak = (-delta + math.sqrt(delta * delta + 2.0 * omega * power)) / (2.0 * omega)
+    if not u_peak > 0:
+        raise _scale_error(params, "the mapped envelope's peak rounds to 0")
     rho_peak = math.sqrt(u_peak)
     target = _log_zeta_envelope(params, rho_peak) + math.log(ENVELOPE_DECAY)
     rho_max = _decay_cutoff(lambda rho: _log_zeta_envelope(params, rho),
                             rho_peak, target)
-    return RadialGrid.geometric(math.sqrt(DEFAULT_R_MIN), rho_max, DEFAULT_RHO_POINTS)
+    rho_min = math.sqrt(DEFAULT_R_MIN)
+    if not rho_max > rho_min:
+        raise _scale_error(params, f"the mapped envelope decays before the grid "
+                                   f"starts: rho_max = {rho_max!r} <= rho_min = {rho_min!r}")
+    return RadialGrid.geometric(rho_min, rho_max, DEFAULT_RHO_POINTS)
 
 
 def _sextic_potential(sextic: SexticState, grid: RadialGrid) -> np.ndarray:

@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import model
-from ._polyops import as_half_integer, check_integer_m, coerce_couplings
+from ._polyops import as_half_integer, check_integer_m, coerce_couplings, is_exact
 from .model import ModelParams, QesState
 
 __all__ = [
@@ -50,7 +50,11 @@ class QesMatrix:
     omega_l: object
     k: object
     entries: object
-    exact: bool
+
+    @property
+    def exact(self) -> bool:
+        """Whether both couplings, and so the entries, are rational."""
+        return is_exact(self.omega_l) and is_exact(self.k)
 
     @property
     def dim(self) -> int:
@@ -84,7 +88,7 @@ def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
                 rows[n - 1, n] = -(n * (2 * am + n)) / 2
             if n + 1 < dim:
                 rows[n + 1, n] = -omega * (dim - 1 - n)
-        return QesMatrix(jf, m, omega, kk, rows, False)
+        return QesMatrix(jf, m, omega, kk, rows)
 
     p, q = ratio.numerator, ratio.denominator
     a, b = omega.numerator, omega.denominator
@@ -96,7 +100,7 @@ def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
             rows[n - 1][n] = Fraction(-(n * (2 * am + n)), 2)
         if n + 1 < dim:
             rows[n + 1][n] = Fraction(-a * (dim - 1 - n), b)
-    return QesMatrix(jf, m, omega, kk, rows, True)
+    return QesMatrix(jf, m, omega, kk, rows)
 
 
 def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:

@@ -3,7 +3,7 @@ node counts, cross-method agreement, and scaling audits."""
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +19,6 @@ from .model import (
 )
 
 __all__ = [
-    "Tolerances",
     "VerificationReport",
     "verify_state",
     "cross_validate",
@@ -29,17 +28,10 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    max_residual: float = 1e-5
-    norm_error: float = 1e-8
-
-    def __post_init__(self):
-        if not all(t > 0 for t in astuple(self)):
-            raise ValueError("tolerances must be positive")
-
-
-_TOLERANCES = Tolerances()
+#: The largest scaled residual and normalization error :func:`verify_state`
+#: passes.
+MAX_RESIDUAL = 1e-5
+MAX_NORM_ERROR = 1e-8
 
 
 @dataclass(frozen=True)
@@ -152,8 +144,8 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     The residual is the interior maximum of |(H - E) R| scaled by
     max(|E R|, machine floor) over the grid, from the interior kernel of
     :func:`radial_operator_apply` alone; normalization error is the
-    deviation of the Simpson-plus-tails norm from one.  Both are held to
-    the default :class:`Tolerances`.  The node count is the sign changes
+    deviation of the Simpson-plus-tails norm from one.  They pass within
+    :data:`MAX_RESIDUAL` and :data:`MAX_NORM_ERROR`.  The node count is the sign changes
     of the float coefficients, zeros skipped: by Descartes' rule, every
     positive zero of a factor whose zeros are real and simple, as both
     routes' are (Stieltjes), when each coefficient is accurate relative to
@@ -189,10 +181,7 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     norm_error = abs(_norm_estimate(state, grid, samples, on_head) - 1.0)
     nodes = _sign_changes(coeffs)
 
-    passed = (
-        max_residual <= _TOLERANCES.max_residual
-        and norm_error <= _TOLERANCES.norm_error
-    )
+    passed = max_residual <= MAX_RESIDUAL and norm_error <= MAX_NORM_ERROR
     return VerificationReport(
         state_label=_state_label(state),
         max_residual=max_residual,

@@ -191,8 +191,8 @@ def qes_matrix_from_generators(j, m: int, omega_l, k) -> QesMatrix:
                 + (co.c0_linear_part if i == q else (Fraction(0) if exact else 0.0))
             )
     if not exact:
-        return QesMatrix(jf, m, omega, kk, np.array(rows, dtype=float), False)
-    return QesMatrix(jf, m, omega, kk, rows, True)
+        return QesMatrix(jf, m, omega, kk, np.array(rows, dtype=float))
+    return QesMatrix(jf, m, omega, kk, rows)
 
 
 @dataclass(frozen=True)

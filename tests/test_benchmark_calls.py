@@ -1,0 +1,66 @@
+"""The benchmark's own calls into qeshydro, run on a few seed-1 units.
+
+``perfbench/workloads.py`` calls constructors and functions of the package
+by name and keyword.  A change of signature there shows up in a timed run
+only as a failed unit, so replay a few units of each workload here and
+require that none failed on a call the package no longer accepts.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import qeshydro
+import qeshydro.cli  # noqa: F401  (the cli workload replays cli.main)
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+#: Exceptions that mean a call no longer matches the package.
+BROKEN_CALL = (TypeError, AttributeError, NameError)
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    """``perfbench/workloads.py``, imported as ``tests/fingerprint.py``
+    imports it."""
+    if not (PERFBENCH / "workloads.py").exists():
+        pytest.skip("perfbench/workloads.py is not in this checkout")
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        return importlib.import_module("workloads")
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def _units(workloads, name):
+    wl = workloads.WORKLOADS[name](1, str(PERFBENCH.parent))
+    return wl, [wl.unit(i) for i in range(wl.prefix_size)]
+
+
+@pytest.mark.parametrize("name,index", [
+    ("sweep", 0), ("sweep", 1), ("sweep", 2),
+    ("exact", 0), ("exact", 1), ("exact", 2), ("deep", None)])
+def test_in_process_units_make_no_broken_call(workloads, name, index):
+    wl, units = _units(workloads, name)
+    unit = (min(units, key=lambda u: u.level) if index is None
+            else units[index])
+    out = wl.replay(qeshydro, unit)
+    broken = [f"{type(e).__name__}: {e}" for e in out.errors
+              if isinstance(e, BROKEN_CALL)]
+    assert broken == [], unit.describe()
+    assert out.states
+
+
+def test_every_cli_command_exits_by_the_contract(workloads):
+    wl, units = _units(workloads, "cli")
+    commands = {command for command, _ in workloads.CLI_MIX}
+    seen = set()
+    for unit in units:
+        if unit.command in seen:
+            continue
+        seen.add(unit.command)
+        code, _, stderr = wl.replay(qeshydro, unit)
+        assert code in workloads.CONTRACT_EXITS, (unit.describe(), stderr)
+        assert "Traceback" not in stderr, unit.describe()
+    assert seen == commands

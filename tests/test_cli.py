@@ -528,6 +528,73 @@ class TestEnvelopeUnderflow:
         assert "Warning" not in proc.stderr
 
 
+class TestScaleFailures:
+    """Couplings whose length scales the default grids cannot resolve exit
+    3 with the scale named, not 2 with a message from inside the grid."""
+
+    @pytest.mark.parametrize("couplings,message", [
+        (["--omega-l", "1", "--k", "1e5", "--m", "0"],
+         "error: the envelope decays before the grid starts: "
+         "r_max = 0.0002878231362100449 <= r_min = 0.001 at omega-l = 1.0, "
+         "k = 100000.0, m = 0\n"),
+        (["--omega-l", "0.016920855145779415", "--k", "2179245.6679086657",
+          "--m", "21"],
+         "error: the envelope's peak radius rounds to 0 at omega-l = "
+         "0.016920855145779415, k = 2179245.6679086657, m = 21\n"),
+    ])
+    def test_exit_3_naming_the_scale(self, couplings, message, capsys):
+        code, out, err = run_main(["solve", *couplings, "--level", "2"], capsys)
+        assert code == 3 and out == ""
+        assert err == message
+        assert "strictly increasing" not in err
+        assert "math domain error" not in err
+
+
+class TestScanRefusesWhatItWouldDrop:
+    """scan exits 2 on an option it would ignore, from flags or a config
+    file, and names it."""
+
+    LISTS = ["--omega-l-list", "1", "--k-list", "1"]
+
+    @pytest.mark.parametrize("extra,message", [
+        (["--m", "2", "--m-list", "0,1", "--level", "1"],
+         "scan does not take --m 2: it scans --m-list 0,1"),
+        (["--m", "0", "--level", "2", "--level-list", "1,3"],
+         "scan does not take --level 2: it scans --level-list 1,3"),
+        (["--m", "0", "--j", "0.5", "--level-list", "1"],
+         "scan does not take --j 0.5: it scans --level-list 1"),
+        (["--m", "0", "--level", "1", "--omega-l", "7"],
+         "scan does not take --omega-l 7.0: it scans --omega-l-list 1.0"),
+        (["--m", "0", "--level", "1", "--k", "9"],
+         "scan does not take --k 9.0: it scans --k-list 1.0"),
+    ])
+    def test_flags(self, extra, message, capsys):
+        code, out, err = run_main(["scan", *self.LISTS, *extra], capsys)
+        assert code == 2 and out == ""
+        assert err == f"error: {message}\n"
+
+    def test_every_dropped_option_of_one_run_is_refused(self, capsys):
+        code, _, err = run_main(
+            ["scan", *self.LISTS, "--m", "2", "--m-list", "0", "--level", "2",
+             "--level-list", "1", "--omega-l", "7", "--k", "9"], capsys)
+        assert code == 2
+        assert err.startswith("error: scan does not take --")
+
+    def test_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("omega_l_list = 1\nk_list = 1\nm_list = 0,1\nlevel = 1\n")
+        code, out, err = run_main(["scan", "--config", str(cfg), "--m", "3"],
+                                  capsys)
+        assert code == 2 and out == ""
+        assert err == "error: scan does not take --m 3: it scans --m-list 0,1\n"
+
+    def test_a_list_without_its_single_still_scans(self, capsys):
+        code, out, _ = run_main(
+            ["scan", *self.LISTS, "--m-list", "0,1", "--level-list", "1"], capsys)
+        assert code == 0
+        assert len(out.splitlines()) == 3
+
+
 class TestSubprocessEntry:
     def test_module_invocation(self):
         proc = subprocess.run(

@@ -155,7 +155,7 @@ class TestCharacteristicPolynomial:
         entries = [[data.draw(entry) if abs(i - q) <= 1 else Fraction(0)
                     for q in range(dim)] for i in range(dim)]
         mat = QesMatrix(Fraction(dim - 1, 2), 0, Fraction(1), Fraction(1),
-                        entries, True)
+                        entries)
         char = characteristic_polynomial(mat)
         assert char == ref_characteristic_polynomial(entries)
         assert all_fractions(char)
@@ -168,7 +168,7 @@ class TestCharacteristicPolynomial:
                             for c in range(dim)] for r in range(dim)]
                 entries[i][q] = Fraction(-1, 7)
                 mat = QesMatrix(Fraction(dim - 1, 2), 0, Fraction(1),
-                                Fraction(1), entries, True)
+                                Fraction(1), entries)
                 if abs(i - q) <= 1:
                     assert characteristic_polynomial(mat) == (
                         ref_characteristic_polynomial(entries))

@@ -51,13 +51,6 @@ class TestModelParams:
         with pytest.raises(ValueError):
             ModelParams(1.0, 1.0, True)
 
-    def test_z_optional(self):
-        p = ModelParams(1.0, 1.0, 0)
-        assert p.z_coulomb is None
-        with pytest.raises(ValueError):
-            p.require_z()
-        assert p.with_z(0.5).require_z() == 0.5
-
 
 class TestGaugeTransform:
     def test_negative_m(self):
@@ -130,9 +123,9 @@ class TestLevelEnergy:
 class TestRadialGrid:
     def test_monotone_positive_required(self):
         with pytest.raises(GridError):
-            RadialGrid(np.array([0.0, 1.0, 2.0]), "uniform", 0.0, 2.0)
+            RadialGrid(np.array([0.0, 1.0, 2.0]))
         with pytest.raises(GridError):
-            RadialGrid(np.array([1.0, 1.0, 2.0]), "uniform", 1.0, 2.0)
+            RadialGrid(np.array([1.0, 1.0, 2.0]))
 
     def test_default_grid_shape(self):
         grid = RadialGrid.for_params(ModelParams(1, 1, 0))
@@ -153,7 +146,7 @@ class TestRadialGrid:
 
     def test_points_are_a_read_only_copy(self):
         radii = np.array([0.5, 1.0, 2.0, 4.0])
-        grid = RadialGrid(radii, "uniform", 0.5, 4.0)
+        grid = RadialGrid(radii)
         with pytest.raises(ValueError, match="read-only"):
             grid.points[1] = 1.5
         radii[1] = 1.5  # the caller's array stays writable and is not shared
@@ -164,6 +157,34 @@ class TestRadialGrid:
         assert RadialGrid.for_params(p).r_max == envelope_r_max(p)
         assert RadialGrid.for_params(p, n=100).r_max == envelope_r_max(p)
 
+    @pytest.mark.parametrize("grid", [
+        RadialGrid.uniform(0.25, 3.0, 7), RadialGrid.geometric(1e-3, 9.0, 101),
+        RadialGrid.for_params(ModelParams(0.7, 1.9, -2), n=500, r_min=0.02)])
+    def test_ends_are_the_first_and_last_points(self, grid):
+        assert (grid.r_min, grid.r_max) == (grid.points[0], grid.points[-1])
+        assert type(grid.r_min) is float and type(grid.r_max) is float
+
+    def test_a_grid_is_built_from_its_points_alone(self):
+        points = RadialGrid.for_params(ModelParams(1, 1, 0)).points
+        with pytest.raises(TypeError):
+            RadialGrid(points, "geometric", 0.5, 3.0)
+
+    def test_a_cutoff_below_r_min_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"r_max = 0\.000287.* <= "
+                                              r"r_min = 0\.001 at omega-l = 1\.0, "
+                                              r"k = 100000\.0, m = 0$"):
+            RadialGrid.for_params(ModelParams(1, 1e5, 0))
+        with pytest.raises(DomainError, match="<= r_min = 10.0 at"):
+            RadialGrid.for_params(ModelParams(1, 1, 0), r_min=10.0)
+
+    def test_a_peak_that_rounds_to_zero_is_a_domain_error(self):
+        params = ModelParams(0.016920855145779415, 2179245.6679086657, 21)
+        with pytest.raises(DomainError, match="peak radius rounds to 0 at "
+                                              "omega-l = 0.016920855145779415"):
+            envelope_r_max(params)
+        with pytest.raises(DomainError, match="peak radius rounds to 0"):
+            RadialGrid.for_params(params)
+
 
 class TestParameterMemo:
     def test_memo_takes_no_part_in_eq_hash_repr(self):
@@ -173,7 +194,6 @@ class TestParameterMemo:
         RadialGrid.for_params(used)
         assert used == fresh and hash(used) == hash(fresh)
         assert repr(used) == before == repr(fresh)
-        assert used.with_z(1.0) == fresh.with_z(1.0)
 
     def test_norm_constant_is_the_same_from_a_fresh_instance(self):
         poly = (1.0, -0.4, 0.02)
@@ -199,10 +219,10 @@ class TestRadialOperator:
         # uniform [0.01, 8] grid with 2000 points the 1/(2r) d/dr term
         # amplifies the O(h^2) error near the left edge to ~1.9e-4; away
         # from the edge the residual is at the plain O(h^2) level.
-        params = ModelParams(1, 1, 0, z_coulomb=0.5)
+        params = ModelParams(1, 1, 0)
         grid = RadialGrid.uniform(0.01, 8.0, 2000)
         samples = np.exp(-grid.points**2 / 2 - grid.points)
-        residual, interior = radial_operator_apply(params, 0.5, grid, samples)
+        residual, interior = radial_operator_apply(params, 0.5, 0.5, grid, samples)
         rel = np.abs(residual) / np.max(np.abs(samples))
         assert rel[interior].max() < 5e-4
         away = interior & (grid.points >= 0.5)
@@ -211,43 +231,37 @@ class TestRadialOperator:
     def test_second_order_convergence_on_uniform_grid(self):
         # measured away from the left edge, whose nearest interior point
         # moves as the grid is refined
-        params = ModelParams(1, 1, 0, z_coulomb=0.5)
+        params = ModelParams(1, 1, 0)
         maxima = []
         for n in (2000, 4000):
             grid = RadialGrid.uniform(0.01, 8.0, n)
             samples = np.exp(-grid.points**2 / 2 - grid.points)
-            residual, interior = radial_operator_apply(params, 0.5, grid, samples)
+            residual, interior = radial_operator_apply(params, 0.5, 0.5, grid, samples)
             window = interior & (grid.points >= 0.5)
             maxima.append(np.abs(residual[window]).max())
         ratio = maxima[0] / maxima[1]
         assert 3.5 < ratio < 4.5
 
-    def test_requires_z(self):
-        grid = RadialGrid.uniform(0.01, 8.0, 100)
-        with pytest.raises(ValueError):
-            radial_operator_apply(ModelParams(1, 1, 0), 0.5, grid,
-                                  np.ones(len(grid)))
-
     def test_zero_samples_zero_residual(self):
-        params = ModelParams(1, 1, 0, z_coulomb=0.5)
+        params = ModelParams(1, 1, 0)
         grid = RadialGrid.uniform(0.01, 8.0, 100)
-        residual, _ = radial_operator_apply(params, 0.5, grid,
+        residual, _ = radial_operator_apply(params, 0.5, 0.5, grid,
                                             np.zeros(len(grid)))
         assert np.all(residual == 0.0)
 
     def test_too_coarse_grid_refused(self):
-        params = ModelParams(1, 1, 0, z_coulomb=0.5)
+        params = ModelParams(1, 1, 0)
         grid = RadialGrid.uniform(0.01, 8.0, 20)
         with pytest.raises(GridError, match="too coarse"):
-            radial_operator_apply(params, 0.5, grid, np.ones(len(grid)))
+            radial_operator_apply(params, 0.5, 0.5, grid, np.ones(len(grid)))
 
     def test_non_finite_samples_rejected(self):
-        params = ModelParams(1, 1, 0, z_coulomb=0.5)
+        params = ModelParams(1, 1, 0)
         grid = RadialGrid.uniform(0.01, 8.0, 100)
         bad = np.ones(len(grid))
         bad[5] = np.inf
         with pytest.raises(ValueError):
-            radial_operator_apply(params, 0.5, grid, bad)
+            radial_operator_apply(params, 0.5, 0.5, grid, bad)
 
 
 @pytest.fixture(scope="module")
@@ -283,19 +297,41 @@ class TestQesState:
     def test_poly_length_must_match_level(self):
         params = ModelParams(1, 1, 0)
         with pytest.raises(ValueError):
-            QesState(level=2, j=0.5, z=0.5, energy=1.5, poly=(1.0,),
+            QesState(level=2, z=0.5, energy=1.5, poly=(1.0,),
                      norm_constant=1.0, params=params)
 
     def test_energy_consistency_enforced(self):
         params = ModelParams(1, 1, 0)
         with pytest.raises(ValueError):
-            QesState(level=1, j=0.0, z=0.5, energy=0.75, poly=(1.0,),
+            QesState(level=1, z=0.5, energy=0.75, poly=(1.0,),
                      norm_constant=1.0, params=params)
 
     def test_round_trip_dict(self):
         state = solve_series_states(2, 1, 1, 1)[0]
         clone = QesState.from_dict(state.to_dict(), state.params)
         assert clone == state
+
+    @pytest.mark.parametrize("level", [1, 2, 5, 13, 40])
+    def test_j_follows_the_level_on_both_routes(self, level):
+        states = solve_admissible_z((level - 1) / 2, -1, 1.3, 0.7)
+        if level <= 13:
+            states += solve_series_states(level, -1, 1.3, 0.7)
+        assert states
+        for state in states:
+            assert state.j == 0.5 * (level - 1)
+            assert state.to_dict()["j"] == 0.5 * (level - 1)
+
+    def test_j_is_not_stored(self):
+        with pytest.raises(TypeError):
+            QesState(level=3, j=7.0, z=0.5, energy=3.5, poly=(1.0, 0.0, 0.0),
+                     norm_constant=1.0, params=ModelParams(1, 1, 0))
+
+    @pytest.mark.parametrize("j", [7.0, 0.0, 1.0000000000000002, "nan"])
+    def test_from_dict_rejects_a_j_that_disagrees_with_the_level(self, j):
+        state = solve_series_states(3, 1, 1, 1)[0]
+        data = dict(state.to_dict(), j=j)
+        with pytest.raises(ValueError, match="inconsistent with level 3"):
+            QesState.from_dict(data, state.params)
 
     def test_level_one_matches_closed_form(self):
         # R = a0 r^|m| exp(-omega r^2/2 - (k/omega) r), up to normalization

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qeshydro import (
+    DomainError,
     ModelParams,
     rho_grid_for,
     sextic_residual,
@@ -134,6 +135,21 @@ class TestResidual:
         finally:
             tracemalloc.stop()
         assert peak <= 3.1 * rho.points.nbytes
+
+class TestRhoGridScale:
+    def test_a_cutoff_below_rho_min_is_a_domain_error(self):
+        with pytest.raises(DomainError, match=r"rho_max = .* <= rho_min = "
+                                              r"0\.0316.* at omega-l = 1\.0, "
+                                              r"k = 100000\.0, m = 0$"):
+            rho_grid_for(ModelParams(1, 1e5, 0))
+
+    @pytest.mark.parametrize("omega_l,k,m", [
+        (0.016920855145779415, 2179245.6679086657, 21), (1.0, 1e9, 0)])
+    def test_a_peak_that_rounds_to_zero_is_a_domain_error(self, omega_l, k, m):
+        with pytest.raises(DomainError, match=f"peak rounds to 0 at omega-l = "
+                                              f"{omega_l!r}, k = {k!r}, m = {m}$"):
+            rho_grid_for(ModelParams(omega_l, k, m))
+
 
 class TestExponentIdentity:
     @pytest.mark.parametrize("m", range(-6, 7))

@@ -314,7 +314,7 @@ class TestSharedEqualsPerState:
                 assert_report_matches(state, grid)
                 for f in (ref_radial_values(state, x), np.sin(x) * np.exp(-x)):
                     residual, interior = radial_operator_apply(
-                        state.params.with_z(state.z), state.energy, grid, f)
+                        state.params, state.z, state.energy, grid, f)
                     want = ref_residual(state.params, state.z, state.energy, x, f)
                     assert np.array_equal(residual, want)
                     assert np.array_equal(np.signbit(residual), np.signbit(want))
@@ -327,7 +327,7 @@ class TestSharedEqualsPerState:
             verify_state(state, grid=RadialGrid.uniform(0.1, 3.0, 33))
         params = ModelParams(1.0, 1.0, 0)
         energy = float(level_energy(2, 0, 1.0, 1.0))
-        overflowing = QesState(level=2, j=0.5, z=1.0, energy=energy,
+        overflowing = QesState(level=2, z=1.0, energy=energy,
                                poly=(1.0, 1e300), norm_constant=1e300,
                                params=params)
         with np.errstate(over="ignore"), \

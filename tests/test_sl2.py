@@ -132,6 +132,17 @@ class TestQesMatrix:
         assert not mat.exact
         assert np.allclose(mat.as_array(), [[0.5, -0.5], [-1.0, 1.5]])
 
+    @pytest.mark.parametrize("omega,k,exact", [
+        (1, 1, True), (Fraction(1, 2), 3, True), (1.0, 1, False), (2, 0.5, False)])
+    def test_exactness_follows_the_couplings(self, omega, k, exact):
+        for mat in (build_qes_matrix(1, -1, omega, k),
+                    qes_matrix_from_generators(1, -1, omega, k)):
+            assert mat.exact is exact
+            assert all(isinstance(e, Fraction) is exact
+                       for row in mat.entries for e in row)
+        with pytest.raises(TypeError):
+            QesMatrix(HALF, 0, 1.0, 1.0, np.zeros((2, 2)), True)
+
     @pytest.mark.parametrize("m,omega,k", [(0, 1, 1), (-2, 2, 3),
                                            (1, Fraction(1, 2), Fraction(1, 4))])
     def test_descending_basis_form(self, m, omega, k):
@@ -159,7 +170,7 @@ class TestQesMatrix:
         entries = [[Fraction(1), Fraction(0), Fraction(1, 3)],
                    [Fraction(0), Fraction(2), Fraction(0)],
                    [Fraction(0), Fraction(0), Fraction(3)]]
-        mat = QesMatrix(Fraction(1), 0, Fraction(1), Fraction(1), entries, True)
+        mat = QesMatrix(Fraction(1), 0, Fraction(1), Fraction(1), entries)
         with pytest.raises(ValueError, match="requires a tridiagonal matrix"):
             characteristic_polynomial(mat)
 
@@ -181,7 +192,7 @@ class TestCharacteristicPolynomialReference:
             entries = [[rational() if abs(i - q) <= 1 else Fraction(0)
                         for q in range(dim)] for i in range(dim)]
             mat = QesMatrix(Fraction(dim - 1, 2), 0, Fraction(1), Fraction(1),
-                            entries, True)
+                            entries)
             assert characteristic_polynomial(mat) == _sympy_charpoly(entries)
 
     @pytest.mark.parametrize("two_j,m,omega,k", [

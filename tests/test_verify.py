@@ -9,7 +9,6 @@ from qeshydro import (
     ModelParams,
     QesState,
     RadialGrid,
-    Tolerances,
     count_nodes,
     cross_validate,
     envelope_r_max,
@@ -43,7 +42,7 @@ class TestVerifyState:
 
     def test_zero_polynomial_rejected(self):
         params = ModelParams(1, 1, 0)
-        state = QesState(level=1, j=0.0, z=0.5, energy=0.5, poly=(0.0,),
+        state = QesState(level=1, z=0.5, energy=0.5, poly=(0.0,),
                          norm_constant=1.0, params=params)
         with pytest.raises(ValueError):
             verify_state(state)
@@ -83,14 +82,24 @@ class TestVerifyState:
         assert set(data) >= {"state", "max_residual", "norm_error",
                              "node_count", "passed"}
 
-    def test_tolerances_validated(self):
-        with pytest.raises(ValueError):
-            Tolerances(max_residual=0.0)
 
-    @pytest.mark.parametrize("field", ["max_residual", "norm_error"])
-    def test_nan_tolerance_rejected(self, field):
-        with pytest.raises(ValueError):
-            Tolerances(**{field: math.nan})
+
+class TestGridFromItsPoints:
+    """A grid is its points: rebuilt from them alone it verifies every
+    state to the same report, field for field."""
+
+    @pytest.mark.parametrize("level,m,omega_l,k,n,r_min", [
+        (1, 0, 1.0, 1.0, None, None), (13, -2, 0.7, 1.9, None, None),
+        (40, 3, 1.3, 0.4, None, None), (5, 1, 2.0, 0.5, 700, 0.02)])
+    def test_same_report_on_the_points(self, level, m, omega_l, k, n, r_min):
+        states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+        options = {} if n is None else {"n": n, "r_min": r_min}
+        grid = RadialGrid.for_params(states[0].params, **options)
+        alone = RadialGrid(grid.points)
+        assert (alone.r_min, alone.r_max) == (grid.r_min, grid.r_max)
+        assert len(states) == level
+        for state in states:
+            assert verify_state(state, alone) == verify_state(state, grid)
 
 
 class TestNodeCounting:
