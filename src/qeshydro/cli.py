@@ -3,6 +3,8 @@
 Output is deterministic: identical configurations produce byte-identical
 output (floats are serialized with Python's shortest round-trip
 representation, CSV uses '.' decimals and a mandatory header row).
+Every command writes selections of one row per state, so each CSV row
+holds values of the JSON per-state entry.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (e.g. level 0),
 4 verification failure.
@@ -11,6 +13,7 @@ Exit codes: 0 success, 2 usage error, 3 domain error (e.g. level 0),
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import sys
@@ -228,111 +231,123 @@ def _json_dump(payload: dict) -> str:
     return json.dumps(payload, indent=2) + "\n"
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _csv_table(header: "list[str]", rows: "list[list]") -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt_value(v) for v in row))
+def _csv_table(header, rows) -> str:
+    """A header line, then one line of ``repr`` values per row."""
+    lines = [",".join(header), *(",".join(map(repr, row)) for row in rows)]
     return "\n".join(lines) + "\n"
 
 
-def _solve_and_verify(cfg, omega_l, k, m, level, diagnostics=None):
-    """One parameter set: the algebraic states, the per-state reports on
-    the radial grid, and that grid.  The grid is built on the parameter set
-    the states carry, so the set's ``r_max`` is bisected once."""
+#: The keys of a single-set command's JSON entry, in order, that its row
+#: has: the state's ``to_dict()``, "verification" (the report's three
+#: values), then what map-sextic and export add.
+_ENTRY_KEYS = ("level", "j", "z", "energy", "poly", "norm_constant", "verification",
+               "m_tilde", "coefficients", "eigenvalue", "sextic_residual", "samples")
+#: The columns of a command's CSV table of rows.
+_COLUMNS = {
+    "solve": ("omega_l", "k", "m", "level", "j", "root_index", "z", "energy",
+              "norm_constant", "max_residual", "norm_error", "node_count"),
+    "scan": ("omega_l", "k", "m", "level", "root_index", "z", "energy",
+             "max_residual", "node_count"),
+    "map-sextic": ("root_index", "m_tilde", "centrifugal", "rho2", "rho4", "rho6",
+                   "eigenvalue", "sextic_residual", "z", "energy"),
+}
+#: The names of the pairs in a row's "samples", for the CSV table of samples.
+_SAMPLE_COLUMNS = {"map-sextic": ("rho", "zeta"), "export": ("r", "radial_value")}
+
+
+def _rows(cfg, omega_l, k, m, level, diagnostics=None):
+    """One row per algebraic state of a parameter set, and the radial grid
+    of their reports, built on the set the states carry, so its ``r_max``
+    is bisected once.  A row holds the set's omega_l, k and m, the state's
+    root_index and ``to_dict()`` values, its report's max_residual,
+    norm_error and node_count, also as the dictionary "verification", and
+    the state and report themselves as "state" and "report"."""
     states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k, cfg.tol,
                                     diagnostics=diagnostics)
     params = states[0].params if states else ModelParams(omega_l, k, m)
     grid = RadialGrid.for_params(params, n=cfg.grid_points, r_min=cfg.r_min)
-    return states, [verify_state(s, grid=grid) for s in states], grid
+    rows = []
+    for index, state in enumerate(states):
+        report = verify_state(state, grid=grid)
+        checks = {key: getattr(report, key)
+                  for key in ("max_residual", "norm_error", "node_count")}
+        rows.append({"omega_l": omega_l, "k": k, "m": m, "root_index": index,
+                     **state.to_dict(), **checks, "verification": checks,
+                     "state": state, "report": report})
+    return rows, grid
 
 
-def _incomplete(states, level: int) -> str | None:
-    """The diagnostic of a level that returned fewer than its ``level``
-    strengths, or None when all came back."""
-    if len(states) < level:
-        return f"incomplete level: {len(states)} of {level} strengths"
+def _incomplete(rows, level: int) -> str | None:
+    """The diagnostic of a set with fewer than ``level`` rows, or None."""
+    if len(rows) < level:
+        return f"incomplete level: {len(rows)} of {level} strengths"
     return None
 
 
-def _solve_with_reports(cfg):
-    """Shared solve pipeline: states, per-state reports, cross check, notes,
-    and the radial grid the reports were computed on."""
+def _level(cfg):
+    """A single-set command's rows and grid, cross-validation report (None
+    above level 13), diagnostics, and exit code: 4 when the level is
+    incomplete or cross-validation failed."""
     if cfg.level < 1:
         raise NoGroundStateError()
     diags: list[str] = []
-    states, reports, grid = _solve_and_verify(cfg, cfg.omega_l, cfg.k, cfg.m,
-                                              cfg.level, diags)
+    rows, grid = _rows(cfg, cfg.omega_l, cfg.k, cfg.m, cfg.level, diags)
     cross = None
     if cfg.level <= 13:
-        cross = _compare_routes(states, diags, cfg.level, cfg.m, cfg.omega_l,
-                                cfg.k, cfg.tol)
-        diags = list(cross.notes)
-        if cross.passed:
-            diags.append(
-                f"cross-validation passed: max z delta "
-                f"{cross.cross_method_delta!r}"
-            )
-        else:
-            diags.append("cross-validation FAILED")
+        cross = _compare_routes([row["state"] for row in rows], diags, cfg.level,
+                                cfg.m, cfg.omega_l, cfg.k, cfg.tol)
+        diags = [*cross.notes, f"cross-validation passed: max z delta "
+                               f"{cross.cross_method_delta!r}"
+                 if cross.passed else "cross-validation FAILED"]
     else:
         diags.append("cross-validation skipped: level above the desk-scale cap")
-    incomplete = _incomplete(states, cfg.level)
+    incomplete = _incomplete(rows, cfg.level)
     if incomplete:
         diags.append(incomplete)
-    return states, reports, cross, diags, grid
+    failed = incomplete or (cross is not None and not cross.passed)
+    return rows, grid, cross, diags, EXIT_VERIFICATION if failed else EXIT_OK
 
 
-def _exit_code(cfg, states, cross) -> int:
-    """Exit 4 when the level is incomplete, or when cross-validation ran
-    (level <= 13) and failed."""
-    failed = _incomplete(states, cfg.level) or (cross is not None and not cross.passed)
-    return EXIT_VERIFICATION if failed else EXIT_OK
+def _write(cfg, rows, **fields) -> None:
+    """Write the command's output: every value in it is one of a row's.
 
-
-def _payload(cfg, **fields) -> dict:
-    """JSON payload of a single-set command: version, parameters, then the
-    command's own ``fields``."""
-    parameters = {
-        "omega_l": float(cfg.omega_l),
-        "k": float(cfg.k),
-        "m": int(cfg.m),
-        "level": int(cfg.level),
-        "j": 0.5 * (cfg.level - 1),
-    }
-    return {"version": __version__, "parameters": parameters, **fields}
-
-
-def _state_entry(state: QesState, report) -> dict:
-    entry = state.to_dict()
-    entry["verification"] = {
-        "max_residual": report.max_residual,
-        "norm_error": report.norm_error,
-        "node_count": report.node_count,
-    }
-    return entry
+    CSV: the command's table of the rows, then, when there are any, the
+    table of their samples, one line per pair (export's only table).
+    JSON: scan's rows with its CSV columns; else the set's parameters, one
+    entry per row (verify: its report's dictionary, under "reports"; else
+    its :data:`_ENTRY_KEYS`, under "states"), then ``fields``."""
+    command = cfg.command
+    if cfg.format == "csv":
+        tables = []
+        if command in _COLUMNS:
+            tables.append((_COLUMNS[command], [[row[key] for key in _COLUMNS[command]]
+                                               for row in rows]))
+        if command in _SAMPLE_COLUMNS:
+            tables.append((("root_index", *_SAMPLE_COLUMNS[command]),
+                           [[row["root_index"], *pair]
+                            for row in rows for pair in row.get("samples", ())]))
+        _emit("\n".join(_csv_table(header, body) for i, (header, body)
+                        in enumerate(tables) if body or i == 0), cfg.out)
+        return
+    if command == "scan":
+        _emit(_json_dump({"version": __version__, "rows": [
+            {key: row[key] for key in _COLUMNS["scan"]} for row in rows]}), cfg.out)
+        return
+    if command == "verify":
+        entries = {"reports": [row["report"].to_dict() for row in rows]}
+    else:
+        entries = {"states": [{key: row[key] for key in _ENTRY_KEYS if key in row}
+                              for row in rows]}
+    parameters = {"omega_l": cfg.omega_l, "k": cfg.k, "m": cfg.m,
+                  "level": cfg.level, "j": 0.5 * (cfg.level - 1)}
+    payload = {"version": __version__, "parameters": parameters, **entries, **fields}
+    _emit(_json_dump(payload), cfg.out)
 
 
 def cmd_solve(cfg) -> int:
-    states, reports, cross, diags, _ = _solve_with_reports(cfg)
-    if cfg.format == "json":
-        entries = [_state_entry(s, r) for s, r in zip(states, reports)]
-        _emit(_json_dump(_payload(cfg, states=entries, diagnostics=diags)), cfg.out)
-    else:
-        header = ["omega_l", "k", "m", "level", "j", "root_index", "z", "energy",
-                  "norm_constant", "max_residual", "norm_error", "node_count"]
-        rows = [
-            [cfg.omega_l, cfg.k, cfg.m, cfg.level, s.j, i, s.z, s.energy,
-             s.norm_constant, r.max_residual, r.norm_error, r.node_count]
-            for i, (s, r) in enumerate(zip(states, reports))
-        ]
-        _emit(_csv_table(header, rows), cfg.out)
-    return _exit_code(cfg, states, cross)
+    rows, _, _, diags, code = _level(cfg)
+    _write(cfg, rows, diagnostics=diags)
+    return code
 
 
 def cmd_scan(cfg) -> int:
@@ -340,114 +355,58 @@ def cmd_scan(cfg) -> int:
     level_values = cfg.level_list or (cfg.level,)
     if any(level < 1 for level in level_values):
         raise NoGroundStateError()
-    header = ["omega_l", "k", "m", "level", "root_index", "z", "energy",
-              "max_residual", "node_count"]
-    rows: list[list] = []
-    incomplete = []
-    # Rows are assembled in lexicographic input order then ascending z,
-    # independent of any evaluation concurrency.
-    for omega_l in sorted(cfg.omega_l_list):
-        for k in sorted(cfg.k_list):
-            for m in sorted(m_values):
-                for level in sorted(level_values):
-                    states, reports, _ = _solve_and_verify(cfg, omega_l, k, m, level)
-                    note = _incomplete(states, level)
-                    if note:
-                        incomplete.append(f"{note} at omega_l={omega_l!r} "
-                                          f"k={k!r} m={m} level={level}")
-                    for idx, (state, report) in enumerate(zip(states, reports)):
-                        rows.append([
-                            omega_l, k, m, level, idx, state.z, state.energy,
-                            report.max_residual, report.node_count,
-                        ])
-    if cfg.format == "csv":
-        _emit(_csv_table(header, rows), cfg.out)
-    else:
-        payload = {
-            "version": __version__,
-            "rows": [dict(zip(header, row)) for row in rows],
-        }
-        _emit(_json_dump(payload), cfg.out)
+    rows, incomplete = [], []
+    # Rows are assembled in lexicographic input order then ascending z.
+    for omega_l, k, m, level in itertools.product(
+            sorted(cfg.omega_l_list), sorted(cfg.k_list), sorted(m_values),
+            sorted(level_values)):
+        found, _ = _rows(cfg, omega_l, k, m, level)
+        note = _incomplete(found, level)
+        if note:
+            incomplete.append(f"{note} at omega_l={omega_l!r} k={k!r} m={m} "
+                              f"level={level}")
+        rows += found
+    _write(cfg, rows)
     for note in incomplete:
         print(f"error: {note}", file=sys.stderr)
     return EXIT_VERIFICATION if incomplete else EXIT_OK
 
 
 def cmd_verify(cfg) -> int:
-    states, reports, cross, diags, _ = _solve_with_reports(cfg)
-    all_passed = (_exit_code(cfg, states, cross) == EXIT_OK
-                  and all(r.passed for r in reports))
-    payload = _payload(
-        cfg,
-        reports=[r.to_dict() for r in reports],
-        cross_validation=cross.to_dict() if cross is not None else None,
-        diagnostics=diags,
-        passed=all_passed,
-    )
-    _emit(_json_dump(payload), cfg.out)
-    return EXIT_OK if all_passed else EXIT_VERIFICATION
+    rows, _, cross, diags, code = _level(cfg)
+    passed = code == EXIT_OK and all(row["report"].passed for row in rows)
+    _write(cfg, rows, cross_validation=cross.to_dict() if cross is not None else None,
+           diagnostics=diags, passed=passed)
+    return EXIT_OK if passed else EXIT_VERIFICATION
 
 
 def cmd_map_sextic(cfg) -> int:
-    states, reports, cross, diags, _ = _solve_with_reports(cfg)
-    rho_grid = rho_grid_for(states[0].params) if states else None
-    entries = []
-    sample_rows = []
-    for idx, (state, report) in enumerate(zip(states, reports)):
-        mapped = to_sextic(state)
-        entry = _state_entry(state, report)
-        entry.update(mapped.to_dict())
-        entry["sextic_residual"] = sextic_residual(mapped, rho_grid)
+    rows, _, _, diags, code = _level(cfg)
+    rho_grid = rho_grid_for(rows[0]["state"].params) if rows else None
+    for row in rows:
+        mapped = to_sextic(row["state"])
+        row.update(mapped.to_dict(), sextic_residual=sextic_residual(mapped, rho_grid))
+        row.update(row["coefficients"])
         if cfg.sample_points:
             rho = np.geomspace(rho_grid.r_min, rho_grid.r_max, cfg.sample_points)
             zeta = sextic_wavefunction(mapped, rho)
-            entry["samples"] = [[float(a), float(b)] for a, b in zip(rho, zeta)]
-            sample_rows.extend(
-                [idx, float(a), float(b)] for a, b in zip(rho, zeta)
-            )
-        entries.append(entry)
-
-    if cfg.format == "json":
-        _emit(_json_dump(_payload(cfg, states=entries, diagnostics=diags)), cfg.out)
-    else:
-        header = ["root_index", "m_tilde", "centrifugal", "rho2", "rho4",
-                  "rho6", "eigenvalue", "sextic_residual", "z", "energy"]
-        rows = [
-            [i, e["m_tilde"], e["coefficients"]["centrifugal"],
-             e["coefficients"]["rho2"], e["coefficients"]["rho4"],
-             e["coefficients"]["rho6"], e["eigenvalue"], e["sextic_residual"],
-             e["z"], e["energy"]]
-            for i, e in enumerate(entries)
-        ]
-        text = _csv_table(header, rows)
-        if sample_rows:
-            text += "\n" + _csv_table(["root_index", "rho", "zeta"], sample_rows)
-        _emit(text, cfg.out)
-    return _exit_code(cfg, states, cross)
+            row["samples"] = np.stack([rho, zeta], axis=1).tolist()
+    _write(cfg, rows, diagnostics=diags)
+    return code
 
 
 def cmd_export(cfg) -> int:
-    states, reports, cross, diags, grid = _solve_with_reports(cfg)
+    rows, grid, _, diags, code = _level(cfg)
     radii = np.geomspace(grid.r_min, grid.r_max, cfg.sample_points or 100)
-    samples = [[[float(a), float(b)] for a, b in zip(radii, s.radial_values(radii))]
-               for s in states]
-    if cfg.format == "json":
-        entries = [dict(_state_entry(s, r), samples=pairs)
-                   for s, r, pairs in zip(states, reports, samples)]
-        _emit(_json_dump(_payload(cfg, states=entries, diagnostics=diags)), cfg.out)
-    else:
-        rows = [[idx, *pair] for idx, pairs in enumerate(samples) for pair in pairs]
-        _emit(_csv_table(["root_index", "r", "radial_value"], rows), cfg.out)
-    return _exit_code(cfg, states, cross)
+    for row in rows:
+        values = row["state"].radial_values(radii)
+        row["samples"] = np.stack([radii, values], axis=1).tolist()
+    _write(cfg, rows, diagnostics=diags)
+    return code
 
 
-_DISPATCH = {
-    "solve": cmd_solve,
-    "scan": cmd_scan,
-    "verify": cmd_verify,
-    "map-sextic": cmd_map_sextic,
-    "export": cmd_export,
-}
+_DISPATCH = {"solve": cmd_solve, "scan": cmd_scan, "verify": cmd_verify,
+             "map-sextic": cmd_map_sextic, "export": cmd_export}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -356,14 +356,18 @@ class RadialGrid:
         point count refines the floor proportionally; this keeps the
         finite-difference residual second-order under grid doubling while
         bounding eps/h^2 roundoff near the origin.  Raises DomainError when
-        r_max is not above r_min.
+        r_max is not above r_min, or too close to it for n distinct radii.
         """
         r_max = params._r_max
         if not r_max > r_min:
             raise _scale_error(params, f"the envelope decays before the grid "
                                        f"starts: r_max = {r_max!r} <= r_min = {r_min!r}")
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
-        return cls(_floored_geometric(r_min, r_max, n, floor))
+        pts = _floored_geometric(r_min, r_max, n, floor)
+        if not np.all(pts[1:] > pts[:-1]):
+            raise _scale_error(params, f"r_min = {r_min!r} and r_max = {r_max!r} "
+                                       f"are too close for n = {n} distinct radii")
+        return cls(pts)
 
 
 def _floored_geometric(r_min: float, r_max: float, n: int, floor: float) -> np.ndarray:

@@ -64,3 +64,20 @@ def test_every_cli_command_exits_by_the_contract(workloads):
         assert code in workloads.CONTRACT_EXITS, (unit.describe(), stderr)
         assert "Traceback" not in stderr, unit.describe()
     assert seen == commands
+
+
+def test_every_cli_mix_pair_writes_what_the_workload_reads(workloads):
+    """The first seed-1 unit of each ``(command, format)`` pair, graded by
+    the workload's own check: an output the benchmark cannot read, or whose
+    strengths it does not find, fails here instead of in a timed run."""
+    wl, units = _units(workloads, "cli")
+    first = {}
+    for unit in units:
+        first.setdefault((unit.command, unit.fmt), unit)
+    assert set(first) == set(workloads.CLI_MIX)
+    graded = {pair: wl.check(unit, wl.replay(qeshydro, unit))
+              for pair, unit in first.items()}
+    wrong = {pair: (first[pair].describe(), t.cause, t.accurate, t.acc_expected)
+             for pair, t in graded.items()
+             if t.cause is not None or t.accurate != t.acc_expected}
+    assert wrong == {}

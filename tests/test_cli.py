@@ -550,6 +550,27 @@ class TestScaleFailures:
         assert "math domain error" not in err
 
 
+class TestCutoffJustAboveRMin:
+    """An --r-min a few ulps below the envelope's cutoff leaves no room for
+    the grid's radii: exit 3 naming both radii and the point count, not 2
+    with the grid's 'strictly increasing'."""
+
+    ARGS = ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "1"]
+
+    def test_exit_3_naming_both_radii(self, capsys):
+        code, out, err = run_main([*self.ARGS, "--r-min", "6.652752924591981"],
+                                  capsys)
+        assert code == 3 and out == ""
+        assert err == ("error: r_min = 6.652752924591981 and r_max = "
+                       "6.652752924591982 are too close for n = 4096 distinct "
+                       "radii at omega-l = 1.0, k = 1.0, m = 0\n")
+
+    def test_a_cutoff_with_room_still_solves(self, capsys):
+        code, out, err = run_main([*self.ARGS, "--r-min", "6.6527"], capsys)
+        assert code == 0 and err == ""
+        assert len(json.loads(out)["states"]) == 1
+
+
 class TestScanRefusesWhatItWouldDrop:
     """scan exits 2 on an option it would ignore, from flags or a config
     file, and names it."""

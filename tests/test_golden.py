@@ -65,6 +65,11 @@ CASES = [
     # BLAS kernel (see the _polyops docstring).
     ("verify_l20_fail",
      ["verify", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "20"], 4),
+    # map-sextic JSON without samples; export JSON at its default 100 radii.
+    ("map_sextic_l3_json",
+     ["map-sextic", "--omega-l", "0.8", "--k", "1.5", "--m", "2", "--level", "3"], 0),
+    ("export_l1_json",
+     ["export", "--omega-l", "1", "--k", "0.5", "--m", "-1", "--level", "1"], 0),
 ]
 
 

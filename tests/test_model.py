@@ -177,6 +177,22 @@ class TestRadialGrid:
         with pytest.raises(DomainError, match="<= r_min = 10.0 at"):
             RadialGrid.for_params(ModelParams(1, 1, 0), r_min=10.0)
 
+    def test_a_cutoff_within_ulps_of_r_min_is_a_domain_error(self):
+        # r_max is 6.652752924591982, one ulp above this r_min: 4096 radii
+        # between them repeat, which the grid's own check calls a usage error.
+        params = ModelParams(1, 1, 0)
+        with pytest.raises(DomainError, match=r"^r_min = 6\.652752924591981 and "
+                                              r"r_max = 6\.652752924591982 are too "
+                                              r"close for n = 4096 distinct radii at "
+                                              r"omega-l = 1\.0, k = 1\.0, m = 0$"):
+            RadialGrid.for_params(params, r_min=6.652752924591981)
+        with pytest.raises(DomainError, match="too close for n = 64 distinct"):
+            RadialGrid.for_params(params, n=64, r_min=6.65275292459198)
+        with pytest.raises(GridError, match="strictly increasing"):
+            RadialGrid(np.linspace(6.652752924591981, 6.652752924591982, 4096))
+        grid = RadialGrid.for_params(params, r_min=6.6527)
+        assert len(grid) == 4096 and np.all(np.diff(grid.points) > 0)
+
     def test_a_peak_that_rounds_to_zero_is_a_domain_error(self):
         params = ModelParams(0.016920855145779415, 2179245.6679086657, 21)
         with pytest.raises(DomainError, match="peak radius rounds to 0 at "
