@@ -130,25 +130,34 @@ def polyval(coeffs, x):
     return acc
 
 
-#: (owner, block powers of its point sets) of the most recent owner.  Read
-#: once and replaced by one assignment per call; it keeps the owner alive,
-#: so no new object can reuse the owner's id and match it.
+def kept(store: dict, name: str, key, compute):
+    """``compute()``, kept in the one-entry slot ``store[name]`` as ``(key,
+    value)`` until a call brings another ``key``.  Read once and replaced by
+    one assignment, a slot can be missed by a concurrent caller, never read
+    with another key's value; a ``compute`` that raises keeps nothing."""
+    slot = store.get(name)
+    if slot is None or slot[0] != key:
+        slot = (key, compute())
+        store[name] = slot
+    return slot[1]
+
+
+#: (owner, block powers of its point sets) of the most recent owner; it keeps
+#: the owner alive, so no new object can reuse the owner's id and match it.
 _last_powers = None
 
 
 def _polyval_sets(coeffs, owner, point_sets):
     """``[polyval(coeffs, x) for x in point_sets]``, bit for bit, for the 1-D
-    float64 arrays ``point_sets`` of ``owner``, padding ``_BLOCK`` or more
-    float coefficients once and keeping the sets' block powers."""
-    global _last_powers
+    float64 arrays ``point_sets`` of ``owner`` (equal only to itself),
+    padding ``_BLOCK`` or more float coefficients once and keeping the
+    sets' block powers."""
     if len(coeffs) < _BLOCK or not all(isinstance(c, float) for c in coeffs):
         return [polyval(coeffs, x) for x in point_sets]
     blocks = _blocks(coeffs)
-    last = _last_powers
-    if last is None or last[0] is not owner:
-        last = (owner, [_block_powers(x) for x in point_sets])
-        _last_powers = last
-    return [_polyval_blocks(blocks, powers) for powers in last[1]]
+    powers = kept(globals(), "_last_powers", owner,
+                  lambda: [_block_powers(x) for x in point_sets])
+    return [_polyval_blocks(blocks, p) for p in powers]
 
 
 def _blocks(coeffs) -> np.ndarray:

@@ -26,7 +26,7 @@ from .model import (DEFAULT_GRID_POINTS, DEFAULT_R_MIN, DomainError, ModelParams
                     QesState, RadialGrid)
 from .series import NoGroundStateError
 from .sextic import rho_grid_for, sextic_residual, sextic_wavefunction, to_sextic
-from .verify import _compare_routes, verify_state
+from .verify import MAX_CROSS_LEVEL, cross_validate, verify_state
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,7 +128,7 @@ class _CommandParser(argparse.ArgumentParser):
     """The parser of one command.  It adds the command's options when it
     first parses, so a process builds the options of the command it runs
     only; its usage, help and error texts are those of a parser built with
-    them."""
+    them.  ``scan`` hides ``--omega-l`` and ``--k``, which it refuses."""
 
     def __init__(self, command: str, **kwargs):
         super().__init__(**kwargs)
@@ -138,14 +138,24 @@ class _CommandParser(argparse.ArgumentParser):
         if self._command is not None:
             self.add_argument("--config", type=str, default=None,
                               help="flat key = value configuration file")
+            scan = self._command == "scan"
             for key, (parse, _) in _OPTIONS.items():
-                if key.endswith("_list") and self._command != "scan":
+                if key.endswith("_list") and not scan:
                     continue
+                hidden = scan and key in ("omega_l", "k")
                 self.add_argument("--" + key.replace("_", "-"), type=parse,
                                   default=None,
+                                  help=argparse.SUPPRESS if hidden else None,
                                   metavar="{json,csv}" if key == "format" else None)
             self._command = None
         return super().parse_known_args(args, namespace)
+
+    def _parse_optional(self, arg_string):
+        # A '-' then a digit, as in "-5,5" or "-1e3", is a value, never a
+        # flag: "--m-list -5,5" reads as "--m-list=-5,5" does.
+        if arg_string[:1] == "-" and arg_string[1:2].isdigit():
+            return None
+        return super()._parse_optional(arg_string)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -257,15 +267,15 @@ _SAMPLE_COLUMNS = {"map-sextic": ("rho", "zeta"), "export": ("r", "radial_value"
 
 def _rows(cfg, omega_l, k, m, level, diagnostics=None):
     """One row per algebraic state of a parameter set, and the radial grid
-    of their reports, built on the set the states carry, so its ``r_max``
-    is bisected once.  A row holds the set's omega_l, k and m, the state's
-    root_index and ``to_dict()`` values, its report's max_residual,
-    norm_error and node_count, also as the dictionary "verification", and
-    the state and report themselves as "state" and "report"."""
+    of their reports, which shares the solve's ``r_max`` by value.  A row
+    holds the set's omega_l, k and m, the state's root_index and
+    ``to_dict()`` values, its report's max_residual, norm_error and
+    node_count, also as the dictionary "verification", and the state and
+    report themselves as "state" and "report"."""
     states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k, cfg.tol,
                                     diagnostics=diagnostics)
-    params = states[0].params if states else ModelParams(omega_l, k, m)
-    grid = RadialGrid.for_params(params, n=cfg.grid_points, r_min=cfg.r_min)
+    grid = RadialGrid.for_params(ModelParams(omega_l, k, m), n=cfg.grid_points,
+                                 r_min=cfg.r_min)
     rows = []
     for index, state in enumerate(states):
         report = verify_state(state, grid=grid)
@@ -286,16 +296,16 @@ def _incomplete(rows, level: int) -> str | None:
 
 def _level(cfg):
     """A single-set command's rows and grid, cross-validation report (None
-    above level 13), diagnostics, and exit code: 4 when the level is
-    incomplete or cross-validation failed."""
+    above MAX_CROSS_LEVEL; its algebraic states come from the solve slot),
+    diagnostics, and exit code: 4 when incomplete or cross-validation failed."""
     if cfg.level < 1:
         raise NoGroundStateError()
     diags: list[str] = []
     rows, grid = _rows(cfg, cfg.omega_l, cfg.k, cfg.m, cfg.level, diags)
     cross = None
-    if cfg.level <= 13:
-        cross = _compare_routes([row["state"] for row in rows], diags, cfg.level,
-                                cfg.m, cfg.omega_l, cfg.k, cfg.tol)
+    if cfg.level <= MAX_CROSS_LEVEL:
+        cross = cross_validate(0.5 * (cfg.level - 1), cfg.m, cfg.omega_l, cfg.k,
+                               cfg.tol)
         diags = [*cross.notes, f"cross-validation passed: max z delta "
                                f"{cross.cross_method_delta!r}"
                  if cross.passed else "cross-validation FAILED"]

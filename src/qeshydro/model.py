@@ -2,15 +2,15 @@
 
 Parameters, states and grids are immutable after construction.  What depends
 only on a grid (its stencil spacings, powers of its points, its Simpson
-weights, the head nodes of verification's norm) or only on a
-parameter set (``r_max`` and the quadrature of :func:`l2_norm_constants`)
-is memoised: computed on first use and kept on that grid or parameter set,
-so the states and routes that share it compute it once.  A grid also keeps
-the envelope sampled on it for the most recent (omega_l, k, |m|), and the
-part of the potential of :func:`radial_operator_apply` without ``z`` for
-the most recent (omega_l, k, m).  A memo is a pure function of immutable
-data, so filling it twice, as two threads may, stores equal values and is
-harmless; evaluating concurrently over grids and parameter sets stays safe.
+weights, the head nodes of verification's norm) is memoised on that grid.
+One-entry slots keep, on a grid, the envelope sampled on it for the most
+recent (omega_l, k, |m|) and the potential of :func:`radial_operator_apply`
+without ``z`` for the most recent (omega_l, k, m), and in this module
+``r_max`` and the quadrature of :func:`l2_norm_constants` for the most
+recent (omega_l, k, |m|): every :class:`ModelParams` of a set shares them
+by value.  A memo is a pure function of immutable data, and a slot is read
+once and replaced by one assignment (``_polyops.kept``), so evaluating
+concurrently over grids and parameter sets stays safe.
 The interior of (H - E) R has one kernel, :func:`_interior_residual`, which
 :func:`radial_operator_apply` and ``verify_state`` share: every element gets
 the same operations in the same order, in buffers reused in place.
@@ -35,7 +35,7 @@ from functools import cached_property
 import numpy as np
 
 from ._polyops import (DomainError, bisect, check_integer_m, coerce_couplings,
-                       polyval)
+                       kept, polyval)
 
 #: Default grid controls.  The spacing floor guards the second-difference
 #: stencil against float cancellation: without it a geometric grid reaches
@@ -68,19 +68,6 @@ class ModelParams:
     @property
     def abs_m(self) -> int:
         return abs(self.m)
-
-    @cached_property
-    def _r_max(self) -> float:
-        """:func:`envelope_r_max` of these parameters, computed once."""
-        return envelope_r_max(self)
-
-    @cached_property
-    def _norm_rule(self):
-        """The quadrature of :func:`l2_norm_constant`: half-width, weights
-        and nodes of the 256-point Gauss-Legendre rule on [0, r_max], and
-        the envelope at the nodes."""
-        half, weights, nodes = _gauss_rule(0.0, self._r_max, 256)
-        return half, weights, nodes, self.envelope(nodes)
 
     def envelope(self, r):
         """Normalizable envelope r^|m| exp(-omega_l r^2/2 - (k/omega_l) r)."""
@@ -222,6 +209,27 @@ def envelope_r_max(params: ModelParams) -> float:
     return _decay_cutoff(params.log_envelope, max(r_peak, 1e-12), target)
 
 
+#: (key, (r_max, norm rule)) of the most recent (omega_l, k, |m|).
+_last_set = None
+
+
+def _set_constants(params: ModelParams):
+    """``r_max`` (:func:`envelope_r_max`) and the norm rule of ``params``:
+    the 256-point Gauss-Legendre rule on [0, r_max] (half-width, weights,
+    nodes) and the envelope at its nodes.  Both depend on (omega_l, k, |m|)
+    alone, so a :func:`kept` slot keyed by them as floats holds them."""
+    def compute():
+        r_max = envelope_r_max(params)
+        half, weights, nodes = _gauss_rule(0.0, r_max, 256)
+        # A non-finite envelope is raised as l2_norm_constants' error, so
+        # numpy need not warn.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return r_max, (half, weights, nodes, params.envelope(nodes))
+
+    key = (float(params.omega_l), float(params.k), params.abs_m)
+    return kept(globals(), "_last_set", key, compute)
+
+
 def _scale_error(params: ModelParams, cause: str) -> DomainError:
     """DomainError naming ``cause``, a length scale of ``params`` that
     double precision or the grid cannot resolve, and the couplings."""
@@ -314,15 +322,6 @@ class RadialGrid:
         head.setflags(write=False)
         return head, half, weights
 
-    def _slot(self, name: str, key, compute):
-        """``compute()``, kept in the one-entry slot ``name`` of this grid
-        until a call brings a different ``key``."""
-        slot = self.__dict__.get(name)
-        if slot is None or slot[0] != key:
-            slot = (key, compute())
-            self.__dict__[name] = slot
-        return slot[1]
-
     def _envelope_samples(self, params: ModelParams, squared: bool = False) -> np.ndarray:
         """``params.envelope`` at the points, or at their squares when
         ``squared`` (a rho grid, where r = rho**2).
@@ -331,7 +330,7 @@ class RadialGrid:
         so the states of one parameter set share one evaluation.
         """
         key = (float(params.omega_l), float(params.k), params.abs_m, squared)
-        return self._slot("_envelope_slot", key, lambda: params.envelope(
+        return kept(self.__dict__, "_envelope_slot", key, lambda: params.envelope(
             self._squares if squared else self.points))
 
     @classmethod
@@ -358,7 +357,7 @@ class RadialGrid:
         bounding eps/h^2 roundoff near the origin.  Raises DomainError when
         r_max is not above r_min, or too close to it for n distinct radii.
         """
-        r_max = params._r_max
+        r_max = _set_constants(params)[0]
         if not r_max > r_min:
             raise _scale_error(params, f"the envelope decays before the grid "
                                        f"starts: r_max = {r_max!r} <= r_min = {r_min!r}")
@@ -459,7 +458,7 @@ def _potential_without_z(params: ModelParams, grid: RadialGrid):
     ``0.5 omega_l^2 x^2 + k x + omega_l m`` and ``0.5 m^2 / x^2``, kept on
     the grid for the most recent (omega_l, k, m)."""
     omega, k, m, x = float(params.omega_l), float(params.k), params.m, grid.points
-    return grid._slot("_potential_slot", (omega, k, m), lambda: (
+    return kept(grid.__dict__, "_potential_slot", (omega, k, m), lambda: (
         0.5 * omega * omega * x * x + k * x + omega * m,
         0.5 * m * m / grid._squares))
 
@@ -554,7 +553,7 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
     Uses Gauss-Legendre quadrature on [0, r_max]; deliberately a different
     quadrature from the grid-based Simpson rule used in verification, so the
     reported normalization error is a genuine two-method comparison.  The
-    rule and the envelope at its nodes are kept on ``params``.  All factors
+    rule is :func:`_set_constants`', shared by value.  All factors
     are evaluated in one row-wise Horner pass over the nodes, with the
     operations, and their order, of evaluating each one alone.
 
@@ -571,7 +570,7 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
         row[:len(poly)] = poly
     # A total that is not finite is raised below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        half, w, r, envelope = params._norm_rule
+        half, w, r, envelope = _set_constants(params)[1]
         acc = np.empty((len(polys), r.size))
         acc[:] = 0 * r
         # The nodes in every row: a full-shape operand, not a broadcast row.

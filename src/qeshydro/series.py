@@ -190,7 +190,7 @@ def _regenerate(terms, z: float) -> list[float]:
 
 
 #: Floor of the two checks whose outcome decides a run's verdict, the
-#: series tail here and the route agreement of ``verify._compare_routes``:
+#: series tail here and the route agreement of ``verify.cross_validate``:
 #: a ``tol`` below it is raised to it.  4096 machine epsilons, 9.1e-13.  At
 #: omega_l = k = 1, m = 0, level 3 the routes agree to 4 eps in z and 5 eps
 #: in the polynomial coefficients, and the largest scaled tail is 0.3 eps,
@@ -210,15 +210,6 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
     numerically and the coefficients past the degree are checked to vanish,
     to ``tol`` but no closer than :data:`TOL_FLOOR`.
     """
-    return _series_states(level, m, omega_l, k, tol, diagnostics)
-
-
-def _series_states(level: int, m: int, omega_l, k, tol: float,
-                   diagnostics: list[str] | None,
-                   params: ModelParams | None = None) -> list[QesState]:
-    """:func:`solve_series_states`, with the states on ``params`` when it is
-    given: the parameter set of these couplings that another route's states
-    carry, so its ``r_max`` and norm rule serve both."""
     if not tol > 0:
         raise ValueError("tol must be positive")
     constraint = constraint_polynomial(level, m, omega_l, k)
@@ -234,8 +225,7 @@ def _series_states(level: int, m: int, omega_l, k, tol: float,
         )
 
     energy = float(level_energy(level, m, omega_l, k))
-    if params is None:
-        params = ModelParams(float(omega_l), float(k), int(m))
+    params = ModelParams(float(omega_l), float(k), int(m))
     terms = [_terms(n, m, float(omega_l), float(k), energy)
              for n in range(level + 1)]
     limit = max(tol, TOL_FLOOR)

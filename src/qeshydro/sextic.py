@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._polyops import kept
 from .model import (DEFAULT_R_MIN, ENVELOPE_DECAY, ModelParams, QesState,
                     RadialGrid, _decay_cutoff, _fd_second_interior, _scale_error)
 
@@ -144,7 +145,7 @@ def _sextic_potential(sextic: SexticState, grid: RadialGrid) -> np.ndarray:
             + sextic.rho6_coeff * rho6[inner]
         )
 
-    return grid._slot("_sextic_potential_slot", key, potential)
+    return kept(grid.__dict__, "_sextic_potential_slot", key, potential)
 
 
 def sextic_residual(sextic: SexticState, grid: RadialGrid | None = None) -> float:

@@ -24,7 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import model
-from ._polyops import as_half_integer, check_integer_m, coerce_couplings, is_exact
+from ._polyops import (as_half_integer, check_integer_m, coerce_couplings,
+                       is_exact, kept)
 from .model import ModelParams, QesState
 
 __all__ = [
@@ -156,9 +157,8 @@ def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den ** (n - e)) for e, c in enumerate(cur))
 
 
-#: The most recent successful solve: (key, states, diagnostics).  It is
-#: replaced by one assignment and read once per call, so a concurrent caller
-#: can only miss it, never read a key with another call's states.
+#: The most recent successful solve, (key, (states, diagnostics)), a
+#: :func:`kept` slot.
 _last_solve = None
 
 
@@ -180,20 +180,17 @@ def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
     same immutable states and appends the same diagnostics; a call that
     raises keeps nothing.
     """
-    global _last_solve
     if not tol > 0:
         raise ValueError("tol must be positive")
     jf = as_half_integer(j)
     m = check_integer_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     key = (jf, m, exact, omega, kk, math.copysign(1.0, kk), tol)
-    last = _last_solve
-    if last is None or last[0] != key:
-        last = (key, *_solve(jf, m, omega, kk, tol))
-        _last_solve = last
+    states, notes = kept(globals(), "_last_solve", key,
+                         lambda: _solve(jf, m, omega, kk, tol))
     if diagnostics is not None:
-        diagnostics.extend(last[2])
-    return list(last[1])
+        diagnostics.extend(notes)
+    return list(states)
 
 
 def _solve(jf: Fraction, m: int, omega, kk, tol: float):

@@ -32,6 +32,8 @@ __all__ = [
 #: passes.
 MAX_RESIDUAL = 1e-5
 MAX_NORM_ERROR = 1e-8
+#: The highest level :func:`cross_validate` takes.
+MAX_CROSS_LEVEL = 13
 
 
 @dataclass(frozen=True)
@@ -207,35 +209,25 @@ def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationRepo
     filtering, and a series that fails to terminate, are reported as
     failures, not raised.
 
+    The routes agree when every difference is within ``tol``, or within
+    ``series.TOL_FLOOR`` when ``tol`` is below it.  The report's notes are
+    the algebraic route's diagnostics, then the series route's.
+
     The algebraic states come from :func:`sl2.solve_admissible_z`, which
     keeps its most recent solve in one slot; so a solve followed by this
-    check on the same set runs the algebraic route once.
+    check on the same set runs the algebraic route once.  Both routes'
+    parameter sets share the set's ``r_max`` and norm quadrature by value.
     """
     jf = as_half_integer(j)
     level = int(2 * jf) + 1
-    if level > 13:
-        raise ValueError("cross_validate is intended for levels up to 13")
+    if level > MAX_CROSS_LEVEL:
+        raise ValueError("cross_validate is intended for levels up to "
+                         f"{MAX_CROSS_LEVEL}")
     diags: list[str] = []
     algebra = sl2.solve_admissible_z(jf, m, omega_l, k, tol, diagnostics=diags)
-    return _compare_routes(algebra, diags, level, m, omega_l, k, tol)
-
-
-def _compare_routes(algebra, notes, level: int, m: int, omega_l, k,
-                    tol: float) -> VerificationReport:
-    """Solve the series route and compare it with the algebraic states
-    ``algebra``, whose solve reported ``notes``; the report's notes are
-    those followed by the series route's.
-
-    The series states share the algebraic states' parameter set, so its
-    ``r_max`` and norm rule serve both routes.  The routes agree when every
-    difference is within ``tol``, or within ``series.TOL_FLOOR`` when
-    ``tol`` is below it."""
-    label = (f"j={Fraction(level - 1, 2)} m={m} omega_l={float(omega_l):.12g} "
-             f"k={float(k):.12g}")
-    diags = list(notes)
+    label = f"j={jf} m={m} omega_l={float(omega_l):.12g} k={float(k):.12g}"
     try:
-        power = series._series_states(level, m, omega_l, k, tol, diags,
-                                      algebra[0].params if algebra else None)
+        power = series.solve_series_states(level, m, omega_l, k, tol, diags)
     except RuntimeError as exc:  # the series failed to terminate
         return VerificationReport(label, passed=False, notes=tuple(diags + [str(exc)]))
     if len(algebra) != len(power):

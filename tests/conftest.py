@@ -1,6 +1,8 @@
 """Child processes that the tests start import the package from ./src, as
 the tests themselves do, whether or not it is installed.  The
-``bisections`` fixture counts the r_max bisections of a test."""
+``empty_slots`` fixture empties the package's module-level slots for a
+test, and the ``bisections`` fixture counts the r_max bisections of a
+test."""
 
 import os
 from pathlib import Path
@@ -13,12 +15,23 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 
 
 @pytest.fixture
-def bisections(monkeypatch):
-    """The parameter sets whose r_max is bisected, from an empty solve slot
-    on: ``model.envelope_r_max`` records each one it is called with."""
-    from qeshydro import model, sl2
+def empty_slots(monkeypatch):
+    """Every module-level one-entry slot of the package emptied: the solve,
+    the parameter set's r_max and norm rule, and the block powers.  A test
+    that counts calls then does not depend on what earlier tests left."""
+    from qeshydro import _polyops, model, sl2
 
-    monkeypatch.setattr(sl2, "_last_solve", None)
+    for module, name in ((sl2, "_last_solve"), (model, "_last_set"),
+                         (_polyops, "_last_powers")):
+        monkeypatch.setattr(module, name, None)
+
+
+@pytest.fixture
+def bisections(empty_slots, monkeypatch):
+    """The parameter sets whose r_max is bisected, from empty slots on:
+    ``model.envelope_r_max`` records each one it is called with."""
+    from qeshydro import model
+
     calls = []
     original = model.envelope_r_max
 

@@ -366,16 +366,19 @@ class TestDiagnostics:
 
 
 class TestSolvesOnce:
+    """A single-set command reaches the solve slot twice, for its rows and
+    for cross-validation, and computes the algebraic solve once."""
+
     @pytest.fixture
-    def calls(self, monkeypatch):
+    def calls(self, empty_slots, monkeypatch):
         counter = []
-        original = sl2.solve_admissible_z
+        original = sl2._solve
 
-        def counting(*args, **kwargs):
+        def counting(*args):
             counter.append(args)
-            return original(*args, **kwargs)
+            return original(*args)
 
-        monkeypatch.setattr(sl2, "solve_admissible_z", counting)
+        monkeypatch.setattr(sl2, "_solve", counting)
         return counter
 
     def test_solve_runs_the_algebraic_route_once(self, calls, capsys):
@@ -491,8 +494,8 @@ class TestTolFloor:
 
 
 class TestOneBisectionPerSet:
-    """A set's algebraic states, series states and radial grid share one
-    ModelParams, so its r_max is bisected once."""
+    """A set's algebraic states, series states and radial grid share its
+    r_max by value, so it is bisected once."""
 
     @pytest.mark.parametrize("command", ["solve", "verify", "map-sextic", "export"])
     def test_single_set(self, bisections, command, capsys):
@@ -614,6 +617,34 @@ class TestScanRefusesWhatItWouldDrop:
             ["scan", *self.LISTS, "--m-list", "0,1", "--level-list", "1"], capsys)
         assert code == 0
         assert len(out.splitlines()) == 3
+
+
+class TestNegativeListValues:
+    """A list value that starts with '-' and a digit is read as a value:
+    ``--m-list -5,5`` gives the exit code, stdout and stderr of
+    ``--m-list=-5,5``."""
+
+    @pytest.mark.parametrize("flag,value", [
+        ("--m-list", "-5,5"), ("--m-list", "-1"), ("--m-list", "-2,x"),
+        ("--level-list", "-1,2"), ("--omega-l-list", "-1,2"),
+        ("--omega-l-list", "-1e3"), ("--k-list", "-0,1"), ("--k-list", "-1,2"),
+    ])
+    def test_both_spellings_agree(self, flag, value, capsys):
+        base = {"--omega-l-list": "1,2", "--k-list": "0.5", "--m-list": "0",
+                "--level-list": "2"}
+        argv = [a for key, v in base.items() if key != flag for a in (key, v)]
+        spaced = run_main(["scan", *argv, flag, value, "--format", "json"], capsys)
+        joined = run_main(["scan", *argv, f"{flag}={value}", "--format", "json"],
+                          capsys)
+        assert spaced == joined
+        assert "expected one argument" not in spaced[2]
+
+    def test_m_list(self, capsys):
+        code, out, err = run_main(
+            ["scan", "--omega-l-list", "1", "--k-list", "1", "--m-list", "-5,5",
+             "--level", "2", "--format", "json"], capsys)
+        assert (code, err) == (0, "")
+        assert [row["m"] for row in json.loads(out)["rows"]] == [-5, -5, 5, 5]
 
 
 class TestSubprocessEntry:

@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -226,6 +228,36 @@ class TestParameterMemo:
         with pytest.raises(ValueError, match="zero norm") as info:
             l2_norm_constant(ModelParams(1.0, 1.0, 0), (0.0, 0.0))
         assert not isinstance(info.value, DomainError)
+
+    def test_threads_sharing_the_slot_get_their_own_set(self, empty_slots):
+        # Four threads (more than the cores) take turns at the one module
+        # slot for three sets; a value read with another set's key would
+        # give another r_max or norm constant.
+        sets = [ModelParams(0.7, 1.3, -2), ModelParams(2.0, 0.5, 1),
+                ModelParams(1.0, 3.0, 0)]
+        poly = (1.0, -0.4, 0.02)
+        expected = [(envelope_r_max(p), l2_norm_constant(p, poly)) for p in sets]
+
+        def work(offset):
+            wrong = []
+            for i in range(300):
+                p = sets[(i + offset) % 3]
+                got = (RadialGrid.for_params(p, n=64).r_max,
+                       l2_norm_constant(p, poly))
+                if got != expected[(i + offset) % 3]:
+                    wrong.append(got)
+            return wrong
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                futures = [pool.submit(work, t) for t in range(4)]
+                # result() raises what a thread raised, or TimeoutError.
+                wrong = [got for f in futures for got in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        assert wrong == []
 
 
 class TestRadialOperator:

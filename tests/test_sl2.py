@@ -341,7 +341,8 @@ class TestStrengthAccuracy:
             worst = max(worst, error / scale)
         assert worst <= 1e-13
 
-    def test_no_characteristic_polynomial_and_no_polish(self, monkeypatch):
+    def test_no_characteristic_polynomial_and_no_polish(self, empty_slots,
+                                                         monkeypatch):
         calls = []
 
         def counted(owner, name):
@@ -356,7 +357,6 @@ class TestStrengthAccuracy:
         counted(np, "poly")
         counted(_polyops, "newton_polish")
         counted(sl2, "characteristic_polynomial")
-        monkeypatch.setattr(sl2, "_last_solve", None)
         for omega_l, k in [(0.7, 1.3), (Fraction(7, 10), Fraction(13, 10))]:
             for level in (1, 6, 13):
                 assert len(solve_admissible_z(Fraction(level - 1, 2), -2,

@@ -20,9 +20,8 @@ TIGHT = 1e-30
 
 
 @pytest.fixture
-def solves(monkeypatch):
-    """An empty slot, and the list of inputs the solve actually computed."""
-    monkeypatch.setattr(sl2, "_last_solve", None)
+def solves(empty_slots, monkeypatch):
+    """Empty slots, and the list of inputs the solve actually computed."""
     computed = []
     original = sl2._solve
 

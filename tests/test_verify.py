@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from qeshydro import (
+    DomainError,
     ModelParams,
     QesState,
     RadialGrid,
@@ -188,8 +189,9 @@ class TestCrossValidate:
 
 
 class TestOneParameterSet:
-    """Both routes of a cross-validated set share the algebraic states'
-    ModelParams, so the set's r_max is bisected once."""
+    """Both routes of a set and their caller share the set's r_max and norm
+    rule by value, each with its own ModelParams, so the set's r_max is
+    bisected once; a ModelParams keeps nothing beyond its three fields."""
 
     @pytest.mark.parametrize("omega_l,k", [(1.5, 0.75), (Fraction(3, 2), Fraction(3, 4))])
     def test_one_bisection_per_cross_validated_set(self, bisections, omega_l, k):
@@ -203,6 +205,46 @@ class TestOneParameterSet:
     def test_cold_cross_validation(self, bisections, omega_l, k):
         assert cross_validate(2, -1, omega_l, k).passed
         assert len(bisections) == 1
+
+    @pytest.mark.parametrize("omega_l,k,m,level", [(1.5, 0.75, 1, 6),
+                                                   (0.4, 2.0, -3, 9)])
+    def test_sweep_calls(self, bisections, omega_l, k, m, level):
+        # The benchmark's sweep unit: solve, a grid on the caller's own
+        # ModelParams, then cross-validation.
+        j = (level - 1) / 2
+        params = ModelParams(omega_l, k, m)
+        states = solve_admissible_z(j, m, omega_l, k)
+        grid = RadialGrid.for_params(params)
+        reports = [verify_state(s, grid=grid) for s in states]
+        cross_validate(j, m, omega_l, k)
+        assert len(reports) == level
+        assert len(bisections) == 1
+        assert vars(params) == {"omega_l": omega_l, "k": k, "m": m}
+        assert vars(states[0].params) == {"omega_l": omega_l, "k": k, "m": m}
+
+    @pytest.mark.parametrize("omega_l,k,m,level", [(1.5, 0.75, 1, 20),
+                                                   (0.4, 2.0, -3, 16)])
+    def test_deep_calls(self, bisections, omega_l, k, m, level):
+        # The benchmark's deep unit: solve, the series route, then a grid on
+        # the caller's own ModelParams.
+        states = solve_admissible_z((level - 1) / 2, m, omega_l, k)
+        power = solve_series_states(level, m, omega_l, k)
+        params = ModelParams(omega_l, k, m)
+        grid = RadialGrid.for_params(params)
+        for state in states:
+            verify_state(state, grid=grid)
+        assert states and power
+        assert len(bisections) == 1
+        for held in (params, states[0].params, power[0].params):
+            assert vars(held) == {"omega_l": omega_l, "k": k, "m": m}
+
+    def test_a_raising_set_keeps_nothing(self, bisections):
+        # The envelope's peak radius rounds to 0 at |m| = 3; each error
+        # names the m it was given.
+        for m in (-3, -3, 3):
+            with pytest.raises(DomainError, match=f"rounds to 0 .* m = {m}$"):
+                RadialGrid.for_params(ModelParams(1.0, 1e20, m))
+        assert len(bisections) == 3
 
 
 class TestTolFloor:
