@@ -8,17 +8,20 @@ mix inside one polynomial.
 :func:`polyval` evaluates a float64 1-D array of points with 16 or more
 float coefficients in blocks of ``_BLOCK`` = 16 (Estrin, 1960): one matrix
 product gives every block's value from the rows ``x**0 .. x**15``, and
-Horner's rule in ``x**16`` combines the blocks; :func:`_polyval_sets`
+Horner's rule in ``x**16`` combines the blocks.  :func:`_polyval_sets`
 keeps the rows of the point sets of the most recent grid, so the states
-verified on one grid build them once.  Its error stays within
-Horner's a-priori bound, ``|p^(x) - p(x)| <= 2 D eps sum_i |a_i| |x|**i``
-at degree ``D`` (Higham, *Accuracy and Stability of Numerical Algorithms*,
-2002, section 5.1).  Its last bits follow the BLAS kernel and the number
-of threads BLAS splits the product over, and may depend on the size of
-the array: in one process, evaluations of the same coefficients on arrays
-of the same size agree bit for bit.  Below 16 coefficients, and for every
-other input, it is Horner's loop, so every value at levels up to 15 is
-Horner's, byte for byte.
+verified on one grid build them once.  ``model.l2_norm_constants``, the
+norm quadrature, evaluates a level's factors of 16 or more coefficients
+at its 256 nodes in stacks of block matrices, each row with the bits of
+:func:`polyval` on the nodes alone.  The error stays within Horner's
+a-priori bound, ``|p^(x) - p(x)| <= 2 D eps sum_i |a_i| |x|**i`` at degree
+``D`` (Higham, *Accuracy and Stability of Numerical Algorithms*, 2002,
+section 5.1).  Its last bits follow the BLAS kernel and the number of
+threads BLAS splits the product over, and may depend on the size of the
+array: in one process, evaluations of the same coefficients on arrays of
+the same size agree bit for bit.  Below 16 coefficients, and for every
+other input, it is Horner's loop, so every value at levels up to 15, the
+norm constants included, is Horner's, byte for byte.
 """
 
 from __future__ import annotations
@@ -182,16 +185,19 @@ def _polyval_blocks(blocks: np.ndarray, powers) -> np.ndarray:
     """``sum_b q_b(x) x**(16 b)`` for the rows ``q_b`` of ``blocks``
     (:func:`_blocks`) on the points of ``powers`` (:func:`_block_powers`):
     one matrix product with the rows ``x**0 .. x**15`` gives every ``q_b``,
-    then Horner's rule in ``x**16`` runs over the blocks, highest first."""
+    then Horner's rule in ``x**16`` runs over the blocks, highest first.
+    A stack of such block matrices gives one row of values each: numpy
+    makes each one's product alone, so each row has the bits of its
+    factor evaluated alone."""
     rows, step = powers
     q = blocks @ rows
-    if len(q) == 1:
-        return q[0]
-    acc = q[-1] * step
-    acc += q[-2]
-    for b in range(len(q) - 3, -1, -1):
+    if q.shape[-2] == 1:
+        return q[..., 0, :]
+    acc = q[..., -1, :] * step
+    acc += q[..., -2, :]
+    for b in range(q.shape[-2] - 3, -1, -1):
         acc *= step
-        acc += q[b]
+        acc += q[..., b, :]
     return acc
 
 

@@ -189,6 +189,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     values.update((key, value) for key, value in vars(args).items()
                   if key in _OPTIONS and value is not None)
     command = args.command
+    if command == "export":
+        values.setdefault("sample_points", 100)
     if command == "scan":
         values.setdefault("format", "csv")
         # The couplings come from their lists only; m and the level from
@@ -407,7 +409,7 @@ def cmd_map_sextic(cfg) -> int:
 
 def cmd_export(cfg) -> int:
     rows, grid, _, diags, code = _level(cfg)
-    radii = np.geomspace(grid.r_min, grid.r_max, cfg.sample_points or 100)
+    radii = np.geomspace(grid.r_min, grid.r_max, cfg.sample_points)
     for row in rows:
         values = row["state"].radial_values(radii)
         row["samples"] = np.stack([radii, values], axis=1).tolist()

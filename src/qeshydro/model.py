@@ -29,13 +29,14 @@ Conventions (atomic units throughout):
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 
-from ._polyops import (DomainError, bisect, check_integer_m, coerce_couplings,
-                       kept, polyval)
+from ._polyops import (_BLOCK, DomainError, _block_powers, _polyval_blocks,
+                       bisect, check_integer_m, coerce_couplings, kept, polyval)
 
 #: Default grid controls.  The spacing floor guards the second-difference
 #: stencil against float cancellation: without it a geometric grid reaches
@@ -216,15 +217,18 @@ _last_set = None
 def _set_constants(params: ModelParams):
     """``r_max`` (:func:`envelope_r_max`) and the norm rule of ``params``:
     the 256-point Gauss-Legendre rule on [0, r_max] (half-width, weights,
-    nodes) and the envelope at its nodes.  Both depend on (omega_l, k, |m|)
-    alone, so a :func:`kept` slot keyed by them as floats holds them."""
+    nodes), the envelope at its nodes and a call that gives the nodes'
+    block powers (``_polyops._block_powers``), made once when a factor of
+    16 or more coefficients first needs them.  Both depend on (omega_l, k,
+    |m|) alone, so a :func:`kept` slot keyed by them as floats holds them."""
     def compute():
         r_max = envelope_r_max(params)
         half, weights, nodes = _gauss_rule(0.0, r_max, 256)
         # A non-finite envelope is raised as l2_norm_constants' error, so
         # numpy need not warn.
         with np.errstate(over="ignore", invalid="ignore"):
-            return r_max, (half, weights, nodes, params.envelope(nodes))
+            return r_max, (half, weights, nodes, params.envelope(nodes),
+                           cache(lambda: _block_powers(nodes)))
 
     key = (float(params.omega_l), float(params.k), params.abs_m)
     return kept(globals(), "_last_set", key, compute)
@@ -355,8 +359,15 @@ class RadialGrid:
         point count refines the floor proportionally; this keeps the
         finite-difference residual second-order under grid doubling while
         bounding eps/h^2 roundoff near the origin.  Raises DomainError when
-        r_max is not above r_min, or too close to it for n distinct radii.
+        r_min**2 is not a normal double or m**2/(2 r_min**2) overflows, and
+        when r_max is not above r_min, or too close to it for n distinct radii.
         """
+        m, square = params.m, r_min * r_min
+        if square < sys.float_info.min or 0.5 * m * m / square > sys.float_info.max:
+            raise DomainError(
+                f"r-min {r_min!r} is too small for double precision at "
+                f"m = {m}: r-min**2 underflows or m**2/(2 r-min**2) overflows"
+            )
         r_max = _set_constants(params)[0]
         if not r_max > r_min:
             raise _scale_error(params, f"the envelope decays before the grid "
@@ -553,9 +564,8 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
     Uses Gauss-Legendre quadrature on [0, r_max]; deliberately a different
     quadrature from the grid-based Simpson rule used in verification, so the
     reported normalization error is a genuine two-method comparison.  The
-    rule is :func:`_set_constants`', shared by value.  All factors
-    are evaluated in one row-wise Horner pass over the nodes, with the
-    operations, and their order, of evaluating each one alone.
+    rule is :func:`_set_constants`', shared by value, and the factors'
+    values at its nodes are :func:`_node_values`.
 
     Raises, for the first factor in ``polys`` whose integral is 0 or not
     finite, DomainError when that factor is nonzero (the envelope
@@ -563,32 +573,21 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
     """
     if not polys:
         return []
-    coeffs = np.zeros((len(polys), max(len(poly) for poly in polys)))
-    for row, poly in zip(coeffs, polys):
-        # Zero coefficients above a short row's degree leave its Horner
-        # values unchanged: 0.0 * r + 0.0 is 0.0 at the positive nodes.
-        row[:len(poly)] = poly
     # A total that is not finite is raised below, so numpy need not warn.
     with np.errstate(over="ignore", invalid="ignore"):
-        half, w, r, envelope = _set_constants(params)[1]
-        acc = np.empty((len(polys), r.size))
-        acc[:] = 0 * r
-        # The nodes in every row: a full-shape operand, not a broadcast row.
-        nodes = np.broadcast_to(r, acc.shape).copy()
-        for col in range(coeffs.shape[1] - 1, -1, -1):
-            np.multiply(acc, nodes, out=acc)
-            acc += coeffs[:, col:col + 1]
+        half, w, r, envelope, powers = _set_constants(params)[1]
         # In place, to keep one (n_states, nodes) temporary: acc becomes
         # base = P * envelope, then integrands = w * (base * base * r).
+        acc, nodes = _node_values(polys, r, powers)
         acc *= envelope
         integrands = acc * acc
         integrands *= nodes
         integrands *= w
         totals = [float(half * np.sum(row)) for row in integrands]
     constants = []
-    for row, total in zip(coeffs, totals):
+    for poly, total in zip(polys, totals):
         if not 0.0 < total < math.inf:
-            if not row.any():
+            if not any(poly):
                 raise ValueError("polynomial factor gives zero norm")
             cause = ("the envelope underflows" if total == 0.0
                      else "the state overflows")
@@ -599,6 +598,48 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
             )
         constants.append(1.0 / math.sqrt(total))
     return constants
+
+
+def _node_values(polys, r: np.ndarray, powers):
+    """The factors ``polys`` at the nodes ``r``, one row each, and the nodes
+    in every row (a full-shape operand, not a broadcast row); ``powers()``
+    gives the nodes' block powers.  Each row has the bits of ``polyval`` of
+    its factor's floats on ``r`` alone.
+
+    Factors below 16 coefficients go in one row-wise Horner pass, with the
+    operations, and their order, of evaluating each alone.  The others go
+    in blocks, grouped by their count of blocks ``nb``: each keeps the
+    product shape it has alone, and a group of ``S`` goes ceil(S/nb)
+    factors at a time, so no temporary outgrows the (S, nodes) values.
+    """
+    values = np.empty((len(polys), r.size))
+    nodes = np.broadcast_to(r, values.shape).copy()
+    blocked: dict[int, list[int]] = {}
+    for i, poly in enumerate(polys):
+        if len(poly) >= _BLOCK:
+            blocked.setdefault(-(-len(poly) // _BLOCK), []).append(i)
+    if len(polys) > sum(map(len, blocked.values())):
+        # Zero coefficients above a short row's degree leave its Horner
+        # values unchanged: 0.0 * r + 0.0 is 0.0 at the positive nodes.  A
+        # blocked factor's row of zeros is replaced below.
+        short = [poly if len(poly) < _BLOCK else () for poly in polys]
+        coeffs = np.zeros((len(polys), max(map(len, short))))
+        for row, poly in zip(coeffs, short):
+            row[:len(poly)] = poly
+        values[:] = 0 * r
+        for col in range(coeffs.shape[1] - 1, -1, -1):
+            np.multiply(values, nodes, out=values)
+            values += coeffs[:, col:col + 1]
+    for nb, picked in blocked.items():
+        stack = np.zeros((len(picked), nb * _BLOCK))
+        for row, i in zip(stack, picked):
+            row[:len(polys[i])] = polys[i]
+        stack = stack.reshape(len(picked), nb, _BLOCK)
+        step = -(-len(picked) // nb)
+        for start in range(0, len(picked), step):
+            values[picked[start:start + step]] = _polyval_blocks(
+                stack[start:start + step], powers())
+    return values, nodes
 
 
 # The non-negative halves of the Gauss-Legendre rules on [-1, 1] that the

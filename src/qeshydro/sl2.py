@@ -24,8 +24,8 @@ from fractions import Fraction
 import numpy as np
 
 from . import model
-from ._polyops import (as_half_integer, check_integer_m, coerce_couplings,
-                       is_exact, kept)
+from ._polyops import (DomainError, as_half_integer, check_integer_m,
+                       coerce_couplings, is_exact, kept)
 from .model import ModelParams, QesState
 
 __all__ = [
@@ -71,8 +71,9 @@ class QesMatrix:
 def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
     """Closed tridiagonal form of the generator combination.
 
-    Float couplings fill the three diagonals of a zero array; rational
-    couplings make one Fraction per nonzero entry from integers.
+    Float couplings fill the three diagonals of a zero array, and a zero
+    array that cannot be allocated raises DomainError; rational couplings
+    make one Fraction per nonzero entry from integers.
     """
     jf = as_half_integer(j)
     m = check_integer_m(m)
@@ -82,7 +83,13 @@ def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
     ratio = kk / omega
 
     if not exact:
-        rows = np.zeros((dim, dim))
+        try:
+            rows = np.zeros((dim, dim))
+        except MemoryError:
+            raise DomainError(
+                f"level {dim} needs a {dim} x {dim} matrix of doubles, "
+                f"{8.0 * dim * dim:.3g} bytes: more than can be allocated"
+            ) from None
         for n in range(dim):
             rows[n, n] = ratio * (n + am + 0.5)
             if n >= 1:

@@ -25,7 +25,9 @@ which others run.
 first unit and field that differ, with the difference of two floats in
 units in the last place (ulp).  It then counts the units that differ, and
 for each field that differs (indices dropped) the units and the lowest
-level where it does.  For each side it counts the states with a
+level where it does; for a float field also the largest relative
+difference, ``|a - b| / max(|a|, |b|)``, and the unit where it occurs, so
+a numeric change shows its size.  For each side it counts the states with a
 verification report, those whose node count equals their index in
 ascending order, and those that passed, separately for states at levels
 up to 13 and above 13, so a change at desk scale does not hide in the
@@ -33,9 +35,10 @@ totals at depth.  It exits 1 when any unit differs.
 
 This is a tool, not a test.  From level 16, what is computed from a
 state's polynomial factor on arrays of points follows the BLAS kernel (see
-``qeshydro._polyops``), so two hosts, or two BLAS thread counts, may
-differ in its last digits; so may the eigensolver's coefficients from
-about level 127.
+``qeshydro._polyops``): the norm constants of both routes, and each
+report's residual and norm error.  So two hosts, or two BLAS thread
+counts, may differ in their last digits; so may the eigensolver's
+coefficients from about level 127.
 """
 
 from __future__ import annotations
@@ -169,6 +172,16 @@ def describe_difference(a, b) -> str:
     return f"{a!r} vs {b!r}"
 
 
+def relative_difference(a: float, b: float) -> float:
+    """``|a - b| / max(|a|, |b|)`` of two floats: 0 when they are equal
+    (two signed zeros), inf when either is not finite."""
+    if a == b:
+        return 0.0
+    if not (math.isfinite(a) and math.isfinite(b)):
+        return math.inf
+    return abs(a - b) / max(abs(a), abs(b))
+
+
 def state_counts(units: list[dict]) -> dict[str, list[int]]:
     """[reported states, node count == index, passed] over the units, by
     the band of the state's level: "levels <= 13" or "levels > 13"."""
@@ -196,6 +209,8 @@ def compare(args) -> int:
         first = None
         differing = 0
         by_field: dict[str, list[int]] = {}
+        # (largest relative difference, unit) of each differing float field.
+        largest: dict[str, tuple[float, dict]] = {}
         for a, b in zip(old, new):
             fa, fb = a["fields"], b["fields"]
             keys = list(fa) + [k for k in fb if k not in fa]
@@ -211,12 +226,24 @@ def compare(args) -> int:
                                                         fb.get(k, "<absent>")))
             for field in {re.sub(r"\[\d+\]", "[]", k) for k in changed}:
                 by_field.setdefault(field, []).append(a["level"])
+            for k in changed:
+                x, y = fa.get(k), fb.get(k)
+                if isinstance(x, float) and isinstance(y, float):
+                    field = re.sub(r"\[\d+\]", "[]", k)
+                    rel = relative_difference(x, y)
+                    if field not in largest or rel > largest[field][0]:
+                        largest[field] = (rel, a)
         print(f"  units that differ: {differing}")
         if first:
             differ_any = True
             print(first)
         for field, levels in sorted(by_field.items()):
-            print(f"  {field}: {len(levels)} units, lowest level {min(levels)}")
+            size = ""
+            if field in largest:
+                rel, unit = largest[field]
+                size = (f", largest relative difference {rel:.3g} at unit "
+                        f"{unit['unit']} ({unit['describe']})")
+            print(f"  {field}: {len(levels)} units, lowest level {min(levels)}{size}")
         for side, units in (("old", old), ("new", new)):
             for band, (reported, indexed, passed) in sorted(state_counts(units).items()):
                 print(f"  {side}, {band}: {reported} reported states, "

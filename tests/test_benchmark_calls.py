@@ -40,11 +40,15 @@ def _units(workloads, name):
 
 @pytest.mark.parametrize("name,index", [
     ("sweep", 0), ("sweep", 1), ("sweep", 2),
-    ("exact", 0), ("exact", 1), ("exact", 2), ("deep", None)])
+    ("exact", 0), ("exact", 1), ("exact", 2), ("deep", None), ("deep", "highest")])
 def test_in_process_units_make_no_broken_call(workloads, name, index):
+    # deep's lowest-level unit (None) keeps Horner's loop; its highest-level
+    # unit takes the blocked evaluation of the norm quadrature and the grid.
     wl, units = _units(workloads, name)
-    unit = (min(units, key=lambda u: u.level) if index is None
-            else units[index])
+    if isinstance(index, int):
+        unit = units[index]
+    else:
+        unit = (max if index == "highest" else min)(units, key=lambda u: u.level)
     out = wl.replay(qeshydro, unit)
     broken = [f"{type(e).__name__}: {e}" for e in out.errors
               if isinstance(e, BROKEN_CALL)]

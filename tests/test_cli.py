@@ -292,6 +292,20 @@ class TestExport:
         assert lines[0] == "root_index,r,radial_value"
         assert len(lines) == 8
 
+    def test_zero_sample_points_writes_none(self, tmp_path, capsys):
+        args = ["export", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "2"]
+        code, out, _ = run_main([*args, "--sample-points", "0"], capsys)
+        assert code == 0
+        assert [s["samples"] for s in json.loads(out)["states"]] == [[], []]
+        code, out, _ = run_main([*args, "--sample-points", "0", "--format", "csv"],
+                                capsys)
+        assert code == 0 and out == "root_index,r,radial_value\n"
+        config = tmp_path / "export.cfg"
+        config.write_text("sample_points = 0\n")
+        code, out, _ = run_main([*args, "--config", str(config)], capsys)
+        assert code == 0
+        assert [s["samples"] for s in json.loads(out)["states"]] == [[], []]
+
 
 class TestVerificationExit:
     @pytest.mark.parametrize("command", ["solve", "map-sextic", "export"])
@@ -572,6 +586,53 @@ class TestCutoffJustAboveRMin:
         code, out, err = run_main([*self.ARGS, "--r-min", "6.6527"], capsys)
         assert code == 0 and err == ""
         assert len(json.loads(out)["states"]) == 1
+
+
+class TestTinyRMin:
+    """An --r-min whose square is not a normal double, or at which
+    m**2/(2 r_min**2) overflows, exits 3 naming r_min and m, with no numpy
+    warning."""
+
+    @pytest.mark.parametrize("m,r_min", [("0", "1e-200"), ("1", "1e-160"),
+                                         ("-2", "1e-160"), ("10", "1.5e-154")])
+    def test_exit_3_without_a_warning(self, m, r_min):
+        # A fresh process, so numpy warnings would reach stderr as they do
+        # for a user, not pytest's warning capture.
+        proc = subprocess.run(
+            [sys.executable, "-m", "qeshydro", "solve", "--omega-l", "1", "--k", "1",
+             "--m", m, "--level", "2", "--r-min", r_min],
+            capture_output=True, text=True)
+        assert proc.returncode == 3 and proc.stdout == ""
+        assert proc.stderr == (
+            f"error: r-min {float(r_min)!r} is too small for double precision at "
+            f"m = {int(m)}: r-min**2 underflows or m**2/(2 r-min**2) overflows\n")
+
+    def test_scan_and_a_small_normal_r_min(self, capsys):
+        code, out, err = run_main(
+            ["scan", "--omega-l-list", "1", "--k-list", "1", "--m-list", "0,1",
+             "--level-list", "2", "--r-min", "1e-155"], capsys)
+        assert code == 3 and out == ""
+        assert err.startswith("error: r-min 1e-155 is too small")
+        code, out, err = run_main(
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "3", "--level", "2",
+             "--r-min", "1e-150"], capsys)
+        assert code == 0 and "Warning" not in err
+
+
+class TestHugeLevel:
+    """A level whose float matrix cannot be allocated exits 3 naming the
+    level and the matrix size.  Only level 10**6 (8e12 bytes) is run: a
+    level whose matrix fits in memory would be allocated."""
+
+    @pytest.mark.parametrize("argv", [
+        ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "1000000"],
+        ["scan", "--omega-l-list", "1", "--k-list", "1", "--m-list", "0",
+         "--level-list", "1000000"]])
+    def test_exit_3_naming_level_and_size(self, argv, capsys):
+        code, out, err = run_main(argv, capsys)
+        assert code == 3 and out == ""
+        assert err == ("error: level 1000000 needs a 1000000 x 1000000 matrix of "
+                       "doubles, 8e+12 bytes: more than can be allocated\n")
 
 
 class TestScanRefusesWhatItWouldDrop:

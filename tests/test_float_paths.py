@@ -1,7 +1,9 @@
 """The float matrix build and the one-buffer Horner loop give the same bits
 as the code they replace, and the blocked evaluation of 16 or more
 coefficients gives the bits of its reference copy and stays within
-Horner's error bound.
+Horner's error bound.  The norm quadrature's stacked evaluation of a
+level's factors gives each factor the bits of ``polyval`` on the nodes, so
+that bound holds for it too.
 
 The reference functions are copies of the float build through `Fraction`
 rows, of the allocating Horner loop and of the blocked evaluation.  Arrays
@@ -16,8 +18,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qeshydro import build_qes_matrix
+from qeshydro import ModelParams, build_qes_matrix, solve_admissible_z
 from qeshydro._polyops import polyval
+from qeshydro.model import _node_values, _set_constants
 
 HALF = Fraction(1, 2)
 
@@ -191,3 +194,29 @@ class TestPolyval:
             assert list(got.ravel()) == list(want.ravel())
         else:
             assert got == want
+
+
+class TestNormNodeValues:
+    @pytest.mark.parametrize("m", [0, 3])
+    @pytest.mark.parametrize("level", [16, 17, 40, 100, 200])
+    def test_each_row_is_polyval_on_the_nodes(self, level, m):
+        states = solve_admissible_z((level - 1) / 2, m, 1.1, 1.7)
+        assert len(states) > 1
+        _, _, nodes, _, powers = _set_constants(states[0].params)[1]
+        polys = [s.poly for s in states]
+        values, rows = _node_values(polys, nodes, powers)
+        assert same_bits(rows, np.broadcast_to(nodes, values.shape).copy())
+        for row, poly in zip(values, polys):
+            assert same_bits(row, polyval(poly, nodes))
+            assert same_bits(row, ref_blocks(poly, nodes))
+
+    def test_factors_of_mixed_lengths(self):
+        # Each count of blocks is its own stack, and the short factors keep
+        # Horner's loop, in the order given.
+        rng = np.random.default_rng(30)
+        polys = [tuple(float(c) for c in rng.normal(size=n))
+                 for n in (40, 3, 16, 33, 15, 17, 48, 1, 40)]
+        _, _, nodes, _, powers = _set_constants(ModelParams(0.8, 2.0, -1))[1]
+        values, _ = _node_values(polys, nodes, powers)
+        for row, poly in zip(values, polys):
+            assert same_bits(row, polyval(poly, nodes))

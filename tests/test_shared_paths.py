@@ -11,8 +11,9 @@ sharing must not move a single bit.
 A state's polynomial factor of 16 or more coefficients is evaluated in
 blocks (``ref_blocks``, the reference copy in ``test_float_paths``), whose
 bits depend on the size of the array of points; so ``ref_state_values``
-evaluates each point set alone, as the library does.  The norm constants
-keep Horner's loop at every degree.
+evaluates each point set alone, as the library does: the grid points, the
+head nodes and the 256 nodes of the norm quadrature.  Below 16
+coefficients every evaluation is Horner's loop.
 """
 
 import gc
@@ -189,7 +190,7 @@ def ref_norm_constant(params, poly):
     coeffs = [float(c) for c in poly]
 
     def integrand(r):
-        base = ref_polyval(coeffs, r) * ref_envelope(params, r)
+        base = ref_state_values(coeffs, r) * ref_envelope(params, r)
         return base * base * r
 
     total = gauss_integrate(integrand, 0.0, envelope_r_max(params), n=256)
@@ -202,7 +203,7 @@ def ref_norm_outcome(params, poly):
     coeffs = [float(c) for c in poly]
 
     def integrand(r):
-        base = ref_polyval(coeffs, r) * ref_envelope(params, r)
+        base = ref_state_values(coeffs, r) * ref_envelope(params, r)
         return base * base * r
 
     with np.errstate(over="ignore", invalid="ignore"):
