@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from numbers import Integral, Rational
 
@@ -40,6 +41,17 @@ _MAX_K_OVER_OMEGA = math.sqrt(sys.float_info.max)
 
 class DomainError(ValueError):
     """A structurally inadmissible request (distinct from a usage slip)."""
+
+
+def allocated(make, need: str, count: int):
+    """``make()``, an array of ``count`` doubles, or DomainError "``need``,
+    <bytes> bytes: more than can be allocated" when numpy refuses it (a
+    MemoryError, or a ValueError for a size past numpy's limits)."""
+    try:
+        return make()
+    except (MemoryError, ValueError):
+        size = 8 * count if 8 * count < sys.float_info.max else Decimal(8 * count)
+        raise DomainError(f"{need}, {size:.3g} bytes: more than can be allocated") from None
 
 
 def is_exact(value) -> bool:

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__, sl2
-from ._polyops import coerce_couplings
+from ._polyops import allocated, coerce_couplings
 from .model import (DEFAULT_GRID_POINTS, DEFAULT_R_MIN, DomainError, ModelParams,
                     QesState, RadialGrid)
 from .series import NoGroundStateError
@@ -392,6 +392,12 @@ def cmd_verify(cfg) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
+def _samples(n: int, grid):
+    """``n`` radii spaced geometrically over ``grid``, or DomainError."""
+    return allocated(lambda: np.geomspace(grid.r_min, grid.r_max, n),
+                     f"sample-points {n} needs {n} doubles", n)
+
+
 def cmd_map_sextic(cfg) -> int:
     rows, _, _, diags, code = _level(cfg)
     rho_grid = rho_grid_for(rows[0]["state"].params) if rows else None
@@ -400,7 +406,7 @@ def cmd_map_sextic(cfg) -> int:
         row.update(mapped.to_dict(), sextic_residual=sextic_residual(mapped, rho_grid))
         row.update(row["coefficients"])
         if cfg.sample_points:
-            rho = np.geomspace(rho_grid.r_min, rho_grid.r_max, cfg.sample_points)
+            rho = _samples(cfg.sample_points, rho_grid)
             zeta = sextic_wavefunction(mapped, rho)
             row["samples"] = np.stack([rho, zeta], axis=1).tolist()
     _write(cfg, rows, diagnostics=diags)
@@ -409,7 +415,7 @@ def cmd_map_sextic(cfg) -> int:
 
 def cmd_export(cfg) -> int:
     rows, grid, _, diags, code = _level(cfg)
-    radii = np.geomspace(grid.r_min, grid.r_max, cfg.sample_points)
+    radii = _samples(cfg.sample_points, grid)
     for row in rows:
         values = row["state"].radial_values(radii)
         row["samples"] = np.stack([radii, values], axis=1).tolist()

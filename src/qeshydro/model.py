@@ -35,7 +35,7 @@ from functools import cache, cached_property
 
 import numpy as np
 
-from ._polyops import (_BLOCK, DomainError, _block_powers, _polyval_blocks,
+from ._polyops import (_BLOCK, DomainError, _block_powers, _polyval_blocks, allocated,
                        bisect, check_integer_m, coerce_couplings, kept, polyval)
 
 #: Default grid controls.  The spacing floor guards the second-difference
@@ -359,8 +359,9 @@ class RadialGrid:
         point count refines the floor proportionally; this keeps the
         finite-difference residual second-order under grid doubling while
         bounding eps/h^2 roundoff near the origin.  Raises DomainError when
-        r_min**2 is not a normal double or m**2/(2 r_min**2) overflows, and
-        when r_max is not above r_min, or too close to it for n distinct radii.
+        r_min**2 is not a normal double or m**2/(2 r_min**2) overflows, when
+        r_max is not above r_min, or too close to it for n distinct radii,
+        and when the n points cannot be allocated.
         """
         m, square = params.m, r_min * r_min
         if square < sys.float_info.min or 0.5 * m * m / square > sys.float_info.max:
@@ -373,7 +374,8 @@ class RadialGrid:
             raise _scale_error(params, f"the envelope decays before the grid "
                                        f"starts: r_max = {r_max!r} <= r_min = {r_min!r}")
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
-        pts = _floored_geometric(r_min, r_max, n, floor)
+        pts = allocated(lambda: _floored_geometric(r_min, r_max, n, floor),
+                        f"grid-points {n} needs {n} doubles", n)
         if not np.all(pts[1:] > pts[:-1]):
             raise _scale_error(params, f"r_min = {r_min!r} and r_max = {r_max!r} "
                                        f"are too close for n = {n} distinct radii")

@@ -3,16 +3,18 @@ admissible Coulomb strengths.
 
 The gauged radial operator, multiplied by r, restricts to the space of
 polynomials of degree <= 2j.  Expanded in ascending monomials r^0 .. r^{2j}
-it is tridiagonal with a closed form used throughout:
+it is tridiagonal (Turbiner, Commun. Math. Phys. 118 (1988) 467), so a
+:class:`QesMatrix` is its three bands, with a closed form used throughout:
 
     M[n, n]     = (k/omega_l) (n + |m| + 1/2)
     M[n-1, n]   = -n (|m| + n/2)
     M[n+1, n]   = -omega_l (2j - n)
 
-and the admissible strengths are exactly its eigenvalues, as a dense
-eigensolver returns them.  Its exact characteristic polynomial (the series
-constraint, up to normalisation) is the three-term continuant of these
-entries, O(n^2) operations on Python integers over one common denominator.
+The admissible strengths are exactly its eigenvalues, as a dense
+eigensolver returns them from :meth:`QesMatrix.as_array`.  Its exact
+characteristic polynomial (the series constraint, up to normalisation) is
+the three-term continuant of the bands, O(n^2) operations on Python
+integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from . import model
-from ._polyops import (DomainError, as_half_integer, check_integer_m,
+from ._polyops import (allocated, as_half_integer, check_integer_m,
                        coerce_couplings, is_exact, kept)
 from .model import ModelParams, QesState
 
@@ -38,84 +41,73 @@ __all__ = [
 
 @dataclass(frozen=True, eq=False)
 class QesMatrix:
-    """The finite eigenproblem in the ascending monomial basis r^0 .. r^{2j}.
-
-    ``entries`` is a nested list of Fractions when both couplings are
-    rational, otherwise a float ndarray.  The eigenvalues are the admissible
-    Coulomb strengths.  The descending-monomial form of the same operator is
-    the reversal permutation similarity of this matrix.
-    """
+    """The finite eigenproblem in the ascending monomial basis r^0 .. r^{2j},
+    held as its labels.  Its eigenvalues are the admissible Coulomb
+    strengths; its descending-monomial form is the reversal permutation
+    similarity of this matrix."""
 
     j: Fraction
     m: int
     omega_l: object
     k: object
-    entries: object
 
     @property
     def exact(self) -> bool:
-        """Whether both couplings, and so the entries, are rational."""
+        """Whether both couplings, and so the bands, are rational."""
         return is_exact(self.omega_l) and is_exact(self.k)
 
     @property
     def dim(self) -> int:
         return int(2 * self.j) + 1
 
-    def as_array(self) -> np.ndarray:
+    @cached_property
+    def bands(self):
+        """(M[n, n], M[n-1, n], M[n+1, n]) of the closed form, of lengths dim,
+        dim - 1 and dim - 1: tuples of Fractions made from integers when
+        both couplings are rational, else float arrays whose every entry
+        gets the operations of the closed form's scalar expression."""
+        dim, am = self.dim, abs(self.m)
         if self.exact:
-            return np.array([[float(e) if e else 0.0 for e in row]
-                             for row in self.entries])
-        return np.asarray(self.entries, dtype=float)
+            p, q = (Fraction(self.k) / self.omega_l).as_integer_ratio()
+            a, b = self.omega_l.as_integer_ratio()
+            return (tuple(Fraction(p * (2 * (n + am) + 1), 2 * q) for n in range(dim)),
+                    tuple(Fraction(-(n * (2 * am + n)), 2) for n in range(1, dim)),
+                    tuple(Fraction(-a * (dim - 1 - n), b) for n in range(dim - 1)))
+        omega, n = float(self.omega_l), np.arange(dim)
+        return (float(self.k) / omega * (n + (am + 0.5)),
+                -(n[1:] * (2 * am + n[1:])) / 2,
+                -omega * n[:0:-1])
+
+    def as_array(self) -> np.ndarray:
+        """The dense dim x dim float matrix, the one place that takes dim**2
+        values; DomainError when it cannot be allocated."""
+        dim = self.dim
+        a = allocated(lambda: np.zeros((dim, dim)),
+                      f"level {dim} needs a {dim} x {dim} matrix of doubles", dim * dim)
+        for start, band in zip((0, 1, dim), self.bands):
+            a.reshape(-1)[start::dim + 1] = band
+        return a
 
 
 def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
-    """Closed tridiagonal form of the generator combination.
-
-    Float couplings fill the three diagonals of a zero array, and a zero
-    array that cannot be allocated raises DomainError; rational couplings
-    make one Fraction per nonzero entry from integers.
-    """
-    jf = as_half_integer(j)
-    m = check_integer_m(m)
-    omega, kk, exact = coerce_couplings(omega_l, k)
-    dim = int(2 * jf) + 1
-    am = abs(m)
-    ratio = kk / omega
-
-    if not exact:
-        try:
-            rows = np.zeros((dim, dim))
-        except MemoryError:
-            raise DomainError(
-                f"level {dim} needs a {dim} x {dim} matrix of doubles, "
-                f"{8.0 * dim * dim:.3g} bytes: more than can be allocated"
-            ) from None
-        for n in range(dim):
-            rows[n, n] = ratio * (n + am + 0.5)
-            if n >= 1:
-                rows[n - 1, n] = -(n * (2 * am + n)) / 2
-            if n + 1 < dim:
-                rows[n + 1, n] = -omega * (dim - 1 - n)
-        return QesMatrix(jf, m, omega, kk, rows)
-
-    p, q = ratio.numerator, ratio.denominator
-    a, b = omega.numerator, omega.denominator
-    zero = Fraction(0)
-    rows = [[zero] * dim for _ in range(dim)]
-    for n in range(dim):
-        rows[n][n] = Fraction(p * (2 * (n + am) + 1), 2 * q)
-        if n >= 1:
-            rows[n - 1][n] = Fraction(-(n * (2 * am + n)), 2)
-        if n + 1 < dim:
-            rows[n + 1][n] = Fraction(-a * (dim - 1 - n), b)
-    return QesMatrix(jf, m, omega, kk, rows)
+    """The matrix of validated labels: j a half-integer, m an integer and
+    the couplings both Fraction or both float (:func:`coerce_couplings`)."""
+    return QesMatrix(as_half_integer(j), check_integer_m(m),
+                     *coerce_couplings(omega_l, k)[:2])
 
 
 def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:
-    """Monic characteristic polynomial det(z I - M), ascending coefficients.
+    """Monic det(z I - M), ascending: :func:`_continuant` of the bands of
+    a matrix with exact couplings."""
+    if not matrix.exact:
+        raise ValueError("characteristic_polynomial requires exact entries")
+    return _continuant(*matrix.bands)
 
-    Three-term continuant of the tridiagonal matrix, with the diagonal
-    d_i = M[i][i] and the couplings c_i = M[i-1][i] M[i][i-1]:
+
+def _continuant(diag, upper, lower) -> tuple[Fraction, ...]:
+    """det(z I - M), ascending, for the tridiagonal M with the rational bands
+    d_i = M[i][i] (``diag``), M[i-1][i] (``upper``) and M[i][i-1]
+    (``lower``): the three-term continuant in c_i = M[i-1][i] M[i][i-1],
 
         p_0 = 1,  p_1 = z - d_0,
         p_{i+1} = (z - d_i) p_i - c_i p_{i-1}.
@@ -130,27 +122,15 @@ def characteristic_polynomial(matrix: QesMatrix) -> tuple[Fraction, ...]:
 
     satisfy q_i(den z) = den^i p_i(z), so the coefficient of z^e in
     det(z I - M) is q_n[e] / den^(n-e), the one rational reduction made.
-    O(n^2) integer operations; any rational tridiagonal matrix.
-
-    Requires an exact, tridiagonal matrix.
+    O(n^2) integer operations.
     """
-    if not matrix.exact:
-        raise ValueError("characteristic_polynomial requires exact entries")
-    n = matrix.dim
-    a = matrix.entries
-    if any(any(row[:max(i - 1, 0)]) or any(row[i + 2:n])
-           for i, row in enumerate(a[:n])):
-        raise ValueError("characteristic_polynomial requires a tridiagonal matrix")
-
+    n = len(diag)
     # (numerator, denominator) of every d_i and c_i, c_0 = 0.
-    diag = [(a[i][i].numerator, a[i][i].denominator) for i in range(n)]
-    couple = [(0, 1)] + [
-        (a[i - 1][i].numerator * a[i][i - 1].numerator,
-         a[i - 1][i].denominator * a[i][i - 1].denominator)
-        for i in range(1, n)
-    ]
-    den = math.lcm(*(d for _, d in diag + couple))
-    u = [x * (den // d) for x, d in diag]
+    pairs = [(d.numerator, d.denominator) for d in diag]
+    couple = [(0, 1)] + [(u.numerator * w.numerator, u.denominator * w.denominator)
+                         for u, w in zip(upper, lower)]
+    den = math.lcm(*(d for _, d in pairs + couple))
+    u = [x * (den // d) for x, d in pairs]
     g = [den * x * (den // d) for x, d in couple]
 
     prev, cur = [], [1]
@@ -205,11 +185,10 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
     tuple, with the tuple of its diagnostics.  The accepted eigenvectors
     are scaled as one array; a printed defect's last digits follow the one
     matrix product that gives them all."""
-    matrix = build_qes_matrix(jf, m, omega, kk)
-    a = matrix.as_array()
+    a = QesMatrix(jf, m, omega, kk).as_array()
     eigvals, eigvecs = np.linalg.eig(a)
     scale = max(1.0, float(np.max(np.abs(eigvals))))
-    level = matrix.dim
+    level = len(a)
     energy = float(model.level_energy(level, m, omega, kk))
     params = ModelParams(float(omega), float(kk), m)
 
@@ -235,7 +214,7 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
     for idx in np.flatnonzero(flagged):
         if not real[idx]:
             diagnostics.append(f"excluded complex eigenvalue "
-                               f"{complex(eigvals[idx])!r} at j={matrix.j}, m={m}")
+                               f"{complex(eigvals[idx])!r} at j={jf}, m={m}")
             continue
         c = np.count_nonzero(real[:idx])
         z = float(strengths[c])
@@ -246,7 +225,7 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
             diagnostics.append(f"eigenvector consistency defect "
                                f"{float(defects[c]):.3e} at z={z!r}")
     if not cols.size:
-        diagnostics.append(f"no real eigenvalues at j={matrix.j}, m={m}")
+        diagnostics.append(f"no real eigenvalues at j={jf}, m={m}")
 
     order = np.argsort(strengths, kind="stable")
     states = model.level_states(params, level, energy, strengths[order].tolist(),

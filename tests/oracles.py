@@ -5,7 +5,8 @@ Gauss-Legendre integrator.
 
 No solver, verifier or CLI path calls these, so they live with the tests
 that check the library against them: ``qes_matrix_from_generators`` is an
-independent construction of ``build_qes_matrix``, ``energy_x`` of
+independent, dense construction of ``build_qes_matrix``, ``band_rows`` the
+dense rows of a matrix's bands, ``energy_x`` of
 ``level_energy``, ``recurrence_next`` of the float and exact constraint
 recurrences, and ``gauss_integrate`` integrates one state at a time where
 the library integrates a level's states in one pass.
@@ -22,7 +23,6 @@ import numpy as np
 from qeshydro._polyops import as_half_integer, check_integer_m, coerce_couplings
 from qeshydro.model import ModelParams, QesState, _gauss_rule
 from qeshydro.series import _HALF, _terms, constraint_polynomial
-from qeshydro.sl2 import QesMatrix
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,15 +146,17 @@ def energy_x(j, m: int, omega_l, k):
     return sl2_coefficients(j, m, omega_l, k).x_energy
 
 
-def qes_matrix_from_generators(j, m: int, omega_l, k) -> QesMatrix:
-    """Same operator assembled term by term from the generator combination.
+def qes_matrix_from_generators(j, m: int, omega_l, k) -> list[list]:
+    """Dense rows of the same operator, assembled term by term from the
+    generator combination: Fractions for rational couplings, else floats.
 
     Uses the polynomial realization (exact rational entries)
 
         T+ r^n = (2j - n) r^{n+1},  T0 r^n = (n - j) r^n,  T- r^n = n r^{n-1},
 
-    so the result must coincide with :func:`build_qes_matrix`; kept as an
-    independent construction for cross-checking.
+    so for rational couplings the rows must be tridiagonal and equal the
+    :func:`band_rows` of :func:`build_qes_matrix`; kept as an independent
+    construction for cross-checking.
     """
     jf = as_half_integer(j)
     m = check_integer_m(m)
@@ -190,9 +192,21 @@ def qes_matrix_from_generators(j, m: int, omega_l, k) -> QesMatrix:
                 + co.c4 * t_minus[i][q]
                 + (co.c0_linear_part if i == q else (Fraction(0) if exact else 0.0))
             )
-    if not exact:
-        return QesMatrix(jf, m, omega, kk, np.array(rows, dtype=float))
-    return QesMatrix(jf, m, omega, kk, rows)
+    return rows
+
+
+def band_rows(bands) -> list[list]:
+    """The dense rows of the tridiagonal matrix with rational bands ``(diag,
+    upper, lower)``: ``diag[i]`` = M[i][i], ``upper[i - 1]`` = M[i - 1][i],
+    ``lower[i - 1]`` = M[i][i - 1], and Fraction(0) off the bands."""
+    diag, upper, lower = bands
+    dim = len(diag)
+    rows = [[Fraction(0)] * dim for _ in range(dim)]
+    for i in range(dim):
+        rows[i][i] = diag[i]
+        if i:
+            rows[i - 1][i], rows[i][i - 1] = upper[i - 1], lower[i - 1]
+    return rows
 
 
 @dataclass(frozen=True)

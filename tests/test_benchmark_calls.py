@@ -40,10 +40,13 @@ def _units(workloads, name):
 
 @pytest.mark.parametrize("name,index", [
     ("sweep", 0), ("sweep", 1), ("sweep", 2),
-    ("exact", 0), ("exact", 1), ("exact", 2), ("deep", None), ("deep", "highest")])
+    ("exact", 0), ("exact", 1), ("exact", 2), ("exact", "highest"),
+    ("deep", None), ("deep", "highest")])
 def test_in_process_units_make_no_broken_call(workloads, name, index):
     # deep's lowest-level unit (None) keeps Horner's loop; its highest-level
     # unit takes the blocked evaluation of the norm quadrature and the grid.
+    # exact's units also hold its gate, charpoly == constraint.monic(), to
+    # level 13.
     wl, units = _units(workloads, name)
     if isinstance(index, int):
         unit = units[index]
@@ -54,6 +57,8 @@ def test_in_process_units_make_no_broken_call(workloads, name, index):
               if isinstance(e, BROKEN_CALL)]
     assert broken == [], unit.describe()
     assert out.states
+    if name == "exact":
+        assert out.identity is True, unit.describe()
 
 
 def test_every_cli_command_exits_by_the_contract(workloads):

@@ -621,18 +621,56 @@ class TestTinyRMin:
 
 class TestHugeLevel:
     """A level whose float matrix cannot be allocated exits 3 naming the
-    level and the matrix size.  Only level 10**6 (8e12 bytes) is run: a
-    level whose matrix fits in memory would be allocated."""
+    level and the matrix size, whether the OS refuses the array (level
+    10**6, 8e12 bytes) or numpy refuses its size at once (level 10**12, and
+    j = 1e300, a 301-digit level whose bytes are past the float range).  No
+    level whose matrix fits in memory is run: it would be allocated."""
+
+    J_LEVEL = int(2e300) + 1
+    #: The message after "error: ", by the value of the last flag.
+    MESSAGES = {
+        "1000000": "level 1000000 needs a 1000000 x 1000000 matrix of doubles, "
+                   "8e+12 bytes: more than can be allocated",
+        "1000000000000": "level 1000000000000 needs a 1000000000000 x 1000000000000 "
+                         "matrix of doubles, 8e+24 bytes: more than can be allocated",
+        "1e300": f"level {J_LEVEL} needs a {J_LEVEL} x {J_LEVEL} matrix of doubles, "
+                 f"3.20e+601 bytes: more than can be allocated",
+    }
+    SET = ["--omega-l", "1", "--k", "1", "--m", "0"]
+    LISTS = ["--omega-l-list", "1", "--k-list", "1", "--m-list", "0"]
 
     @pytest.mark.parametrize("argv", [
-        ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "1000000"],
-        ["scan", "--omega-l-list", "1", "--k-list", "1", "--m-list", "0",
-         "--level-list", "1000000"]])
+        ["solve", *SET, "--level", "1000000"],
+        ["scan", *LISTS, "--level-list", "1000000"],
+        ["solve", *SET, "--level", "1000000000000"],
+        ["scan", *LISTS, "--level-list", "1000000000000"],
+        ["solve", *SET, "--j", "1e300"]])
     def test_exit_3_naming_level_and_size(self, argv, capsys):
         code, out, err = run_main(argv, capsys)
         assert code == 3 and out == ""
-        assert err == ("error: level 1000000 needs a 1000000 x 1000000 matrix of "
-                       "doubles, 8e+12 bytes: more than can be allocated\n")
+        assert err == f"error: {self.MESSAGES[argv[-1]]}\n"
+
+
+class TestHugeArrays:
+    """A --grid-points or --sample-points whose points cannot be allocated
+    exits 3 naming the option, its value and the bytes.  Only counts that
+    numpy or the OS refuse at once are run (10**12 and 10**20 doubles)."""
+
+    SET = ["--omega-l", "1", "--k", "1", "--m", "0", "--level", "3"]
+    LISTS = ["--omega-l-list", "1", "--k-list", "1", "--m-list", "0",
+             "--level-list", "3"]
+
+    @pytest.mark.parametrize("count,size", [("1000000000000", "8e+12"),
+                                            ("100000000000000000000", "8e+20")])
+    @pytest.mark.parametrize("command,option", [
+        ("solve", "grid-points"), ("verify", "grid-points"), ("scan", "grid-points"),
+        ("export", "sample-points"), ("map-sextic", "sample-points")])
+    def test_exit_3_naming_option_and_size(self, command, option, count, size, capsys):
+        given = self.LISTS if command == "scan" else self.SET
+        code, out, err = run_main([command, *given, f"--{option}", count], capsys)
+        assert code == 3 and out == ""
+        assert err == (f"error: {option} {count} needs {count} doubles, {size} "
+                       f"bytes: more than can be allocated\n")
 
 
 class TestScanRefusesWhatItWouldDrop:

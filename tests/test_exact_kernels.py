@@ -3,9 +3,10 @@
 
 The reference functions below are copies of the `Fraction` continuant, the
 `Fraction` constraint recurrence and the exact matrix build as they were
-before the kernels moved to Python integers over one common denominator.
-Every comparison is ``==``, and every returned coefficient or entry must
-still be a `Fraction`.
+before the kernels moved to Python integers over one common denominator;
+the continuant and the build read dense rows, here the ``band_rows`` of a
+matrix's bands.  Every comparison is ``==``, and every returned coefficient
+or band entry must still be a `Fraction`.
 """
 
 from fractions import Fraction
@@ -17,12 +18,12 @@ from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from qeshydro import (  # noqa: E402
-    QesMatrix,
     build_qes_matrix,
     characteristic_polynomial,
     constraint_polynomial,
 )
-from oracles import qes_matrix_from_generators  # noqa: E402
+from qeshydro.sl2 import _continuant  # noqa: E402
+from oracles import band_rows, qes_matrix_from_generators  # noqa: E402
 
 HALF = Fraction(1, 2)
 BIG = 10**6
@@ -119,10 +120,8 @@ class TestBuildQesMatrix:
     def test_equals_fraction_build(self, level, m, omega, k):
         mat = build_qes_matrix(Fraction(level - 1, 2), m, omega, k)
         assert mat.exact
-        assert type(mat.entries) is list
-        assert all(type(row) is list for row in mat.entries)
-        assert mat.entries == ref_build(level, m, omega, k)
-        assert all(all_fractions(row) for row in mat.entries)
+        assert all(type(band) is tuple and all_fractions(band) for band in mat.bands)
+        assert band_rows(mat.bands) == ref_build(level, m, omega, k)
 
 
 class TestCharacteristicPolynomial:
@@ -131,15 +130,16 @@ class TestCharacteristicPolynomial:
     def test_qes_matrix(self, level, m, omega, k):
         mat = build_qes_matrix(Fraction(level - 1, 2), m, omega, k)
         char = characteristic_polynomial(mat)
-        assert char == ref_characteristic_polynomial(mat.entries)
+        assert char == ref_characteristic_polynomial(band_rows(mat.bands))
         assert all_fractions(char)
 
     @settings(derandomize=True, deadline=None, max_examples=30)
     @given(level=st.integers(1, 12), m=ms, omega=omegas, k=ks)
     def test_generator_matrix(self, level, m, omega, k):
-        mat = qes_matrix_from_generators(Fraction(level - 1, 2), m, omega, k)
-        char = characteristic_polynomial(mat)
-        assert char == ref_characteristic_polynomial(mat.entries)
+        j = Fraction(level - 1, 2)
+        char = characteristic_polynomial(build_qes_matrix(j, m, omega, k))
+        assert char == ref_characteristic_polynomial(
+            qes_matrix_from_generators(j, m, omega, k))
         assert all_fractions(char)
 
     @settings(derandomize=True, deadline=None, max_examples=150)
@@ -152,29 +152,11 @@ class TestCharacteristicPolynomial:
             st.integers(-BIG, BIG),
             st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
         )
-        entries = [[data.draw(entry) if abs(i - q) <= 1 else Fraction(0)
-                    for q in range(dim)] for i in range(dim)]
-        mat = QesMatrix(Fraction(dim - 1, 2), 0, Fraction(1), Fraction(1),
-                        entries)
-        char = characteristic_polynomial(mat)
-        assert char == ref_characteristic_polynomial(entries)
+        bands = [data.draw(st.lists(entry, min_size=size, max_size=size))
+                 for size in (dim, dim - 1, dim - 1)]
+        char = _continuant(*bands)
+        assert char == ref_characteristic_polynomial(band_rows(bands))
         assert all_fractions(char)
-
-    @pytest.mark.parametrize("dim", [3, 4, 6])
-    def test_every_entry_off_the_band_is_rejected(self, dim):
-        for i in range(dim):
-            for q in range(dim):
-                entries = [[Fraction(1) if abs(r - c) <= 1 else Fraction(0)
-                            for c in range(dim)] for r in range(dim)]
-                entries[i][q] = Fraction(-1, 7)
-                mat = QesMatrix(Fraction(dim - 1, 2), 0, Fraction(1),
-                                Fraction(1), entries)
-                if abs(i - q) <= 1:
-                    assert characteristic_polynomial(mat) == (
-                        ref_characteristic_polynomial(entries))
-                else:
-                    with pytest.raises(ValueError, match="tridiagonal"):
-                        characteristic_polynomial(mat)
 
     @settings(derandomize=True, deadline=None, max_examples=40)
     @given(level=st.integers(1, 40), m=ms, omega=omegas, k=ks)

@@ -6,9 +6,10 @@ level's factors gives each factor the bits of ``polyval`` on the nodes, so
 that bound holds for it too.
 
 The reference functions are copies of the float build through `Fraction`
-rows, of the allocating Horner loop and of the blocked evaluation.  Arrays
-are compared with ``np.array_equal`` and by their sign bits, so a -0.0 for
-0.0 also fails.
+rows, whose bits ``QesMatrix.as_array`` must give from the bands, of the
+allocating Horner loop and of the blocked evaluation.  Arrays are compared
+with ``np.array_equal`` and by their sign bits, so a -0.0 for 0.0 also
+fails.
 """
 
 import math
@@ -21,6 +22,7 @@ import pytest
 from qeshydro import ModelParams, build_qes_matrix, solve_admissible_z
 from qeshydro._polyops import polyval
 from qeshydro.model import _node_values, _set_constants
+from oracles import band_rows
 
 HALF = Fraction(1, 2)
 
@@ -87,14 +89,14 @@ class TestFloatBuild:
         j = Fraction(level - 1, 2)
         mat = build_qes_matrix(j, m, omega, k)
         assert not mat.exact
-        assert type(mat.entries) is np.ndarray
-        assert same_bits(mat.entries, ref_build_float(j, m, omega, k))
+        assert all(type(band) is np.ndarray for band in mat.bands)
+        assert same_bits(mat.as_array(), ref_build_float(j, m, omega, k))
 
     def test_exact_as_array_same_bits(self):
         for level, m, omega, k in [(1, 0, 1, 0), (7, -3, Fraction(7, 3), 5),
                                    (13, 4, Fraction(1, 9), Fraction(2, 7))]:
             mat = build_qes_matrix(Fraction(level - 1, 2), m, omega, k)
-            ref = np.array([[float(e) for e in row] for row in mat.entries])
+            ref = np.array([[float(e) for e in row] for row in band_rows(mat.bands)])
             assert same_bits(mat.as_array(), ref)
 
 

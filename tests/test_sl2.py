@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -15,6 +16,7 @@ from qeshydro import (
     solve_admissible_z,
 )
 from oracles import (
+    band_rows,
     build_generators,
     commutator_defects,
     energy_x,
@@ -93,12 +95,13 @@ class TestCoefficients:
 class TestQesMatrix:
     def test_spin_half_unit_couplings(self):
         mat = build_qes_matrix(HALF, 0, 1, 1)
-        assert mat.entries == [[HALF, -HALF], [Fraction(-1), Fraction(3, 2)]]
+        assert mat.bands == ((HALF, Fraction(3, 2)), (-HALF,), (Fraction(-1),))
+        assert band_rows(mat.bands) == [[HALF, -HALF], [Fraction(-1), Fraction(3, 2)]]
 
     def test_spin_zero_scalar(self):
         for m, omega, k in [(0, 1, 1), (-3, 2, 5), (2, Fraction(1, 2), Fraction(3, 4))]:
             mat = build_qes_matrix(0, m, Fraction(omega), Fraction(k))
-            assert mat.entries == [[Fraction(k, omega) * (abs(m) + HALF)]]
+            assert mat.bands == ((Fraction(k, omega) * (abs(m) + HALF),), (), ())
 
     def test_spin_one_tridiagonal_values(self):
         mat = build_qes_matrix(1, 0, 1, 2)
@@ -107,15 +110,19 @@ class TestQesMatrix:
             [Fraction(-2), Fraction(3), Fraction(-2)],
             [Fraction(0), Fraction(-1), Fraction(5)],
         ]
-        assert mat.entries == expected
+        assert band_rows(mat.bands) == expected
 
     @pytest.mark.parametrize("two_j,m", [(4, 0), (7, -2), (10, 3)])
     def test_tridiagonal_structure(self, two_j, m):
-        mat = build_qes_matrix(Fraction(two_j, 2), m, 1, 1)
-        for i in range(mat.dim):
-            for q in range(mat.dim):
+        # The fact that lets a QesMatrix store three bands.
+        rows = qes_matrix_from_generators(Fraction(two_j, 2), m, 1, 1)
+        assert any(rows[i][i - 1] for i in range(1, two_j + 1))
+        for i in range(two_j + 1):
+            for q in range(two_j + 1):
                 if abs(i - q) > 1:
-                    assert mat.entries[i][q] == 0
+                    assert rows[i][q] == 0
+        diag, upper, lower = build_qes_matrix(Fraction(two_j, 2), m, 1, 1).bands
+        assert (len(diag), len(upper), len(lower)) == (two_j + 1, two_j, two_j)
 
     @pytest.mark.parametrize("two_j,m,omega,k", [
         (0, 0, 1, 1), (1, 0, 1, 1), (2, -1, 2, 3),
@@ -124,8 +131,7 @@ class TestQesMatrix:
     def test_generator_combination_matches_closed_form(self, two_j, m, omega, k):
         j = Fraction(two_j, 2)
         direct = build_qes_matrix(j, m, omega, k)
-        combined = qes_matrix_from_generators(j, m, omega, k)
-        assert direct.entries == combined.entries
+        assert band_rows(direct.bands) == qes_matrix_from_generators(j, m, omega, k)
 
     def test_float_couplings_give_float_matrix(self):
         mat = build_qes_matrix(HALF, 0, 1.0, 1.0)
@@ -135,22 +141,43 @@ class TestQesMatrix:
     @pytest.mark.parametrize("omega,k,exact", [
         (1, 1, True), (Fraction(1, 2), 3, True), (1.0, 1, False), (2, 0.5, False)])
     def test_exactness_follows_the_couplings(self, omega, k, exact):
-        for mat in (build_qes_matrix(1, -1, omega, k),
-                    qes_matrix_from_generators(1, -1, omega, k)):
-            assert mat.exact is exact
-            assert all(isinstance(e, Fraction) is exact
-                       for row in mat.entries for e in row)
+        mat = build_qes_matrix(1, -1, omega, k)
+        assert mat.exact is exact
+        assert all(isinstance(e, Fraction) is exact for band in mat.bands for e in band)
+        assert all(isinstance(band, np.ndarray) is not exact for band in mat.bands)
+        assert all(isinstance(e, Fraction) is exact
+                   for row in qes_matrix_from_generators(1, -1, omega, k) for e in row)
+        # Four labels and nothing else: no stored entries.
         with pytest.raises(TypeError):
-            QesMatrix(HALF, 0, 1.0, 1.0, np.zeros((2, 2)), True)
+            QesMatrix(HALF, 0, 1.0, 1.0, np.zeros((2, 2)))
+
+    def test_bands_at_depth_are_linear_in_the_level(self):
+        # 2j = 10**4: three bands of O(level) Fractions, where the dense
+        # rows would hold 10**8 entries.
+        mat = build_qes_matrix(5000, 3, Fraction(2, 3), Fraction(5, 7))
+        tracemalloc.start()
+        try:
+            diag, upper, lower = mat.bands
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (len(diag), len(upper), len(lower)) == (10001, 10000, 10000)
+        assert peak < 2000 * 10001
+        ratio = Fraction(5, 7) / Fraction(2, 3)
+        for n in (0, 1, 5000, 10000):
+            assert diag[n] == ratio * (n + 3 + HALF)
+            if n:
+                assert upper[n - 1] == -(n * (3 + Fraction(n, 2)))
+                assert lower[n - 1] == -Fraction(2, 3) * (10000 - (n - 1))
 
     @pytest.mark.parametrize("m,omega,k", [(0, 1, 1), (-2, 2, 3),
                                            (1, Fraction(1, 2), Fraction(1, 4))])
     def test_descending_basis_form(self, m, omega, k):
         # reversing the basis order must give
         # [[(k/w)(|m| + 3/2), -w], [-(|m| + 1/2), (k/w)(|m| + 1/2)]]
-        mat = build_qes_matrix(HALF, m, Fraction(omega), Fraction(k))
-        rev = [[mat.entries[1][1], mat.entries[1][0]],
-               [mat.entries[0][1], mat.entries[0][0]]]
+        rows = band_rows(build_qes_matrix(HALF, m, Fraction(omega), Fraction(k)).bands)
+        rev = [[rows[1][1], rows[1][0]],
+               [rows[0][1], rows[0][0]]]
         am = abs(m)
         ratio = Fraction(k) / Fraction(omega)
         assert rev == [[ratio * (am + Fraction(3, 2)), -Fraction(omega)],
@@ -166,14 +193,6 @@ class TestQesMatrix:
         with pytest.raises(ValueError):
             characteristic_polynomial(build_qes_matrix(HALF, 0, 1.0, 1.0))
 
-    def test_characteristic_polynomial_requires_tridiagonal(self):
-        entries = [[Fraction(1), Fraction(0), Fraction(1, 3)],
-                   [Fraction(0), Fraction(2), Fraction(0)],
-                   [Fraction(0), Fraction(0), Fraction(3)]]
-        mat = QesMatrix(Fraction(1), 0, Fraction(1), Fraction(1), entries)
-        with pytest.raises(ValueError, match="requires a tridiagonal matrix"):
-            characteristic_polynomial(mat)
-
 
 def _sympy_charpoly(entries):
     sympy = pytest.importorskip("sympy")
@@ -185,23 +204,22 @@ class TestCharacteristicPolynomialReference:
     def test_random_tridiagonal_matches_sympy(self):
         rng = np.random.default_rng(11)
 
-        def rational():
-            return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+        def rationals(count):
+            return [Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 8)))
+                    for _ in range(count)]
 
         for dim in range(1, 16):
-            entries = [[rational() if abs(i - q) <= 1 else Fraction(0)
-                        for q in range(dim)] for i in range(dim)]
-            mat = QesMatrix(Fraction(dim - 1, 2), 0, Fraction(1), Fraction(1),
-                            entries)
-            assert characteristic_polynomial(mat) == _sympy_charpoly(entries)
+            bands = (rationals(dim), rationals(dim - 1), rationals(dim - 1))
+            assert sl2._continuant(*bands) == _sympy_charpoly(band_rows(bands))
 
     @pytest.mark.parametrize("two_j,m,omega,k", [
         (0, 0, 1, 1), (3, -1, 2, 3), (6, 2, Fraction(1, 2), Fraction(1, 3)),
         (9, -4, 3, 0), (12, 1, Fraction(5, 3), Fraction(7, 2)),
     ])
     def test_generator_matrices_match_sympy(self, two_j, m, omega, k):
-        mat = qes_matrix_from_generators(Fraction(two_j, 2), m, omega, k)
-        assert characteristic_polynomial(mat) == _sympy_charpoly(mat.entries)
+        j = Fraction(two_j, 2)
+        assert characteristic_polynomial(build_qes_matrix(j, m, omega, k)) == (
+            _sympy_charpoly(qes_matrix_from_generators(j, m, omega, k)))
 
     @pytest.mark.parametrize("omega,k", [(Fraction(1), Fraction(1)),
                                          (Fraction(3, 2), Fraction(2, 5))])
