@@ -25,7 +25,8 @@ from ._polyops import allocated, coerce_couplings
 from .model import (DEFAULT_GRID_POINTS, DEFAULT_R_MIN, DomainError, ModelParams,
                     QesState, RadialGrid)
 from .series import NoGroundStateError
-from .sextic import rho_grid_for, sextic_residual, sextic_wavefunction, to_sextic
+from .sextic import (MAX_SEXTIC_RESIDUAL, rho_grid_for, sextic_residual,
+                     sextic_wavefunction, to_sextic)
 from .verify import MAX_CROSS_LEVEL, cross_validate, verify_state
 
 EXIT_OK = 0
@@ -403,8 +404,12 @@ def cmd_map_sextic(cfg) -> int:
     rho_grid = rho_grid_for(rows[0]["state"].params) if rows else None
     for row in rows:
         mapped = to_sextic(row["state"])
-        row.update(mapped.to_dict(), sextic_residual=sextic_residual(mapped, rho_grid))
+        row.update(mapped.to_dict(), sextic_residual=sextic_residual(mapped))
         row.update(row["coefficients"])
+        if not row["sextic_residual"] <= MAX_SEXTIC_RESIDUAL:
+            diags.append(f"sextic map FAILED at root_index {row['root_index']}: residual "
+                         f"{row['sextic_residual']!r} above {MAX_SEXTIC_RESIDUAL!r}")
+            code = EXIT_VERIFICATION
         if cfg.sample_points:
             rho = _samples(cfg.sample_points, rho_grid)
             zeta = sextic_wavefunction(mapped, rho)

@@ -1,7 +1,7 @@
 """Physical parameters, solved states, radial grids, and the radial operator.
 
 Parameters, states and grids are immutable after construction.  What depends
-only on a grid (its stencil spacings, powers of its points, its Simpson
+only on a grid (its stencil spacings, the squares of its points, its Simpson
 weights, the head nodes of verification's norm) is memoised on that grid.
 One-entry slots keep, on a grid, the envelope sampled on it for the most
 recent (omega_l, k, |m|) and the potential of :func:`radial_operator_apply`
@@ -307,12 +307,6 @@ class RadialGrid:
         return hm * hm, hp * hp - hm * hm, hp * hp
 
     @cached_property
-    def _rho_powers(self):
-        """sqrt(rho), rho**4 and rho**6, for a grid in the sextic variable."""
-        rho = self.points
-        return np.sqrt(rho), rho**4, rho**6
-
-    @cached_property
     def _simpson_weights(self):
         """The grid-only factors of :func:`_simpson` on these points."""
         return _simpson_weights(self.points)
@@ -326,16 +320,12 @@ class RadialGrid:
         head.setflags(write=False)
         return head, half, weights
 
-    def _envelope_samples(self, params: ModelParams, squared: bool = False) -> np.ndarray:
-        """``params.envelope`` at the points, or at their squares when
-        ``squared`` (a rho grid, where r = rho**2).
-
-        One slot per grid keeps the most recent (omega_l, k, |m|, squared),
-        so the states of one parameter set share one evaluation.
-        """
-        key = (float(params.omega_l), float(params.k), params.abs_m, squared)
-        return kept(self.__dict__, "_envelope_slot", key, lambda: params.envelope(
-            self._squares if squared else self.points))
+    def _envelope_samples(self, params: ModelParams) -> np.ndarray:
+        """``params.envelope`` at the points, in one slot per grid for the
+        most recent (omega_l, k, |m|): a parameter set's states share it."""
+        key = (float(params.omega_l), float(params.k), params.abs_m)
+        return kept(self.__dict__, "_envelope_slot", key,
+                    lambda: params.envelope(self.points))
 
     @classmethod
     def uniform(cls, r_min: float, r_max: float, n: int) -> "RadialGrid":
@@ -361,8 +351,10 @@ class RadialGrid:
         bounding eps/h^2 roundoff near the origin.  Raises DomainError when
         r_min**2 is not a normal double or m**2/(2 r_min**2) overflows, when
         r_max is not above r_min, or too close to it for n distinct radii,
-        and when the n points cannot be allocated.
+        and when the n points cannot be allocated; GridError when n < 3.
         """
+        if n < 3:
+            raise GridError("grid needs at least 3 points")
         m, square = params.m, r_min * r_min
         if square < sys.float_info.min or 0.5 * m * m / square > sys.float_info.max:
             raise DomainError(

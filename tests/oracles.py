@@ -8,8 +8,11 @@ that check the library against them: ``qes_matrix_from_generators`` is an
 independent, dense construction of ``build_qes_matrix``, ``band_rows`` the
 dense rows of a matrix's bands, ``energy_x`` of
 ``level_energy``, ``recurrence_next`` of the float and exact constraint
-recurrences, and ``gauss_integrate`` integrates one state at a time where
-the library integrates a level's states in one pass.
+recurrences, ``gauss_integrate`` integrates one state at a time where
+the library integrates a level's states in one pass, and
+``fd_sextic_residual`` grades the sextic map by a finite-difference
+residual on a rho grid, where the library checks it as an exact
+polynomial identity.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ from fractions import Fraction
 
 import numpy as np
 
-from qeshydro._polyops import as_half_integer, check_integer_m, coerce_couplings
-from qeshydro.model import ModelParams, QesState, _gauss_rule
+from qeshydro._polyops import as_half_integer, check_integer_m, coerce_couplings, kept
+from qeshydro.model import ModelParams, QesState, _fd_second_interior, _gauss_rule
+from qeshydro.sextic import rho_grid_for
 from qeshydro.series import _HALF, _terms, constraint_polynomial
 
 
@@ -300,3 +304,61 @@ def gauss_integrate(fn, a: float, b: float, n: int = 256) -> float:
     """Gauss-Legendre quadrature of fn over [a, b]."""
     half, w, r = _gauss_rule(a, b, n)
     return float(half * np.sum(w * fn(r)))
+
+
+def _fd_sextic_arrays(sextic, grid):
+    """sqrt(rho), the envelope at rho**2 and the sextic potential at the
+    interior points of the rho ``grid``, in one slot on the grid keyed by
+    the couplings, |m| and the four coefficients, so the states of one
+    level share them."""
+    params = sextic.source.params
+    coeffs = (sextic.centrifugal_coeff, sextic.rho2_coeff, sextic.rho4_coeff,
+              sextic.rho6_coeff)
+    key = (float(params.omega_l), float(params.k), params.abs_m, *coeffs)
+
+    def arrays():
+        rho = grid.points
+        rho4, rho6 = rho**4, rho**6
+        inner = slice(1, -1)
+        potential = (
+            sextic.centrifugal_coeff / grid._squares[inner]
+            + sextic.rho2_coeff * rho[inner] * rho[inner]
+            + sextic.rho4_coeff * rho4[inner]
+            + sextic.rho6_coeff * rho6[inner]
+        )
+        return np.sqrt(rho), params.envelope(grid._squares), potential
+
+    return kept(grid.__dict__, "_fd_sextic_slot", key, arrays)
+
+
+def fd_sextic_residual(sextic, grid=None) -> float:
+    """Max relative finite-difference residual of the sextic equation.
+
+    Interior maximum of |(H_sextic - 4z) zeta| scaled by max(|4z zeta|,
+    machine floor), on ``grid`` (``rho_grid_for`` of the state's couplings
+    when None), which needs at least 32 interior points.  A warm call
+    makes three arrays the size of the grid: zeta, the residual and one
+    work buffer.  Each element is -zeta''/2 + V zeta - 4z zeta, summed left
+    to right, with zeta''s stencil terms in the order of
+    ``model._fd_second_interior``.
+    """
+    source = sextic.source
+    grid = rho_grid_for(source.params) if grid is None else grid
+    if len(grid) - 2 < 32:
+        raise ValueError("rho grid too coarse: need at least 32 interior points")
+    sqrt_rho, envelope, potential = _fd_sextic_arrays(sextic, grid)
+    # zeta = sqrt(rho) R(rho^2) = sqrt(rho) ((c P(rho^2)) envelope(rho^2)).
+    zeta = source.polynomial_values(grid._squares)
+    zeta *= source.norm_constant
+    zeta *= envelope
+    zeta *= sqrt_rho
+    peak = float(np.max(np.abs(zeta)))
+    inner = zeta[1:-1]
+    work = np.empty_like(inner)
+    residual = _fd_second_interior(grid, zeta, np.empty_like(inner), work)
+    residual *= -0.5
+    residual += np.multiply(potential, inner, out=work)
+    residual -= np.multiply(sextic.eigenvalue, inner, out=work)
+    floor = float(np.finfo(float).eps) * peak
+    scale = max(abs(sextic.eigenvalue) * peak, floor, 1e-300)
+    return float(np.max(np.abs(residual, out=residual))) / scale

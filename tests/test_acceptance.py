@@ -23,13 +23,12 @@ from qeshydro import (
     residual_convergence_ratio,
     rho_grid_for,
     scaling_audit,
-    sextic_residual,
     solve_admissible_z,
     solve_series_states,
     to_sextic,
     verify_state,
 )
-from oracles import energy_x
+from oracles import energy_x, fd_sextic_residual
 from qeshydro.model import ModelParams
 
 OMEGA_GRID = (0.5, 1.0, 2.0, 4.0, 8.0)
@@ -170,7 +169,7 @@ def test_criterion_5_sextic_mapping():
                 mapped = to_sextic(state)
                 if mapped.eigenvalue != 4.0 * state.z:
                     eig_failures.append((m, level))
-                residual = sextic_residual(mapped, grid)
+                residual = fd_sextic_residual(mapped, grid)
                 worst = max(worst, residual)
                 if not residual < 1e-5:
                     failures.append((m, level, round(state.z, 3), residual))

@@ -3,7 +3,9 @@
 ``perfbench/workloads.py`` calls constructors and functions of the package
 by name and keyword.  A change of signature there shows up in a timed run
 only as a failed unit, so replay a few units of each workload here and
-require that none failed on a call the package no longer accepts.
+require that none failed on a call the package no longer accepts.  The
+values the workloads time but discard are checked where a wrong one could
+pass unnoticed: the sextic map's residual of every ``sweep`` state.
 """
 
 import importlib
@@ -14,6 +16,7 @@ import pytest
 
 import qeshydro
 import qeshydro.cli  # noqa: F401  (the cli workload replays cli.main)
+from qeshydro.sextic import MAX_SEXTIC_RESIDUAL
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 #: Exceptions that mean a call no longer matches the package.
@@ -42,16 +45,17 @@ def _units(workloads, name):
     ("sweep", 0), ("sweep", 1), ("sweep", 2),
     ("exact", 0), ("exact", 1), ("exact", 2), ("exact", "highest"),
     ("deep", None), ("deep", "highest")])
-def test_in_process_units_make_no_broken_call(workloads, name, index):
+def test_in_process_units_make_no_broken_call(workloads, monkeypatch, name, index):
     # deep's lowest-level unit (None) keeps Horner's loop; its highest-level
     # unit takes the blocked evaluation of the norm quadrature and the grid.
     # exact's units also hold its gate, charpoly == constraint.monic(), to
-    # level 13.
+    # level 13, and sweep's the sextic map of every state.
     wl, units = _units(workloads, name)
     if isinstance(index, int):
         unit = units[index]
     else:
         unit = (max if index == "highest" else min)(units, key=lambda u: u.level)
+    residuals = recorded_sextic_residuals(monkeypatch)
     out = wl.replay(qeshydro, unit)
     broken = [f"{type(e).__name__}: {e}" for e in out.errors
               if isinstance(e, BROKEN_CALL)]
@@ -59,6 +63,37 @@ def test_in_process_units_make_no_broken_call(workloads, name, index):
     assert out.states
     if name == "exact":
         assert out.identity is True, unit.describe()
+    if name == "sweep":
+        assert len(residuals) == len(out.states), unit.describe()
+        assert max(residuals) <= MAX_SEXTIC_RESIDUAL, unit.describe()
+
+
+def recorded_sextic_residuals(monkeypatch) -> list:
+    """The values ``qeshydro.sextic_residual`` returns to the workload,
+    which discards them, in call order."""
+    values, original = [], qeshydro.sextic_residual
+
+    def recording(*args, **kwargs):
+        values.append(original(*args, **kwargs))
+        return values[-1]
+
+    monkeypatch.setattr(qeshydro, "sextic_residual", recording)
+    return values
+
+
+def test_every_sweep_prefix_state_maps_exactly(workloads, monkeypatch):
+    """Every state of the seed-1 ``sweep`` prefix reads at most
+    MAX_SEXTIC_RESIDUAL, so a wrong term in the map's identity cannot pass
+    a replay that only times it."""
+    wl, units = _units(workloads, "sweep")
+    residuals = recorded_sextic_residuals(monkeypatch)
+    over = []
+    for unit in units:
+        residuals.clear()
+        out = wl.replay(qeshydro, unit)
+        assert len(residuals) == len(out.states), unit.describe()
+        over += [(unit.describe(), r) for r in residuals if not r <= MAX_SEXTIC_RESIDUAL]
+    assert over == []
 
 
 def test_every_cli_command_exits_by_the_contract(workloads):

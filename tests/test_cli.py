@@ -7,8 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from qeshydro import series, sl2, verify_state
+from qeshydro import cli, series, sl2, to_sextic, verify_state
 from qeshydro.cli import main, solution_from_json
+from qeshydro.sextic import MAX_SEXTIC_RESIDUAL
 
 
 def run_main(args, capsys):
@@ -242,6 +243,42 @@ class TestMapSextic:
             ["map-sextic", "--omega-l", "1", "--k", "0", "--m", "0",
              "--level", "1"], capsys)
         assert json.loads(out)["states"][0]["coefficients"]["rho4"] == 0.0
+
+    def test_level_five_unit_couplings_map_exactly(self, capsys):
+        # A finite-difference residual reads above 1e-5 here on correct states.
+        code, out, _ = run_main(
+            ["map-sextic", "--omega-l", "1", "--k", "1", "--m", "0",
+             "--level", "5"], capsys)
+        assert code == 0
+        residuals = [s["sextic_residual"] for s in json.loads(out)["states"]]
+        assert len(residuals) == 5
+        assert max(residuals) <= MAX_SEXTIC_RESIDUAL
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_a_wrong_map_exits_4(self, capsys, monkeypatch, fmt):
+        # rho6 moved by 1e-6 relative on the third (top) state only.
+        mapped = []
+
+        def to_sextic_shifting_the_top(state):
+            mapped.append(to_sextic(state))
+            if len(mapped) == 3:
+                object.__setattr__(mapped[2], "rho6_coeff",
+                                   mapped[2].rho6_coeff * (1 + 1e-6))
+            return mapped[-1]
+
+        monkeypatch.setattr(cli, "to_sextic", to_sextic_shifting_the_top)
+        code, out, err = run_main(
+            ["map-sextic", "--omega-l", "1", "--k", "1", "--m", "0",
+             "--level", "3", "--format", fmt], capsys)
+        assert code == 4
+        assert err == ""
+        if fmt == "json":
+            payload = json.loads(out)
+            residuals = [s["sextic_residual"] for s in payload["states"]]
+            assert max(residuals[:2]) <= MAX_SEXTIC_RESIDUAL < residuals[2]
+            assert payload["diagnostics"][-1] == (
+                f"sextic map FAILED at root_index 2: residual {residuals[2]!r} "
+                f"above {MAX_SEXTIC_RESIDUAL!r}")
 
     def test_sample_rows(self, capsys):
         code, out, _ = run_main(

@@ -154,6 +154,15 @@ class TestRadialGrid:
         radii[1] = 1.5  # the caller's array stays writable and is not shared
         assert grid.points[1] == 1.0
 
+    @pytest.mark.parametrize("n", [-5, 0, 1, 2])
+    def test_for_params_refuses_fewer_than_three_points_first(self, n):
+        # Before any other work: also where r_min or r_max would be refused.
+        for params, r_min in [(ModelParams(1, 1, 0), 1e-3), (ModelParams(1, 1e5, 0), 1e-3),
+                              (ModelParams(1, 1, 3), 1e-200)]:
+            with pytest.raises(GridError, match="^grid needs at least 3 points$"):
+                RadialGrid.for_params(params, n=n, r_min=r_min)
+        assert len(RadialGrid.for_params(ModelParams(1, 1, 0), n=3)) == 3
+
     def test_for_params_reuses_the_parameters_r_max(self):
         p = ModelParams(0.7, 1.9, -2)
         assert RadialGrid.for_params(p).r_max == envelope_r_max(p)

@@ -14,6 +14,10 @@ bits depend on the size of the array of points; so ``ref_state_values``
 evaluates each point set alone, as the library does: the grid points, the
 head nodes and the 256 nodes of the norm quadrature.  Below 16
 coefficients every evaluation is Horner's loop.
+
+The finite-difference residual of the sextic map is a test oracle,
+``oracles.fd_sextic_residual``; its slot of grid arrays is held to the
+same per-state reference.
 """
 
 import gc
@@ -38,7 +42,6 @@ from qeshydro import (
     radial_operator_apply,
     rho_grid_for,
     series,
-    sextic_residual,
     sl2,
     solve_admissible_z,
     solve_series_states,
@@ -48,7 +51,7 @@ from qeshydro import (
 from qeshydro._polyops import DomainError, real_roots
 from qeshydro.model import l2_norm_constant, l2_norm_constants, level_states
 from qeshydro.series import _HALF, _regenerate, _terms
-from oracles import gauss_integrate
+from oracles import fd_sextic_residual, gauss_integrate
 from test_float_paths import ref_blocks
 
 
@@ -250,7 +253,7 @@ class TestSharedEqualsPerState:
                 assert l2_norm_constant(params, state.poly) == state.norm_constant
                 assert_report_matches(state, grid)
                 sextic = to_sextic(state)
-                assert sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
+                assert fd_sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
 
     def test_default_grids_match(self):
         for omega_l, k, m, level in sweep_like_inputs(4, 3):
@@ -260,7 +263,7 @@ class TestSharedEqualsPerState:
             assert (report.max_residual, report.norm_error, report.node_count) == \
                 ref_report(state, grid)
             sextic = to_sextic(state)
-            assert sextic_residual(sextic) == \
+            assert fd_sextic_residual(sextic) == \
                 ref_sextic_residual(sextic, rho_grid_for(state.params))
 
     def test_one_grid_for_two_parameter_sets_in_both_orders(self):
@@ -275,7 +278,7 @@ class TestSharedEqualsPerState:
             for state in states:
                 assert_report_matches(state, grid)
                 sextic = to_sextic(state)
-                assert sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
+                assert fd_sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
 
     def test_same_couplings_other_m_is_a_new_envelope(self):
         a = solve_admissible_z(1, 2, 1.0, 1.0)[0]
@@ -535,7 +538,7 @@ class TestOnePassPerState:
         high = solve_admissible_z(2, 1, 1.1, 0.9)
         for state in (low[0], high[0], high[-1], low[-1]):
             sextic = to_sextic(state)
-            assert sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
+            assert fd_sextic_residual(sextic, rho) == ref_sextic_residual(sextic, rho)
 
 
 class TestFloatRecurrenceTerms:
