@@ -97,11 +97,11 @@ def as_half_integer(j) -> Fraction:
     return jf
 
 
-def check_integer_m(m) -> int:
-    """Validate that the magnetic quantum number is an exact integer."""
-    if isinstance(m, bool) or not isinstance(m, Integral):
-        raise ValueError(f"m must be an exact integer, got {m!r}")
-    return int(m)
+def check_integer(value, name: str = "m") -> int:
+    """Validate that ``value`` (m, or the label ``name``) is an exact integer."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an exact integer, got {value!r}")
+    return int(value)
 
 
 def bisect(above, lo: float, hi: float) -> tuple[float, float]:
@@ -247,12 +247,23 @@ def newton_polish(coeffs, root: float) -> float:
     return float(z)
 
 
-def real_roots(coeffs, tol: float, diagnostics=None):
+#: The largest |imag| / max(1, max |value|) of an eigenvalue or root taken as real.
+MAX_IMAG = 1e-9
+
+
+def imaginary(values: np.ndarray):
+    """Which ``values`` have an imaginary part above :data:`MAX_IMAG` times
+    the spectral scale, and the scale: the complex filter of both routes."""
+    scale = max(1.0, float(np.max(np.abs(values))))
+    return np.abs(values.imag) > MAX_IMAG * scale, scale
+
+
+def real_roots(coeffs, *, diagnostics=None):
     """Real roots of a float-coefficient polynomial, ascending.
 
     Companion-matrix eigenvalues (numpy.roots) followed by Newton polishing.
-    Roots whose imaginary part exceeds ``tol`` times the spectral scale are
-    excluded and reported through the optional ``diagnostics`` list.
+    Roots that :func:`imaginary` finds complex are excluded and reported
+    through the optional ``diagnostics`` list.
     """
     cs = [float(c) for c in coeffs]
     while cs and cs[-1] == 0.0:
@@ -260,10 +271,9 @@ def real_roots(coeffs, tol: float, diagnostics=None):
     if len(cs) < 2:
         return []
     raw = np.roots(cs[::-1])
-    scale = max(1.0, float(np.max(np.abs(raw))))
     roots = []
-    for z in raw:
-        if abs(z.imag) > tol * scale:
+    for z, excluded in zip(raw, imaginary(raw)[0]):
+        if excluded:
             if diagnostics is not None:
                 diagnostics.append(f"excluded complex root {complex(z)!r}")
             continue

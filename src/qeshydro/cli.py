@@ -70,6 +70,8 @@ def _list_of(parse):
     return parse_list
 
 
+_LEVEL = _checked(int, lambda n: n >= 0, "level must be non-negative, got {!r}")
+
 #: Every option: its config-file key, its flag (the key with '-' for '_'),
 #: its parser, which also checks the value's range, so flags and config
 #: files are checked once, alike, and its default.  The ``*_list`` flags
@@ -79,11 +81,9 @@ _OPTIONS = {
     "omega_l": (float, None),
     "k": (_k_float, None),
     "m": (int, None),
-    "level": (int, None),
+    "level": (_LEVEL, None),
     "j": (_checked(float, lambda j: j >= 0 and (2 * j).is_integer(),
                    "j must be a non-negative half-integer, got {!r}"), None),
-    "tol": (_checked(float, lambda x: 0 < x < math.inf,
-                     "tol must be positive and finite"), 1e-9),
     "grid_points": (_checked(int, lambda n: n >= 64,
                              "grid-points must be at least 64"),
                     DEFAULT_GRID_POINTS),
@@ -97,7 +97,7 @@ _OPTIONS = {
     "omega_l_list": (_list_of(float), ()),
     "k_list": (_list_of(_k_float), ()),
     "m_list": (_list_of(int), ()),
-    "level_list": (_list_of(int), ()),
+    "level_list": (_list_of(_LEVEL), ()),
 }
 
 
@@ -275,7 +275,7 @@ def _rows(cfg, omega_l, k, m, level, diagnostics=None):
     ``to_dict()`` values, its report's max_residual, norm_error and
     node_count, also as the dictionary "verification", and the state and
     report themselves as "state" and "report"."""
-    states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k, cfg.tol,
+    states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k,
                                     diagnostics=diagnostics)
     grid = RadialGrid.for_params(ModelParams(omega_l, k, m), n=cfg.grid_points,
                                  r_min=cfg.r_min)
@@ -307,8 +307,7 @@ def _level(cfg):
     rows, grid = _rows(cfg, cfg.omega_l, cfg.k, cfg.m, cfg.level, diags)
     cross = None
     if cfg.level <= MAX_CROSS_LEVEL:
-        cross = cross_validate(0.5 * (cfg.level - 1), cfg.m, cfg.omega_l, cfg.k,
-                               cfg.tol)
+        cross = cross_validate(0.5 * (cfg.level - 1), cfg.m, cfg.omega_l, cfg.k)
         diags = [*cross.notes, f"cross-validation passed: max z delta "
                                f"{cross.cross_method_delta!r}"
                  if cross.passed else "cross-validation FAILED"]

@@ -36,7 +36,7 @@ from functools import cache, cached_property
 import numpy as np
 
 from ._polyops import (_BLOCK, DomainError, _block_powers, _polyval_blocks, allocated,
-                       bisect, check_integer_m, coerce_couplings, kept, polyval)
+                       bisect, check_integer, coerce_couplings, kept, polyval)
 
 #: Default grid controls.  The spacing floor guards the second-difference
 #: stencil against float cancellation: without it a geometric grid reaches
@@ -64,7 +64,7 @@ class ModelParams:
 
     def __post_init__(self):
         coerce_couplings(self.omega_l, self.k)
-        check_integer_m(self.m)
+        check_integer(self.m)
 
     @property
     def abs_m(self) -> int:
@@ -91,12 +91,12 @@ def level_energy(level: int, m: int, omega_l, k):
 
     Exact (Fraction) when omega_l and k are rational.
     """
-    if level < 1:
+    if check_integer(level, "level") < 1:
         raise DomainError(
             "level must be >= 1: the terminating series admits no level-0 "
             "(ground) state"
         )
-    m = check_integer_m(m)
+    m = check_integer(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     return omega * (level + abs(m) + m) - kk * kk / (2 * omega * omega)
 

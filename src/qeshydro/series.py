@@ -10,7 +10,6 @@ exactly normalizable.
 
 from __future__ import annotations
 
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from . import model
 from ._polyops import (
-    check_integer_m,
+    check_integer,
     coerce_couplings,
     is_exact,
     monic,
@@ -122,11 +121,11 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
     integer polynomials in w, so the coefficient of z^e in a_level is
     alpha_level[e] D^e / R_level, the one rational reduction made.
     """
-    if level == 0:
+    if check_integer(level, "level") == 0:
         raise NoGroundStateError()
-    if level < 0 or int(level) != level:
+    if level < 0:
         raise ValueError(f"level must be a positive integer, got {level!r}")
-    m = check_integer_m(m)
+    m = check_integer(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     if exact:
         return ConstraintPolynomial(level, m, omega, kk,
@@ -189,18 +188,12 @@ def _regenerate(terms, z: float) -> list[float]:
     return coeffs
 
 
-#: Floor of the two checks whose outcome decides a run's verdict, the
-#: series tail here and the route agreement of ``verify.cross_validate``:
-#: a ``tol`` below it is raised to it.  4096 machine epsilons, 9.1e-13.  At
-#: omega_l = k = 1, m = 0, level 3 the routes agree to 4 eps in z and 5 eps
-#: in the polynomial coefficients, and the largest scaled tail is 0.3 eps,
-#: so a tol of 1e-15 failed correct solves.  At omega_l = 2, k = 0.25,
-#: m = 1, level 6 the differences are 96 and 768 eps: the floor leaves 5
-#: times the larger.
-TOL_FLOOR = 4096 * sys.float_info.epsilon
+#: The largest termination tail ``max(|a_level|, |a_level+1|)``, in units of
+#: ``max(1, max_{n<level} |a_n|)``, of a series taken as terminated.
+MAX_TAIL = 1e-9
 
 
-def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
+def solve_series_states(level: int, m: int, omega_l, k, *,
                         diagnostics: list[str] | None = None) -> list[QesState]:
     """States of one level from the real roots of the termination constraint.
 
@@ -208,17 +201,10 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
     Newton polish on its float-rounded coefficients; complex roots are
     excluded and reported.  For each root the recurrence is re-run
     numerically and the coefficients past the degree are checked to vanish,
-    to ``tol`` but no closer than :data:`TOL_FLOOR`.
+    to :data:`MAX_TAIL`.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     constraint = constraint_polynomial(level, m, omega_l, k)
-    if tol < TOL_FLOOR and diagnostics is not None:
-        diagnostics.append(
-            f"tol {tol!r} is below the floor {TOL_FLOOR!r}: series termination "
-            f"and route agreement are checked at the floor"
-        )
-    roots = real_roots([float(c) for c in constraint.coeffs], tol, diagnostics)
+    roots = real_roots([float(c) for c in constraint.coeffs], diagnostics=diagnostics)
     if not roots and diagnostics is not None:
         diagnostics.append(
             f"no real admissible z at level={level}, m={m}"
@@ -228,14 +214,13 @@ def solve_series_states(level: int, m: int, omega_l, k, tol: float = 1e-9,
     params = ModelParams(float(omega_l), float(k), int(m))
     terms = [_terms(n, m, float(omega_l), float(k), energy)
              for n in range(level + 1)]
-    limit = max(tol, TOL_FLOOR)
     polys = []
     unterminated = None
     for z in roots:
         coeffs = _regenerate(terms, z)
         scale = max(1.0, max(abs(c) for c in coeffs[:level]))
         tail = max(abs(coeffs[level]), abs(coeffs[level + 1]))
-        if tail > limit * scale:
+        if tail > MAX_TAIL * scale:
             unterminated = z, tail
             break
         polys.append(tuple(coeffs[:level]))

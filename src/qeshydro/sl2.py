@@ -27,8 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from . import model
-from ._polyops import (allocated, as_half_integer, check_integer_m,
-                       coerce_couplings, is_exact, kept)
+from ._polyops import (allocated, as_half_integer, check_integer,
+                       coerce_couplings, imaginary, is_exact, kept)
 from .model import ModelParams, QesState
 
 __all__ = [
@@ -92,7 +92,7 @@ class QesMatrix:
 def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
     """The matrix of validated labels: j a half-integer, m an integer and
     the couplings both Fraction or both float (:func:`coerce_couplings`)."""
-    return QesMatrix(as_half_integer(j), check_integer_m(m),
+    return QesMatrix(as_half_integer(j), check_integer(m),
                      *coerce_couplings(omega_l, k)[:2])
 
 
@@ -144,58 +144,59 @@ def _continuant(diag, upper, lower) -> tuple[Fraction, ...]:
     return tuple(Fraction(c, den ** (n - e)) for e, c in enumerate(cur))
 
 
+#: The largest eigenvector defect ``max |M v - z v|``, in units of the
+#: spectral scale times ``max |v|``, that is not reported.
+MAX_DEFECT = 1e-9
+
 #: The most recent successful solve, (key, (states, diagnostics)), a
 #: :func:`kept` slot.
 _last_solve = None
 
 
-def solve_admissible_z(j, m: int, omega_l, k, tol: float = 1e-9,
+def solve_admissible_z(j, m: int, omega_l, k, *,
                        diagnostics: list[str] | None = None) -> list[QesState]:
     """Diagonalize the finite matrix and package the real-eigenvalue states.
 
     The strengths are a dense eigensolver's eigenvalues as it returns them,
     sorted ascending: Newton steps on the ill-conditioned monomial
-    characteristic polynomial would only move them off.  Eigenvalues with an
-    imaginary part above ``tol`` times the spectral scale are excluded and
-    reported through ``diagnostics``.
-    Eigenvectors are rescaled so the constant coefficient is one.  Every
+    characteristic polynomial would only move them off.  Eigenvalues that
+    ``_polyops.imaginary`` finds complex are excluded and reported through
+    ``diagnostics``.  Eigenvectors are rescaled so the constant coefficient
+    is one, and a defect above :data:`MAX_DEFECT` is reported.  Every
     state carries the level's energy, :func:`model.level_energy`.
 
     The most recent solve is kept in one slot, keyed by the coerced inputs:
-    j, m, whether the couplings are exact, omega_l, k with the sign of a
-    zero k, and tol.  A call with the same key returns a new list of the
-    same immutable states and appends the same diagnostics; a call that
-    raises keeps nothing.
+    j, m, whether the couplings are exact, omega_l, and k with the sign of
+    a zero k.  A call with the same key returns a new list of the same
+    immutable states and appends the same diagnostics; a call that raises
+    keeps nothing.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
     jf = as_half_integer(j)
-    m = check_integer_m(m)
+    m = check_integer(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
-    key = (jf, m, exact, omega, kk, math.copysign(1.0, kk), tol)
+    key = (jf, m, exact, omega, kk, math.copysign(1.0, kk))
     states, notes = kept(globals(), "_last_solve", key,
-                         lambda: _solve(jf, m, omega, kk, tol))
+                         lambda: _solve(jf, m, omega, kk))
     if diagnostics is not None:
         diagnostics.extend(notes)
     return list(states)
 
 
-def _solve(jf: Fraction, m: int, omega, kk, tol: float):
-    """The states of :func:`solve_admissible_z` for coerced inputs, as a
-    tuple, with the tuple of its diagnostics.  The accepted eigenvectors
-    are scaled as one array; a printed defect's last digits follow the one
-    matrix product that gives them all."""
+def _solve(jf: Fraction, m: int, omega, kk):
+    """The states of :func:`solve_admissible_z` for coerced inputs, and its
+    diagnostics, as tuples.  The eigenvectors of the eigenvalues that pass
+    ``imaginary`` are scaled as one array; a defect above :data:`MAX_DEFECT`
+    is printed with the last digits of the one matrix product giving all."""
     a = QesMatrix(jf, m, omega, kk).as_array()
     eigvals, eigvecs = np.linalg.eig(a)
-    scale = max(1.0, float(np.max(np.abs(eigvals))))
+    excluded, scale = imaginary(eigvals)
     level = len(a)
     energy = float(model.level_energy(level, m, omega, kk))
     params = ModelParams(float(omega), float(kk), m)
 
     # The accepted eigenvectors as the columns of one array, each given the
     # operations of a column alone; one matrix product gives the defects.
-    real = ~(np.abs(eigvals.imag) > tol * scale)
-    cols = np.flatnonzero(real)
+    cols = np.flatnonzero(~excluded)
     strengths = eigvals.real[cols]
     vecs = eigvecs.real[:, cols]
     peaks = np.max(np.abs(vecs), axis=0)
@@ -206,17 +207,17 @@ def _solve(jf: Fraction, m: int, omega, kk, tol: float):
     vecs /= pivots
     defects = np.max(np.abs(a @ vecs - vecs * strengths), axis=0)
     # Rounding is monotone, so peak / |pivot| is max |vec| after the division.
-    defective = defects > tol * scale * (peaks / np.abs(pivots))
+    defective = defects > MAX_DEFECT * scale * (peaks / np.abs(pivots))
 
     diagnostics: list[str] = []
-    flagged = ~real
+    flagged = excluded.copy()
     flagged[cols] = vanishing | defective
     for idx in np.flatnonzero(flagged):
-        if not real[idx]:
+        if excluded[idx]:
             diagnostics.append(f"excluded complex eigenvalue "
                                f"{complex(eigvals[idx])!r} at j={jf}, m={m}")
             continue
-        c = np.count_nonzero(real[:idx])
+        c = idx - np.count_nonzero(excluded[:idx])
         z = float(strengths[c])
         if vanishing[c]:
             diagnostics.append(f"eigenvector with vanishing constant term at "

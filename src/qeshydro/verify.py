@@ -34,6 +34,10 @@ MAX_RESIDUAL = 1e-5
 MAX_NORM_ERROR = 1e-8
 #: The highest level :func:`cross_validate` takes.
 MAX_CROSS_LEVEL = 13
+#: The largest route difference :func:`cross_validate` passes, and the largest
+#: relative error :func:`scaling_audit` passes.
+MAX_ROUTE_DELTA = 1e-9
+MAX_SCALING_DELTA = 1e-10
 
 
 @dataclass(frozen=True)
@@ -201,7 +205,7 @@ def residual_convergence_ratio(state: QesState) -> float:
     return coarse.max_residual / fine.max_residual
 
 
-def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationReport:
+def cross_validate(j, m: int, omega_l, k) -> VerificationReport:
     """Solve by both routes and compare matched roots.
 
     Roots are matched in sorted order (the minimal-distance assignment for
@@ -209,9 +213,9 @@ def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationRepo
     filtering, and a series that fails to terminate, are reported as
     failures, not raised.
 
-    The routes agree when every difference is within ``tol``, or within
-    ``series.TOL_FLOOR`` when ``tol`` is below it.  The report's notes are
-    the algebraic route's diagnostics, then the series route's.
+    The routes agree when every difference is within
+    :data:`MAX_ROUTE_DELTA`.  The report's notes are the algebraic route's
+    diagnostics, then the series route's.
 
     The algebraic states come from :func:`sl2.solve_admissible_z`, which
     keeps its most recent solve in one slot; so a solve followed by this
@@ -224,10 +228,10 @@ def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationRepo
         raise ValueError("cross_validate is intended for levels up to "
                          f"{MAX_CROSS_LEVEL}")
     diags: list[str] = []
-    algebra = sl2.solve_admissible_z(jf, m, omega_l, k, tol, diagnostics=diags)
+    algebra = sl2.solve_admissible_z(jf, m, omega_l, k, diagnostics=diags)
     label = f"j={jf} m={m} omega_l={float(omega_l):.12g} k={float(k):.12g}"
     try:
-        power = series.solve_series_states(level, m, omega_l, k, tol, diags)
+        power = series.solve_series_states(level, m, omega_l, k, diagnostics=diags)
     except RuntimeError as exc:  # the series failed to terminate
         return VerificationReport(label, passed=False, notes=tuple(diags + [str(exc)]))
     if len(algebra) != len(power):
@@ -255,7 +259,7 @@ def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationRepo
         max(abs(ca - cb) for ca, cb in zip(a.poly, b.poly))
         for a, b in zip(algebra, power)
     )
-    passed = max(dz, de, dp) <= max(tol, series.TOL_FLOOR)
+    passed = max(dz, de, dp) <= MAX_ROUTE_DELTA
     return VerificationReport(
         state_label=label,
         cross_method_delta=dz,
@@ -266,11 +270,11 @@ def cross_validate(j, m: int, omega_l, k, tol: float = 1e-9) -> VerificationRepo
     )
 
 
-def scaling_audit(j, m: int, omega_l, k, lam, tol: float = 1e-10) -> VerificationReport:
+def scaling_audit(j, m: int, omega_l, k, lam) -> VerificationReport:
     """Check the covariance (omega_l, k) -> (lam^2 omega_l, lam^3 k).
 
     Every admissible strength must scale by lam and every energy by lam^2,
-    with the ascending ordering preserved.
+    with the ascending ordering preserved, to :data:`MAX_SCALING_DELTA`.
     """
     jf = as_half_integer(j)
     if not lam > 0:
@@ -304,7 +308,7 @@ def scaling_audit(j, m: int, omega_l, k, lam, tol: float = 1e-10) -> Verificatio
 
     dz = max(rel(s.z, lam_v * b.z) for s, b in zip(scaled, base))
     de = max(rel(s.energy, lam_v * lam_v * b.energy) for s, b in zip(scaled, base))
-    passed = max(dz, de) <= tol
+    passed = max(dz, de) <= MAX_SCALING_DELTA
     return VerificationReport(
         state_label=label,
         cross_method_delta=dz,

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from qeshydro._polyops import as_half_integer, check_integer_m, coerce_couplings, kept
+from qeshydro._polyops import as_half_integer, check_integer, coerce_couplings, kept
 from qeshydro.model import ModelParams, QesState, _fd_second_interior, _gauss_rule
 from qeshydro.sextic import rho_grid_for
 from qeshydro.series import _HALF, _terms, constraint_polynomial
@@ -125,7 +125,7 @@ class Sl2Coefficients:
 
 def sl2_coefficients(j, m: int, omega_l, k) -> Sl2Coefficients:
     jf = as_half_integer(j)
-    m = check_integer_m(m)
+    m = check_integer(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     half = Fraction(1, 2)
     am = abs(m)
@@ -163,7 +163,7 @@ def qes_matrix_from_generators(j, m: int, omega_l, k) -> list[list]:
     construction for cross-checking.
     """
     jf = as_half_integer(j)
-    m = check_integer_m(m)
+    m = check_integer(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     co = sl2_coefficients(jf, m, omega, kk)
     dim = int(2 * jf) + 1
@@ -223,7 +223,7 @@ class IndicialData:
 
 
 def indicial_exponent(m: int) -> IndicialData:
-    m = check_integer_m(m)
+    m = check_integer(m)
     return IndicialData(s_zero=abs(m) + _HALF, s_phi=0)
 
 
@@ -291,7 +291,7 @@ def gauge_transform(params: ModelParams) -> GaugeTransform:
 
 def assemble_full_wavefunction(state: QesState, m: int, r, theta) -> complex:
     """Full wavefunction (2 pi)^(-1/2) e^{i m theta} R(r) at a point."""
-    m = check_integer_m(m)
+    m = check_integer(m)
     r = float(r)
     if r <= 0:
         raise ValueError("r must be positive")

@@ -207,8 +207,7 @@ def test_criterion_7_scaling_covariance():
         for level in (1, 2, 3, 5, 8):
             for m in (-2, 0, 1):
                 j = Fraction(level - 1, 2)
-                report = scaling_audit(j, m, Fraction(1), Fraction(1), lam,
-                                       tol=1e-10)
+                report = scaling_audit(j, m, Fraction(1), Fraction(1), lam)
                 if not report.passed:
                     failures.append((float(lam), level, m))
     _report("criterion 7 (scaling covariance, lambda in {2, 1/3})",

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from qeshydro import cli, series, sl2, to_sextic, verify_state
+from qeshydro import _polyops, cli, sl2, to_sextic, verify_state
 from qeshydro.cli import main, solution_from_json
 from qeshydro.sextic import MAX_SEXTIC_RESIDUAL
 
@@ -97,12 +97,11 @@ class TestOptionRanges:
     files alike, and a bad value exits 2 with the option named."""
 
     @pytest.mark.parametrize("flag,value", [
-        ("tol", "nan"), ("tol", "inf"), ("tol", "0"), ("r-min", "nan"),
-        ("r-min", "inf"), ("r-min", "-1"), ("grid-points", "63"),
+        ("r-min", "nan"), ("r-min", "inf"), ("r-min", "-1"), ("grid-points", "63"),
         ("sample-points", "-1"), ("format", "xml"), ("j", "nan"), ("j", "inf"),
-        ("j", "-0.5"), ("j", "0.3")])
+        ("j", "-0.5"), ("j", "0.3"), ("level", "-3"), ("level", "-1")])
     def test_flag(self, flag, value, capsys):
-        level = [] if flag == "j" else ["--level", "90"]
+        level = [] if flag in ("j", "level") else ["--level", "90"]
         code, out, err = run_main(
             ["solve", "--omega-l", "1", "--k", "1", "--m", "0", *level,
              f"--{flag}", value], capsys)
@@ -111,14 +110,39 @@ class TestOptionRanges:
         assert "NaN" not in err
 
     @pytest.mark.parametrize("key,value", [
-        ("tol", "nan"), ("r_min", "inf"), ("grid_points", "10"),
-        ("sample_points", "-3"), ("format", "xml"), ("j", "inf")])
+        ("r_min", "inf"), ("grid_points", "10"), ("sample_points", "-3"),
+        ("format", "xml"), ("j", "inf"), ("level", "-3")])
     def test_config_file(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"omega_l = 1\nk = 1\nm = 0\nlevel = 2\n{key} = {value}\n")
         code, out, err = run_main(["solve", "--config", str(cfg)], capsys)
         assert code == 2 and out == ""
         assert err.startswith(f"error: {cfg}:5: ")
+
+    @pytest.mark.parametrize("flag,levels,bad", [
+        ("level-list", "-2,3", "-2"), ("level-list", "3,-5", "-5"),
+        ("level", "-3", "-3")])
+    def test_scan_level_flags(self, flag, levels, bad, capsys):
+        code, out, err = run_main(
+            ["scan", "--omega-l-list", "1", "--k-list", "1", "--m", "0",
+             f"--{flag}", levels], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: argument --{flag}: level must be non-negative, "
+                            f"got {bad}\n")
+
+    def test_scan_level_list_config_file(self, tmp_path, capsys):
+        cfg = tmp_path / "scan.cfg"
+        cfg.write_text("omega_l_list = 1\nk_list = 1\nm = 0\nlevel_list = -2,3\n")
+        code, out, err = run_main(["scan", "--config", str(cfg)], capsys)
+        assert (code, out) == (2, "")
+        assert err == (f"error: {cfg}:4: level must be non-negative, got -2\n")
+
+    def test_scan_level_zero_stays_a_domain_error(self, capsys):
+        code, out, err = run_main(
+            ["scan", "--omega-l-list", "1", "--k-list", "1", "--m", "0",
+             "--level-list", "0,3"], capsys)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: level 0 is inadmissible")
 
 
 class TestUnwritableOut:
@@ -382,6 +406,20 @@ class TestCompleteness:
         assert len(payload["states"]) == 136
         assert "incomplete level: 136 of 200 strengths" in payload["diagnostics"]
 
+    def test_complex_eigenvalues_are_never_strengths(self, capsys):
+        # Six eigenvalues at this level are complex pairs; their real parts
+        # are not strengths, and no option can let them through.
+        code, out, _ = run_main(
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "100"],
+            capsys)
+        assert code == 4
+        payload = json.loads(out)
+        assert "incomplete level: 94 of 100 strengths" in payload["diagnostics"]
+        assert sum(d.startswith("excluded complex eigenvalue")
+                   for d in payload["diagnostics"]) == 6
+        states = sl2.solve_admissible_z(49.5, 0, 1.0, 1.0)
+        assert [s["z"] for s in payload["states"]] == [s.z for s in states]
+
     def test_verify_fails_an_incomplete_level(self, capsys):
         code, out, _ = run_main(
             ["verify", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "76"],
@@ -400,15 +438,36 @@ class TestCompleteness:
                        "omega_l=1.0 k=1.0 m=0 level=76\n")
 
 
+class TestRemovedTol:
+    """The one tolerance knob is gone: each check has its own fixed bound."""
+
+    @pytest.mark.parametrize("command", ["solve", "scan", "verify", "map-sextic",
+                                         "export"])
+    def test_flag_is_unrecognized(self, command, capsys):
+        code, out, err = run_main(
+            [command, "--omega-l", "1", "--k", "1", "--m", "0", "--level", "2",
+             "--tol", "1e-9"], capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith("error: unrecognized arguments: --tol 1e-9\n")
+
+    def test_config_key_is_unknown(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("omega_l = 1\nk = 1\nm = 0\nlevel = 2\ntol = 1e-9\n")
+        code, out, err = run_main(["solve", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", f"error: {cfg}:5: unknown key 'tol'\n")
+
+
 class TestDiagnostics:
-    def test_each_diagnostic_once_without_numpy_reprs(self, capsys):
+    def test_each_diagnostic_once_without_numpy_reprs(self, empty_slots,
+                                                      monkeypatch, capsys):
         # Twelve eigenvector-consistency diagnostics come from the algebraic
-        # route at this input and tol; their z is a numpy scalar unless
-        # converted.
+        # route at this input and bounds of 1e-30; their z is a numpy scalar
+        # unless converted.
+        monkeypatch.setattr(_polyops, "MAX_IMAG", 1e-30)
+        monkeypatch.setattr(sl2, "MAX_DEFECT", 1e-30)
         code, out, _ = run_main(
             ["solve", "--omega-l", "0.22317077664872895", "--k",
-             "2.9363511648986176", "--m", "-4", "--level", "12",
-             "--tol", "1e-30"], capsys)
+             "2.9363511648986176", "--m", "-4", "--level", "12"], capsys)
         assert code in (0, 4)
         diagnostics = json.loads(out)["diagnostics"]
         assert sum("consistency defect" in d for d in diagnostics) == 12
@@ -530,18 +589,6 @@ class TestVerifyWritesJsonOnly:
              "--format", "json"], capsys)
         assert code == 0
         assert json.loads(out)["passed"] is True
-
-
-class TestTolFloor:
-    @pytest.mark.parametrize("tol", ["1e-15", "1e-16", "1e-20"])
-    def test_tol_below_floor_solves(self, tol, capsys):
-        code, out, _ = run_main(
-            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "3",
-             "--tol", tol], capsys)
-        assert code == 0
-        diagnostics = json.loads(out)["diagnostics"]
-        assert diagnostics[-1].startswith("cross-validation passed")
-        assert sum(repr(series.TOL_FLOOR) in d for d in diagnostics) == 1
 
 
 class TestOneBisectionPerSet:

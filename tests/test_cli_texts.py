@@ -6,7 +6,13 @@ command's options.  ``golden/cli_texts.json`` holds, for each case, the
 exit code, stdout and stderr of ``main``, recorded with COLUMNS=80 from a
 version that built every command's options up front; ``scan_help`` and
 ``scan_ambiguous_option`` were recorded again when ``scan`` stopped
-listing ``--omega-l`` and ``--k``, which it refuses.  Record missing cases
+listing ``--omega-l`` and ``--k``, which it refuses.  The five
+``*_help`` cases, ``scan_ambiguous_option``, ``export_bad_type`` and
+``solve_bad_value`` were recorded again when the ``--tol`` option was
+removed, as each lists the options in its usage text; ``solve_bad_value``
+then moved from ``--tol nan`` to ``--r-min nan``, so it still shows a bad
+value, and ``solve_removed_tol`` shows that ``--tol`` is unknown.  Record
+missing cases
 with
 
     PYTHONPATH=src python tests/test_cli_texts.py
@@ -35,7 +41,8 @@ CASES = {
     **{f"{cmd}_help": [cmd, "--help"] for cmd in _COMMANDS},
     **{f"{cmd}_unknown_option": [cmd, "--bogus", "1"] for cmd in _COMMANDS},
     "scan_ambiguous_option": ["scan", "--omega", "1"],
-    "solve_bad_value": ["solve", "--tol", "nan"],
+    "solve_bad_value": ["solve", "--r-min", "nan"],
+    "solve_removed_tol": ["solve", "--tol", "1e-9"],
     "export_bad_type": ["export", "--m", "x"],
 }
 

@@ -116,6 +116,16 @@ class TestLevelEnergy:
         with pytest.raises(DomainError):
             level_energy(0, 0, 1, 1)
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(DomainError):
+            level_energy(-3, 0, 1, 1)
+
+    @pytest.mark.parametrize("level", [2.0, 2.5, True, Fraction(2)])
+    def test_level_must_be_an_exact_integer(self, level):
+        with pytest.raises(ValueError, match="must be an exact integer") as caught:
+            level_energy(level, 0, 1.0, 1.0)
+        assert type(caught.value) is ValueError
+
     @pytest.mark.parametrize("omega_l", [0.0, -1.0])
     def test_non_positive_omega_rejected(self, omega_l):
         with pytest.raises(ValueError, match="omega_l must be > 0"):

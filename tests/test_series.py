@@ -98,6 +98,19 @@ class TestConstraintPolynomial:
         with pytest.raises(NoGroundStateError):
             constraint_polynomial(0, 0, 1, 1)
 
+    def test_negative_level_rejected(self):
+        with pytest.raises(ValueError, match="positive integer, got -2"):
+            constraint_polynomial(-2, 0, 1, 1)
+
+    @pytest.mark.parametrize("level", [2.0, 2.5, True, Fraction(2), "2"])
+    def test_level_must_be_an_exact_integer(self, level):
+        with pytest.raises(ValueError, match="level must be an exact integer"):
+            constraint_polynomial(level, 0, 1.0, 1.0)
+
+    def test_numpy_integer_level(self):
+        assert constraint_polynomial(np.int64(2), 0, 1, 1).coeffs == \
+            constraint_polynomial(2, 0, 1, 1).coeffs
+
     def test_feasibility_evaluation(self):
         assert constraint_value(1, 0, 1, 1, HALF) == 0
         assert constraint_value(1, 0, 1, 1, Fraction(1, 3)) != 0
@@ -109,11 +122,6 @@ class TestConstraintPolynomial:
 
 
 class TestSolveSeries:
-    @pytest.mark.parametrize("tol", [0.0, math.nan])
-    def test_rejects_non_positive_tol(self, tol):
-        with pytest.raises(ValueError):
-            solve_series_states(2, 0, 1, 1, tol)
-
     def test_level_one(self):
         states = solve_series_states(1, 0, 1, 1)
         assert len(states) == 1

@@ -48,6 +48,7 @@ from qeshydro import (
     to_sextic,
     verify_state,
 )
+from qeshydro import _polyops
 from qeshydro._polyops import DomainError, real_roots
 from qeshydro.model import l2_norm_constant, l2_norm_constants, level_states
 from qeshydro.series import _HALF, _regenerate, _terms
@@ -408,7 +409,7 @@ class TestOnePassPerState:
         level, m, omega_l, k = 184, 2, 0.8202921792095698, 2.6954949851996086
         params = ModelParams(omega_l, k, m)
         constraint = constraint_polynomial(level, m, omega_l, k)
-        roots = real_roots([float(c) for c in constraint.coeffs], 1e-9)
+        roots = real_roots([float(c) for c in constraint.coeffs])
         energy = float(level_energy(level, m, omega_l, k))
         terms = [_terms(n, m, omega_l, k, energy) for n in range(level + 1)]
         outcomes = [ref_norm_outcome(params, _regenerate(terms, z)[:level])
@@ -425,8 +426,8 @@ class TestOnePassPerState:
         # norm raised before the appended root could fail to terminate.
         true_roots = series.real_roots
 
-        def with_unterminated_root(coeffs, tol, diagnostics=None):
-            roots = true_roots(coeffs, tol, diagnostics)
+        def with_unterminated_root(coeffs, *, diagnostics=None):
+            roots = true_roots(coeffs, diagnostics=diagnostics)
             return roots + [2.0 * roots[-1] + 1.0]
 
         monkeypatch.setattr(series, "real_roots", with_unterminated_root)
@@ -439,8 +440,8 @@ class TestOnePassPerState:
         # A cycle through the solver's frame would keep every caller's frame,
         # and the grids in their locals, alive until a cyclic collection.
         true_roots = series.real_roots
-        monkeypatch.setattr(series, "real_roots", lambda coeffs, tol, diagnostics=None:
-                            true_roots(coeffs, tol, diagnostics) + [9.0])
+        monkeypatch.setattr(series, "real_roots", lambda coeffs, *, diagnostics=None:
+                            true_roots(coeffs, diagnostics=diagnostics) + [9.0])
         gc.collect()
         gc.disable()
         try:
@@ -576,7 +577,7 @@ class TestFloatRecurrenceTerms:
 
 def ref_solve(jf, m, omega, kk, tol):
     """``sl2._solve`` by its loop over the eigenvectors one column at a
-    time."""
+    time, with ``tol`` for both its complex filter and its defect bound."""
     matrix = build_qes_matrix(jf, m, omega, kk)
     a = matrix.as_array()
     eigvals, eigvecs = np.linalg.eig(a)
@@ -627,11 +628,12 @@ def bits(values):
 
 class TestOneEigenvectorPass:
     def test_states_and_diagnostics_equal_the_column_loop(self):
+        assert _polyops.MAX_IMAG == sl2.MAX_DEFECT == 1e-9
         excluded = 0
         for omega_l, k, m, level in EIGEN_INPUTS:
             jf = Fraction(level - 1, 2)
-            states, notes = sl2._solve(jf, m, omega_l, k, 1e-9)
-            want_states, want_notes = ref_solve(jf, m, omega_l, k, 1e-9)
+            states, notes = sl2._solve(jf, m, omega_l, k)
+            want_states, want_notes = ref_solve(jf, m, omega_l, k, sl2.MAX_DEFECT)
             assert states == want_states
             for state, want in zip(states, want_states):
                 assert bits(state.poly) == bits(want.poly)
@@ -639,17 +641,19 @@ class TestOneEigenvectorPass:
             excluded += sum(n.startswith("excluded complex") for n in notes)
         assert excluded >= 4
 
-    def test_tight_diagnostics_keep_their_kinds_order_and_strengths(self):
-        # At tol = 1e-30 most eigenvectors report a defect.  One matrix
+    def test_tight_diagnostics_keep_their_kinds_order_and_strengths(self, monkeypatch):
+        # At a bound of 1e-30 most eigenvectors report a defect.  One matrix
         # product may round a defect otherwise than a column's product, so
         # only its printed value may differ.
         def kinds(notes):
             return [re.sub(r"defect \S+ at", "defect at", n) for n in notes]
 
+        monkeypatch.setattr(_polyops, "MAX_IMAG", 1e-30)
+        monkeypatch.setattr(sl2, "MAX_DEFECT", 1e-30)
         defects = 0
         for omega_l, k, m, level in EIGEN_INPUTS[::3]:
             jf = Fraction(level - 1, 2)
-            states, notes = sl2._solve(jf, m, omega_l, k, 1e-30)
+            states, notes = sl2._solve(jf, m, omega_l, k)
             want_states, want_notes = ref_solve(jf, m, omega_l, k, 1e-30)
             assert states == want_states
             assert kinds(notes) == kinds(want_notes)

@@ -304,11 +304,6 @@ class TestSolveAdmissible:
             assert len(states) == two_j + 1
         assert not diags
 
-    def test_rejects_non_positive_tol(self):
-        for tol in (0.0, -1e-9, math.nan):
-            with pytest.raises(ValueError):
-                solve_admissible_z(HALF, 0, 1, 1, tol=tol)
-
 
 def jacobi_strengths(level, m, omega_l, k):
     """Strengths from numpy.linalg.eigvalsh on the symmetrized matrix.

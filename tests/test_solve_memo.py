@@ -1,6 +1,9 @@
 """The algebraic solve keeps its most recent result in one slot: a repeat
 call returns the same states and diagnostics as a cold call, and inputs
-that differ only in exactness, the sign of a zero k or tol do not share it.
+that differ only in exactness or the sign of a zero k do not share it.  The
+tests of the diagnostics lower the complex filter's and the defect's
+bounds, ``_polyops.MAX_IMAG`` and ``sl2.MAX_DEFECT``, to TIGHT, from
+empty slots, so no tight solve outlives its test.
 """
 
 import math
@@ -9,12 +12,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from qeshydro import DomainError, cross_validate, level_energy, sl2, solve_admissible_z
+from qeshydro import (DomainError, _polyops, cross_validate, level_energy, sl2,
+                      solve_admissible_z)
 
 HALF = Fraction(1, 2)
 
-# At this input the algebraic route reports no diagnostics at tol = 1e-9
-# and twelve eigenvector-consistency defects at tol = TIGHT.
+# At this input the algebraic route reports no diagnostics at the default
+# bounds of 1e-9 and twelve eigenvector-consistency defects at TIGHT.
 NOISY = (Fraction(11, 2), -4, 0.22317077664872895, 2.9363511648986176)
 TIGHT = 1e-30
 
@@ -31,6 +35,13 @@ def solves(empty_slots, monkeypatch):
 
     monkeypatch.setattr(sl2, "_solve", counting)
     return computed
+
+
+@pytest.fixture
+def tight(monkeypatch):
+    """Both bounds of the algebraic route's diagnostics set to TIGHT."""
+    monkeypatch.setattr(_polyops, "MAX_IMAG", TIGHT)
+    monkeypatch.setattr(sl2, "MAX_DEFECT", TIGHT)
 
 
 def cold(*args, **kwargs):
@@ -52,28 +63,28 @@ def same_bits(a, b):
 
 
 class TestRepeatCall:
-    def test_same_states_new_list_same_diagnostics(self, solves):
+    def test_same_states_new_list_same_diagnostics(self, solves, tight):
         first, second = [], []
-        a = solve_admissible_z(*NOISY, TIGHT, diagnostics=first)
-        b = solve_admissible_z(*NOISY, TIGHT, diagnostics=second)
+        a = solve_admissible_z(*NOISY, diagnostics=first)
+        b = solve_admissible_z(*NOISY, diagnostics=second)
         assert len(solves) == 1
         assert a is not b and a == b
         assert all(x is y for x, y in zip(a, b))
         assert first == second
         assert sum("consistency defect" in d for d in first) == 12
         a.clear()
-        assert solve_admissible_z(*NOISY, TIGHT) == b
+        assert solve_admissible_z(*NOISY) == b
 
     def test_float_and_fraction_j_share_the_entry(self, solves):
         solve_admissible_z(2.5, 1, 0.7, 1.3)
         solve_admissible_z(Fraction(5, 2), 1, 0.7, 1.3)
         assert len(solves) == 1
 
-    def test_cross_validate_after_a_solve_matches_a_cold_call(self, solves):
-        reference = cross_validate(*NOISY, TIGHT)
+    def test_cross_validate_after_a_solve_matches_a_cold_call(self, solves, tight):
+        reference = cross_validate(*NOISY)
         sl2._last_solve = None
-        solve_admissible_z(*NOISY, TIGHT)
-        report = cross_validate(*NOISY, TIGHT)
+        solve_admissible_z(*NOISY)
+        report = cross_validate(*NOISY)
         assert len(solves) == 2
         assert report == reference
         assert sum("consistency defect" in n for n in report.notes) == 12
@@ -102,18 +113,6 @@ class TestKey:
         assert np.signbit(minus[0].z) and not np.signbit(plus[0].z)
         for k, expected in [(0.0, plus), (-0.0, minus), (0.0, plus)]:
             assert same_bits(solve_admissible_z(0, 0, 1.0, k), expected)
-
-    def test_tol(self, solves):
-        loose = cold(*NOISY)
-        tight = cold(*NOISY, tol=TIGHT)
-        assert len(loose[1]) == 0 and len(tight[1]) == 12
-        for tol, (states, diagnostics) in [(1e-9, loose), (TIGHT, tight),
-                                           (1e-9, loose)]:
-            seen = []
-            assert same_bits(solve_admissible_z(*NOISY, tol, diagnostics=seen),
-                             states)
-            assert seen == diagnostics
-        assert len(solves) == 5
 
 
 class TestFailures:

@@ -1,3 +1,4 @@
+import inspect
 import math
 from dataclasses import replace
 from fractions import Fraction
@@ -19,7 +20,8 @@ from qeshydro import (
     solve_series_states,
     verify_state,
 )
-from qeshydro import series
+from qeshydro import series, verify
+from qeshydro._polyops import real_roots
 from qeshydro.model import l2_norm_constant
 from qeshydro.verify import _simpson
 
@@ -247,32 +249,6 @@ class TestOneParameterSet:
         assert len(bisections) == 3
 
 
-class TestTolFloor:
-    """Series termination and route agreement are checked no closer than
-    series.TOL_FLOOR, so a tol below rounding does not fail a correct solve."""
-
-    def test_floor_is_a_rounding_scale(self):
-        assert 1000 * np.finfo(float).eps < series.TOL_FLOOR <= 1e-12
-
-    @pytest.mark.parametrize("tol", [1e-15, 1e-16, 1e-20])
-    def test_below_floor(self, tol):
-        default = cross_validate(1, 0, 1.0, 1.0)
-        report = cross_validate(1, 0, 1.0, 1.0, tol=tol)
-        assert report.passed
-        assert report.cross_method_delta == default.cross_method_delta
-        assert report.cross_poly_delta == default.cross_poly_delta
-        assert sum(repr(series.TOL_FLOOR) in n for n in report.notes) == 1
-        assert not any("floor" in n for n in default.notes)
-        assert len(solve_series_states(3, 0, 1.0, 1.0, tol=tol)) == 3
-
-    def test_floor_note_through_the_public_series_route(self):
-        notes = []
-        solve_series_states(2, 0, 1.0, 1.0, tol=1e-20, diagnostics=notes)
-        assert notes == [f"tol 1e-20 is below the floor {series.TOL_FLOOR!r}: "
-                         f"series termination and route agreement are "
-                         f"checked at the floor"]
-
-
 class TestScalingAudit:
     def test_identity_scaling(self):
         report = scaling_audit(HALF, 0, 1, 1, 1)
@@ -293,6 +269,60 @@ class TestScalingAudit:
     def test_rejects_non_positive_lambda(self):
         with pytest.raises(ValueError):
             scaling_audit(0, 0, 1, 1, 0)
+
+
+class TestFixedThresholds:
+    """Each check reads its own bound, a module constant, and no public
+    function takes a tolerance."""
+
+    def test_route_agreement_reads_max_route_delta(self, monkeypatch):
+        report = cross_validate(Fraction(5, 2), 1, 2.0, 0.25)
+        delta = max(report.cross_method_delta, report.cross_energy_delta,
+                    report.cross_poly_delta)
+        assert report.passed and 0 < delta <= verify.MAX_ROUTE_DELTA == 1e-9
+        monkeypatch.setattr(verify, "MAX_ROUTE_DELTA", delta)
+        assert cross_validate(Fraction(5, 2), 1, 2.0, 0.25).passed
+        monkeypatch.setattr(verify, "MAX_ROUTE_DELTA", delta / 2)
+        assert not cross_validate(Fraction(5, 2), 1, 2.0, 0.25).passed
+
+    def test_series_tail_reads_max_tail(self, monkeypatch):
+        assert series.MAX_TAIL == 1e-9
+        monkeypatch.setattr(series, "MAX_TAIL", 0.0)
+        with pytest.raises(RuntimeError, match="failed to terminate"):
+            solve_series_states(6, 1, 2.0, 0.25)
+        report = cross_validate(Fraction(5, 2), 1, 2.0, 0.25)
+        assert not report.passed
+        assert "failed to terminate" in report.notes[-1]
+
+    def test_scaling_audit_reads_max_scaling_delta(self, monkeypatch):
+        report = scaling_audit(Fraction(5, 2), 1, 0.7, 1.3, 1.7)
+        delta = max(report.cross_method_delta, report.cross_energy_delta)
+        assert report.passed and 0 < delta <= verify.MAX_SCALING_DELTA == 1e-10
+        monkeypatch.setattr(verify, "MAX_SCALING_DELTA", delta / 2)
+        assert not scaling_audit(Fraction(5, 2), 1, 0.7, 1.3, 1.7).passed
+
+    def test_no_public_callable_takes_tol(self):
+        import qeshydro
+
+        callables = [getattr(qeshydro, name) for name in qeshydro.__all__
+                     if callable(getattr(qeshydro, name))]
+        assert len(callables) > 20
+        for item in callables:
+            try:
+                params = inspect.signature(item).parameters
+            except ValueError:  # no signature to inspect
+                continue
+            assert "tol" not in params, item
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_admissible_z(HALF, 0, 1.0, 1.0, 1e-9),
+        lambda: solve_series_states(2, 0, 1.0, 1.0, 1e-9),
+        lambda: cross_validate(HALF, 0, 1.0, 1.0, 1e-9),
+        lambda: scaling_audit(HALF, 0, 1.0, 1.0, 2.0, 1e-10),
+        lambda: real_roots([1.0, -3.0, 2.0], 1e-9)])
+    def test_a_positional_tolerance_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
 
 
 class TestResidualConvergence:
