@@ -88,11 +88,12 @@ def coerce_couplings(omega_l, k):
 
 
 def as_half_integer(j) -> Fraction:
-    """Validate a non-negative half-integer label and return it as a Fraction."""
+    """Validate a non-negative half-integer label, not a bool, and return it
+    as a Fraction."""
     jf = Fraction(j) if not isinstance(j, float) else Fraction(j).limit_denominator(2)
     if isinstance(j, float) and jf != Fraction(j):
         raise ValueError(f"j must be a half-integer, got {j!r}")
-    if jf < 0 or (2 * jf).denominator != 1:
+    if isinstance(j, bool) or jf < 0 or (2 * jf).denominator != 1:
         raise ValueError(f"j must be a non-negative half-integer, got {j!r}")
     return jf
 
@@ -102,6 +103,14 @@ def check_integer(value, name: str = "m") -> int:
     if isinstance(value, bool) or not isinstance(value, Integral):
         raise ValueError(f"{name} must be an exact integer, got {value!r}")
     return int(value)
+
+
+def check_level(level) -> int:
+    """Validate a level, an exact integer that is not negative; level 0 is
+    left to the caller."""
+    if check_integer(level, "level") < 0:
+        raise ValueError(f"level must be a positive integer, got {level!r}")
+    return int(level)
 
 
 def bisect(above, lo: float, hi: float) -> tuple[float, float]:
@@ -258,25 +267,21 @@ def imaginary(values: np.ndarray):
     return np.abs(values.imag) > MAX_IMAG * scale, scale
 
 
-def real_roots(coeffs, *, diagnostics=None):
-    """Real roots of a float-coefficient polynomial, ascending.
-
-    Companion-matrix eigenvalues (numpy.roots) followed by Newton polishing.
-    Roots that :func:`imaginary` finds complex are excluded and reported
-    through the optional ``diagnostics`` list.
-    """
+def real_roots(coeffs):
+    """Real roots of a float-coefficient polynomial, ascending, by the
+    companion matrix (numpy.roots) and Newton polishing; and the roots that
+    :func:`imaginary` excludes as complex, as Python complex numbers."""
     cs = [float(c) for c in coeffs]
     while cs and cs[-1] == 0.0:
         cs.pop()
     if len(cs) < 2:
-        return []
+        return [], []
     raw = np.roots(cs[::-1])
-    roots = []
-    for z, excluded in zip(raw, imaginary(raw)[0]):
-        if excluded:
-            if diagnostics is not None:
-                diagnostics.append(f"excluded complex root {complex(z)!r}")
-            continue
-        roots.append(newton_polish(cs, float(z.real)))
+    roots, excluded = [], []
+    for z, complex_ in zip(raw, imaginary(raw)[0]):
+        if complex_:
+            excluded.append(complex(z))
+        else:
+            roots.append(newton_polish(cs, float(z.real)))
     roots.sort()
-    return roots
+    return roots, excluded

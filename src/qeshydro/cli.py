@@ -25,7 +25,7 @@ from ._polyops import allocated, coerce_couplings
 from .model import (DEFAULT_GRID_POINTS, DEFAULT_R_MIN, DomainError, ModelParams,
                     QesState, RadialGrid)
 from .series import NoGroundStateError
-from .sextic import (MAX_SEXTIC_RESIDUAL, rho_grid_for, sextic_residual,
+from .sextic import (MAX_SEXTIC_RESIDUAL, _rho_range, sextic_residual,
                      sextic_wavefunction, to_sextic)
 from .verify import MAX_CROSS_LEVEL, cross_validate, verify_state
 
@@ -268,15 +268,14 @@ _COLUMNS = {
 _SAMPLE_COLUMNS = {"map-sextic": ("rho", "zeta"), "export": ("r", "radial_value")}
 
 
-def _rows(cfg, omega_l, k, m, level, diagnostics=None):
-    """One row per algebraic state of a parameter set, and the radial grid
-    of their reports, which shares the solve's ``r_max`` by value.  A row
-    holds the set's omega_l, k and m, the state's root_index and
-    ``to_dict()`` values, its report's max_residual, norm_error and
-    node_count, also as the dictionary "verification", and the state and
-    report themselves as "state" and "report"."""
-    states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k,
-                                    diagnostics=diagnostics)
+def _rows(cfg, omega_l, k, m, level):
+    """One row per algebraic state of a parameter set, the radial grid of
+    their reports, which shares the solve's ``r_max`` by value, and the
+    solve's notes.  A row holds the set's omega_l, k and m, the state's
+    root_index and ``to_dict()`` values, its report's max_residual,
+    norm_error and node_count, also as the dictionary "verification", and
+    the state and report themselves as "state" and "report"."""
+    states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k)
     grid = RadialGrid.for_params(ModelParams(omega_l, k, m), n=cfg.grid_points,
                                  r_min=cfg.r_min)
     rows = []
@@ -287,7 +286,7 @@ def _rows(cfg, omega_l, k, m, level, diagnostics=None):
         rows.append({"omega_l": omega_l, "k": k, "m": m, "root_index": index,
                      **state.to_dict(), **checks, "verification": checks,
                      "state": state, "report": report})
-    return rows, grid
+    return rows, grid, states.notes
 
 
 def _incomplete(rows, level: int) -> str | None:
@@ -300,11 +299,12 @@ def _incomplete(rows, level: int) -> str | None:
 def _level(cfg):
     """A single-set command's rows and grid, cross-validation report (None
     above MAX_CROSS_LEVEL; its algebraic states come from the solve slot),
-    diagnostics, and exit code: 4 when incomplete or cross-validation failed."""
+    diagnostics, opening with the notes of both routes or above
+    MAX_CROSS_LEVEL of the algebraic one, and exit code: 4 when incomplete
+    or cross-validation failed."""
     if cfg.level < 1:
         raise NoGroundStateError()
-    diags: list[str] = []
-    rows, grid = _rows(cfg, cfg.omega_l, cfg.k, cfg.m, cfg.level, diags)
+    rows, grid, notes = _rows(cfg, cfg.omega_l, cfg.k, cfg.m, cfg.level)
     cross = None
     if cfg.level <= MAX_CROSS_LEVEL:
         cross = cross_validate(0.5 * (cfg.level - 1), cfg.m, cfg.omega_l, cfg.k)
@@ -312,7 +312,7 @@ def _level(cfg):
                                f"{cross.cross_method_delta!r}"
                  if cross.passed else "cross-validation FAILED"]
     else:
-        diags.append("cross-validation skipped: level above the desk-scale cap")
+        diags = [*notes, "cross-validation skipped: level above the desk-scale cap"]
     incomplete = _incomplete(rows, cfg.level)
     if incomplete:
         diags.append(incomplete)
@@ -372,7 +372,7 @@ def cmd_scan(cfg) -> int:
     for omega_l, k, m, level in itertools.product(
             sorted(cfg.omega_l_list), sorted(cfg.k_list), sorted(m_values),
             sorted(level_values)):
-        found, _ = _rows(cfg, omega_l, k, m, level)
+        found = _rows(cfg, omega_l, k, m, level)[0]
         note = _incomplete(found, level)
         if note:
             incomplete.append(f"{note} at omega_l={omega_l!r} k={k!r} m={m} "
@@ -392,15 +392,16 @@ def cmd_verify(cfg) -> int:
     return EXIT_OK if passed else EXIT_VERIFICATION
 
 
-def _samples(n: int, grid):
-    """``n`` radii spaced geometrically over ``grid``, or DomainError."""
-    return allocated(lambda: np.geomspace(grid.r_min, grid.r_max, n),
+def _samples(n: int, lo: float, hi: float):
+    """``n`` radii spaced geometrically from ``lo`` to ``hi``, both exactly,
+    or DomainError."""
+    return allocated(lambda: np.geomspace(lo, hi, n),
                      f"sample-points {n} needs {n} doubles", n)
 
 
 def cmd_map_sextic(cfg) -> int:
     rows, _, _, diags, code = _level(cfg)
-    rho_grid = rho_grid_for(rows[0]["state"].params) if rows else None
+    rho_range = _rho_range(rows[0]["state"].params) if rows else None
     for row in rows:
         mapped = to_sextic(row["state"])
         row.update(mapped.to_dict(), sextic_residual=sextic_residual(mapped))
@@ -410,7 +411,7 @@ def cmd_map_sextic(cfg) -> int:
                          f"{row['sextic_residual']!r} above {MAX_SEXTIC_RESIDUAL!r}")
             code = EXIT_VERIFICATION
         if cfg.sample_points:
-            rho = _samples(cfg.sample_points, rho_grid)
+            rho = _samples(cfg.sample_points, *rho_range)
             zeta = sextic_wavefunction(mapped, rho)
             row["samples"] = np.stack([rho, zeta], axis=1).tolist()
     _write(cfg, rows, diagnostics=diags)
@@ -419,7 +420,7 @@ def cmd_map_sextic(cfg) -> int:
 
 def cmd_export(cfg) -> int:
     rows, grid, _, diags, code = _level(cfg)
-    radii = _samples(cfg.sample_points, grid)
+    radii = _samples(cfg.sample_points, grid.r_min, grid.r_max)
     for row in rows:
         values = row["state"].radial_values(radii)
         row["samples"] = np.stack([radii, values], axis=1).tolist()

@@ -36,7 +36,8 @@ from functools import cache, cached_property
 import numpy as np
 
 from ._polyops import (_BLOCK, DomainError, _block_powers, _polyval_blocks, allocated,
-                       bisect, check_integer, coerce_couplings, kept, polyval)
+                       bisect, check_integer, check_level, coerce_couplings, kept,
+                       polyval)
 
 #: Default grid controls.  The spacing floor guards the second-difference
 #: stencil against float cancellation: without it a geometric grid reaches
@@ -91,7 +92,7 @@ def level_energy(level: int, m: int, omega_l, k):
 
     Exact (Fraction) when omega_l and k are rational.
     """
-    if check_integer(level, "level") < 1:
+    if check_level(level) == 0:
         raise DomainError(
             "level must be >= 1: the terminating series admits no level-0 "
             "(ground) state"
@@ -175,18 +176,28 @@ class QesState:
         return state
 
 
+class Level(list):
+    """A solver's result for one level: its states, ascending in strength,
+    as a list, and ``notes``, a tuple of strings naming what the solve
+    dropped or doubted (complex eigenvalues or roots, vanishing pivots,
+    eigenvector defects), in the order the solve met them."""
+
+    def __init__(self, states=(), notes=()):
+        super().__init__(states)
+        self.notes = tuple(notes)
+
+
 def level_states(params: ModelParams, level: int, energy: float, strengths,
-                 polys) -> list[QesState]:
-    """The states of one level of ``params``: one per polynomial factor in
-    ``polys``, with the strength at its place in ``strengths`` and the
-    level's ``energy``, normalised together by :func:`l2_norm_constants`,
-    whose errors it raises before any state is built."""
+                 polys, notes) -> Level:
+    """The :class:`Level` of ``params`` with the solve's ``notes``: one state
+    per polynomial factor in ``polys``, with the strength at its place in
+    ``strengths`` and the level's ``energy``, normalised together by
+    :func:`l2_norm_constants`, whose errors it raises before any state is
+    built."""
     norms = l2_norm_constants(params, polys)
-    return [
-        QesState(level=level, z=float(z), energy=energy,
-                 poly=poly, norm_constant=norm, params=params)
-        for z, poly, norm in zip(strengths, polys, norms)
-    ]
+    return Level((QesState(level=level, z=float(z), energy=energy,
+                           poly=poly, norm_constant=norm, params=params)
+                  for z, poly, norm in zip(strengths, polys, norms)), notes)
 
 
 def envelope_r_max(params: ModelParams) -> float:

@@ -18,13 +18,14 @@ import numpy as np
 from . import model
 from ._polyops import (
     check_integer,
+    check_level,
     coerce_couplings,
     is_exact,
     monic,
     polyval,
     real_roots,
 )
-from .model import DomainError, ModelParams, QesState, level_energy
+from .model import DomainError, Level, ModelParams, level_energy
 
 __all__ = [
     "NoGroundStateError",
@@ -121,10 +122,8 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
     integer polynomials in w, so the coefficient of z^e in a_level is
     alpha_level[e] D^e / R_level, the one rational reduction made.
     """
-    if check_integer(level, "level") == 0:
+    if check_level(level) == 0:
         raise NoGroundStateError()
-    if level < 0:
-        raise ValueError(f"level must be a positive integer, got {level!r}")
     m = check_integer(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     if exact:
@@ -193,22 +192,21 @@ def _regenerate(terms, z: float) -> list[float]:
 MAX_TAIL = 1e-9
 
 
-def solve_series_states(level: int, m: int, omega_l, k, *,
-                        diagnostics: list[str] | None = None) -> list[QesState]:
-    """States of one level from the real roots of the termination constraint.
+def solve_series_states(level: int, m: int, omega_l, k) -> Level:
+    """The :class:`model.Level` of the real roots of the termination constraint.
 
     Roots come from the companion matrix of the constraint polynomial with a
-    Newton polish on its float-rounded coefficients; complex roots are
-    excluded and reported.  For each root the recurrence is re-run
-    numerically and the coefficients past the degree are checked to vanish,
-    to :data:`MAX_TAIL`.
+    Newton polish on its float-rounded coefficients; each complex root
+    :func:`real_roots` excludes gets a note.  For each root the recurrence
+    is re-run numerically and the coefficients past the degree are checked
+    to vanish, to :data:`MAX_TAIL`: the first that does not raises
+    RuntimeError, with the notes as its ``__notes__`` (PEP 678).
     """
     constraint = constraint_polynomial(level, m, omega_l, k)
-    roots = real_roots([float(c) for c in constraint.coeffs], diagnostics=diagnostics)
-    if not roots and diagnostics is not None:
-        diagnostics.append(
-            f"no real admissible z at level={level}, m={m}"
-        )
+    roots, excluded = real_roots([float(c) for c in constraint.coeffs])
+    notes = [f"excluded complex root {z!r}" for z in excluded]
+    if not roots:
+        notes.append(f"no real admissible z at level={level}, m={m}")
 
     energy = float(level_energy(level, m, omega_l, k))
     params = ModelParams(float(omega_l), float(k), int(m))
@@ -225,14 +223,17 @@ def solve_series_states(level: int, m: int, omega_l, k, *,
             break
         polys.append(tuple(coeffs[:level]))
     # The states below the first unterminated root are normalised first, so
-    # a norm failure among them is raised ahead of it.  The error is made
-    # only at the raise: kept in a local, it and this frame would hold each
-    # other, and every caller's frame, until a cyclic garbage collection.
-    states = model.level_states(params, level, energy, roots, polys)
+    # a norm failure among them is raised ahead of it.
+    states = model.level_states(params, level, energy, roots, polys, notes)
     if unterminated is not None:
-        z, tail = unterminated
-        raise RuntimeError(
-            f"series failed to terminate at level {level}, z={z!r}: "
-            f"tail coefficient {tail:.3e}"
-        )
+        raise _unterminated(level, *unterminated, notes)
     return states
+
+
+def _unterminated(level: int, z: float, tail: float, notes) -> RuntimeError:
+    """The error of an unterminated root, with ``notes`` as its ``__notes__``:
+    kept in the solver's locals, it and that frame would hold each other."""
+    error = RuntimeError(f"series failed to terminate at level {level}, z={z!r}: "
+                         f"tail coefficient {tail:.3e}")
+    error.__notes__ = list(notes)
+    return error

@@ -10,7 +10,7 @@ with mt = 2m and zeta(rho) = sqrt(rho) R(rho^2): each solved state is an
 exact eigenstate of the sextic problem with eigenvalue exactly 4z.
 
 :func:`sextic_residual` checks this as an exact polynomial identity, on no
-grid; :func:`rho_grid_for` only sets the range of sampled values of zeta.
+grid; :func:`_rho_range` only sets the range of sampled values of zeta.
 """
 
 from __future__ import annotations
@@ -105,11 +105,11 @@ def _log_zeta_envelope(params: ModelParams, rho: float) -> float:
     return power * math.log(rho) - 0.5 * omega * rho**4 - delta * rho * rho
 
 
-def rho_grid_for(params: ModelParams) -> RadialGrid:
-    """Geometric rho grid of DEFAULT_RHO_POINTS points from sqrt(DEFAULT_R_MIN)
-    to where the mapped envelope falls below ENVELOPE_DECAY of its peak, the
-    range of map-sextic's samples.  Raises DomainError when the envelope's
-    peak rounds to 0 or the cutoff is not above sqrt(DEFAULT_R_MIN)."""
+def _rho_range(params: ModelParams) -> tuple[float, float]:
+    """(rho_min, rho_max): sqrt(DEFAULT_R_MIN), and where the mapped
+    envelope falls below ENVELOPE_DECAY of its peak, the range of
+    map-sextic's samples.  Raises DomainError when the envelope's peak
+    rounds to 0 or the cutoff is not above sqrt(DEFAULT_R_MIN)."""
     power = 2 * params.abs_m + 0.5
     omega = float(params.omega_l)
     delta = float(params.k) / omega
@@ -125,7 +125,12 @@ def rho_grid_for(params: ModelParams) -> RadialGrid:
     if not rho_max > rho_min:
         raise _scale_error(params, f"the mapped envelope decays before the grid "
                                    f"starts: rho_max = {rho_max!r} <= rho_min = {rho_min!r}")
-    return RadialGrid.geometric(rho_min, rho_max, DEFAULT_RHO_POINTS)
+    return rho_min, rho_max
+
+
+def rho_grid_for(params: ModelParams) -> RadialGrid:
+    """DEFAULT_RHO_POINTS geometric rho points over :func:`_rho_range`."""
+    return RadialGrid.geometric(*_rho_range(params), DEFAULT_RHO_POINTS)
 
 
 def _map_defect(sextic: SexticState):

@@ -29,7 +29,7 @@ import numpy as np
 from . import model
 from ._polyops import (allocated, as_half_integer, check_integer,
                        coerce_couplings, imaginary, is_exact, kept)
-from .model import ModelParams, QesState
+from .model import Level, ModelParams
 
 __all__ = [
     "QesMatrix",
@@ -148,45 +148,40 @@ def _continuant(diag, upper, lower) -> tuple[Fraction, ...]:
 #: spectral scale times ``max |v|``, that is not reported.
 MAX_DEFECT = 1e-9
 
-#: The most recent successful solve, (key, (states, diagnostics)), a
-#: :func:`kept` slot.
+#: The most recent successful solve, (key, Level), a :func:`kept` slot.
 _last_solve = None
 
 
-def solve_admissible_z(j, m: int, omega_l, k, *,
-                       diagnostics: list[str] | None = None) -> list[QesState]:
-    """Diagonalize the finite matrix and package the real-eigenvalue states.
+def solve_admissible_z(j, m: int, omega_l, k) -> Level:
+    """Diagonalize the finite matrix and return the level's real-eigenvalue
+    states as a :class:`model.Level`.
 
     The strengths are a dense eigensolver's eigenvalues as it returns them,
     sorted ascending: Newton steps on the ill-conditioned monomial
     characteristic polynomial would only move them off.  Eigenvalues that
-    ``_polyops.imaginary`` finds complex are excluded and reported through
-    ``diagnostics``.  Eigenvectors are rescaled so the constant coefficient
-    is one, and a defect above :data:`MAX_DEFECT` is reported.  Every
-    state carries the level's energy, :func:`model.level_energy`.
+    ``_polyops.imaginary`` finds complex are excluded, each with a note.
+    Eigenvectors are rescaled so the constant coefficient is one, and a
+    defect above :data:`MAX_DEFECT` is noted.  Every state carries the
+    level's energy, :func:`model.level_energy`.
 
     The most recent solve is kept in one slot, keyed by the coerced inputs:
     j, m, whether the couplings are exact, omega_l, and k with the sign of
-    a zero k.  A call with the same key returns a new list of the same
-    immutable states and appends the same diagnostics; a call that raises
-    keeps nothing.
+    a zero k.  A call with the same key returns a new Level of the same
+    immutable states with the same notes; a call that raises keeps nothing.
     """
     jf = as_half_integer(j)
     m = check_integer(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     key = (jf, m, exact, omega, kk, math.copysign(1.0, kk))
-    states, notes = kept(globals(), "_last_solve", key,
-                         lambda: _solve(jf, m, omega, kk))
-    if diagnostics is not None:
-        diagnostics.extend(notes)
-    return list(states)
+    level = kept(globals(), "_last_solve", key, lambda: _solve(jf, m, omega, kk))
+    return Level(level, level.notes)
 
 
-def _solve(jf: Fraction, m: int, omega, kk):
-    """The states of :func:`solve_admissible_z` for coerced inputs, and its
-    diagnostics, as tuples.  The eigenvectors of the eigenvalues that pass
-    ``imaginary`` are scaled as one array; a defect above :data:`MAX_DEFECT`
-    is printed with the last digits of the one matrix product giving all."""
+def _solve(jf: Fraction, m: int, omega, kk) -> Level:
+    """The Level of :func:`solve_admissible_z` for coerced inputs.  The
+    eigenvectors of the eigenvalues that pass ``imaginary`` are scaled as
+    one array; a defect above :data:`MAX_DEFECT` is noted with the last
+    digits of the one matrix product giving all."""
     a = QesMatrix(jf, m, omega, kk).as_array()
     eigvals, eigvecs = np.linalg.eig(a)
     excluded, scale = imaginary(eigvals)
@@ -209,26 +204,25 @@ def _solve(jf: Fraction, m: int, omega, kk):
     # Rounding is monotone, so peak / |pivot| is max |vec| after the division.
     defective = defects > MAX_DEFECT * scale * (peaks / np.abs(pivots))
 
-    diagnostics: list[str] = []
+    notes: list[str] = []
     flagged = excluded.copy()
     flagged[cols] = vanishing | defective
     for idx in np.flatnonzero(flagged):
         if excluded[idx]:
-            diagnostics.append(f"excluded complex eigenvalue "
-                               f"{complex(eigvals[idx])!r} at j={jf}, m={m}")
+            notes.append(f"excluded complex eigenvalue "
+                         f"{complex(eigvals[idx])!r} at j={jf}, m={m}")
             continue
         c = idx - np.count_nonzero(excluded[:idx])
         z = float(strengths[c])
         if vanishing[c]:
-            diagnostics.append(f"eigenvector with vanishing constant term at "
-                               f"z={z!r}; scaled leading coefficient instead")
+            notes.append(f"eigenvector with vanishing constant term at "
+                         f"z={z!r}; scaled leading coefficient instead")
         if defective[c]:
-            diagnostics.append(f"eigenvector consistency defect "
-                               f"{float(defects[c]):.3e} at z={z!r}")
+            notes.append(f"eigenvector consistency defect "
+                         f"{float(defects[c]):.3e} at z={z!r}")
     if not cols.size:
-        diagnostics.append(f"no real eigenvalues at j={jf}, m={m}")
+        notes.append(f"no real eigenvalues at j={jf}, m={m}")
 
     order = np.argsort(strengths, kind="stable")
-    states = model.level_states(params, level, energy, strengths[order].tolist(),
-                                [tuple(vec) for vec in vecs.T[order].tolist()])
-    return tuple(states), tuple(diagnostics)
+    return model.level_states(params, level, energy, strengths[order].tolist(),
+                              [tuple(vec) for vec in vecs.T[order].tolist()], notes)

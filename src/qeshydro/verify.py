@@ -209,13 +209,14 @@ def cross_validate(j, m: int, omega_l, k) -> VerificationReport:
     """Solve by both routes and compare matched roots.
 
     Roots are matched in sorted order (the minimal-distance assignment for
-    two sorted real sequences).  A root-count mismatch after reality
-    filtering, and a series that fails to terminate, are reported as
-    failures, not raised.
+    two sorted real sequences).  A series that fails to terminate, a
+    root-count mismatch after reality filtering, and no real roots on
+    either route are reported as failures, not raised.
 
     The routes agree when every difference is within
     :data:`MAX_ROUTE_DELTA`.  The report's notes are the algebraic route's
-    diagnostics, then the series route's.
+    ``Level.notes``, then the series route's (on a failure to terminate,
+    the error's ``__notes__``), then the failure, if any.
 
     The algebraic states come from :func:`sl2.solve_admissible_z`, which
     keeps its most recent solve in one slot; so a solve followed by this
@@ -227,47 +228,30 @@ def cross_validate(j, m: int, omega_l, k) -> VerificationReport:
     if level > MAX_CROSS_LEVEL:
         raise ValueError("cross_validate is intended for levels up to "
                          f"{MAX_CROSS_LEVEL}")
-    diags: list[str] = []
-    algebra = sl2.solve_admissible_z(jf, m, omega_l, k, diagnostics=diags)
+    algebra = sl2.solve_admissible_z(jf, m, omega_l, k)
     label = f"j={jf} m={m} omega_l={float(omega_l):.12g} k={float(k):.12g}"
     try:
-        power = series.solve_series_states(level, m, omega_l, k, diagnostics=diags)
+        power = series.solve_series_states(level, m, omega_l, k)
     except RuntimeError as exc:  # the series failed to terminate
-        return VerificationReport(label, passed=False, notes=tuple(diags + [str(exc)]))
-    if len(algebra) != len(power):
-        return VerificationReport(
-            state_label=label,
-            passed=False,
-            notes=tuple(
-                diags
-                + [
-                    f"root-count mismatch: {len(algebra)} from the algebraic "
-                    f"route, {len(power)} from the series route"
-                ]
-            ),
-        )
-    if not algebra:
-        return VerificationReport(
-            state_label=label,
-            passed=False,
-            notes=tuple(diags + ["both routes returned no real roots"]),
-        )
+        notes = algebra.notes + tuple(getattr(exc, "__notes__", ()))
+        failure = str(exc)
+    else:
+        notes, failure = algebra.notes + power.notes, None
+        if len(algebra) != len(power):
+            failure = (f"root-count mismatch: {len(algebra)} from the algebraic "
+                       f"route, {len(power)} from the series route")
+        elif not algebra:
+            failure = "both routes returned no real roots"
+    if failure is not None:
+        return VerificationReport(label, passed=False, notes=notes + (failure,))
 
     dz = max(abs(a.z - b.z) for a, b in zip(algebra, power))
     de = max(abs(a.energy - b.energy) for a, b in zip(algebra, power))
-    dp = max(
-        max(abs(ca - cb) for ca, cb in zip(a.poly, b.poly))
-        for a, b in zip(algebra, power)
-    )
-    passed = max(dz, de, dp) <= MAX_ROUTE_DELTA
-    return VerificationReport(
-        state_label=label,
-        cross_method_delta=dz,
-        cross_energy_delta=de,
-        cross_poly_delta=dp,
-        passed=passed,
-        notes=tuple(diags),
-    )
+    dp = max(max(abs(ca - cb) for ca, cb in zip(a.poly, b.poly))
+             for a, b in zip(algebra, power))
+    return VerificationReport(label, cross_method_delta=dz, cross_energy_delta=de,
+                              cross_poly_delta=dp,
+                              passed=max(dz, de, dp) <= MAX_ROUTE_DELTA, notes=notes)
 
 
 def scaling_audit(j, m: int, omega_l, k, lam) -> VerificationReport:
@@ -285,19 +269,14 @@ def scaling_audit(j, m: int, omega_l, k, lam) -> VerificationReport:
     else:
         lam_f = float(lam)
         scaled_omega, scaled_k = lam_f**2 * float(omega_l), lam_f**3 * float(k)
-    label = (
-        f"j={jf} m={m} omega_l={float(omega_l):.12g} k={float(k):.12g} "
-        f"lambda={float(lam):.12g}"
-    )
+    label = (f"j={jf} m={m} omega_l={float(omega_l):.12g} k={float(k):.12g} "
+             f"lambda={float(lam):.12g}")
 
     base = sl2.solve_admissible_z(jf, m, omega_l, k)
     scaled = sl2.solve_admissible_z(jf, m, scaled_omega, scaled_k)
     if len(base) != len(scaled):
-        return VerificationReport(
-            state_label=label,
-            passed=False,
-            notes=(f"root-count mismatch under scaling: {len(base)} vs {len(scaled)}",),
-        )
+        return VerificationReport(label, passed=False, notes=(
+            f"root-count mismatch under scaling: {len(base)} vs {len(scaled)}",))
 
     lam_v = float(lam)
 
@@ -308,10 +287,5 @@ def scaling_audit(j, m: int, omega_l, k, lam) -> VerificationReport:
 
     dz = max(rel(s.z, lam_v * b.z) for s, b in zip(scaled, base))
     de = max(rel(s.energy, lam_v * lam_v * b.energy) for s, b in zip(scaled, base))
-    passed = max(dz, de) <= MAX_SCALING_DELTA
-    return VerificationReport(
-        state_label=label,
-        cross_method_delta=dz,
-        cross_energy_delta=de,
-        passed=passed,
-    )
+    return VerificationReport(label, cross_method_delta=dz, cross_energy_delta=de,
+                              passed=max(dz, de) <= MAX_SCALING_DELTA)

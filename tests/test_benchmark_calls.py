@@ -5,7 +5,10 @@ by name and keyword.  A change of signature there shows up in a timed run
 only as a failed unit, so replay a few units of each workload here and
 require that none failed on a call the package no longer accepts.  The
 values the workloads time but discard are checked where a wrong one could
-pass unnoticed: the sextic map's residual of every ``sweep`` state.
+pass unnoticed: the sextic map's residual of every ``sweep`` state.  The
+traced run's per-layer figures read the size of what the two solvers
+return, so a replay under ``perfbench/tracing.py`` checks that they still
+return lists.
 """
 
 import importlib
@@ -23,17 +26,21 @@ PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 BROKEN_CALL = (TypeError, AttributeError, NameError)
 
 
-@pytest.fixture(scope="module")
-def workloads():
-    """``perfbench/workloads.py``, imported as ``tests/fingerprint.py``
-    imports it."""
-    if not (PERFBENCH / "workloads.py").exists():
-        pytest.skip("perfbench/workloads.py is not in this checkout")
+def _perfbench_module(name):
+    """``perfbench/<name>.py``, imported as ``tests/fingerprint.py`` imports
+    it."""
+    if not (PERFBENCH / f"{name}.py").exists():
+        pytest.skip(f"perfbench/{name}.py is not in this checkout")
     sys.path.insert(0, str(PERFBENCH))
     try:
-        return importlib.import_module("workloads")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(str(PERFBENCH))
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _perfbench_module("workloads")
 
 
 def _units(workloads, name):
@@ -125,3 +132,29 @@ def test_every_cli_mix_pair_writes_what_the_workload_reads(workloads):
              for pair, t in graded.items()
              if t.cause is not None or t.accurate != t.acc_expected}
     assert wrong == {}
+
+
+@pytest.mark.parametrize("name", ["sweep", "exact"])
+def test_traced_solves_carry_their_size(workloads, name):
+    """The first seed-1 unit under the benchmark's tracer: every span of the
+    two solvers records the number of states returned, and the series
+    route's found ratio, which reads those sizes, is above 0."""
+    tracing = _perfbench_module("tracing")
+    wl, units = _units(workloads, name)
+    tracer = tracing.Tracer()
+    assert tracer.install(qeshydro) == []
+    try:
+        tracer.unit = 0
+        out = wl.replay(qeshydro, units[0])
+    finally:
+        tracer.uninstall()
+    assert out.errors == [], units[0].describe()
+    spans = {"sl2.solve_admissible_z": [], "series.solve_series_states": []}
+    for span in tracer.spans:
+        if span[tracing.NAME] in spans:
+            spans[span[tracing.NAME]].append(span[tracing.SIZE])
+    assert spans["sl2.solve_admissible_z"] == [len(out.states)] * 2
+    assert spans["series.solve_series_states"] == [len(out.states)]
+    metrics, _ = tracing.layer_metrics(tracer, [1.0])
+    assert metrics["sl2.solve_admissible_z.calls_per_unit"][0] == 2
+    assert metrics["series.roots_found_ratio"][0] == len(out.states) / units[0].level[0] > 0

@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from qeshydro import _polyops, cli, sl2, to_sextic, verify_state
+from qeshydro import (ModelParams, RadialGrid, _polyops, cli, rho_grid_for, sl2,
+                      to_sextic, verify_state)
 from qeshydro.cli import main, solution_from_json
 from qeshydro.sextic import MAX_SEXTIC_RESIDUAL
 
@@ -311,6 +313,34 @@ class TestMapSextic:
         samples = json.loads(out)["states"][0]["samples"]
         assert len(samples) == 100
         assert all(len(pair) == 2 for pair in samples)
+
+    @pytest.mark.parametrize("points", [0, 50])
+    def test_builds_no_rho_grid(self, capsys, monkeypatch, points):
+        # The samples need only the ends of rho_grid_for's range, so no
+        # DEFAULT_RHO_POINTS-point array is made; both ends are exact.
+        params = ModelParams(1.0, 1.0, 0)
+        ends = rho_grid_for(params).points[[0, -1]].tolist()
+        sizes, geomspace = [], np.geomspace
+
+        def recording(lo, hi, n):
+            sizes.append(n)
+            return geomspace(lo, hi, n)
+
+        def refuse(cls, *args):
+            raise AssertionError(f"RadialGrid.geometric{args}")
+
+        monkeypatch.setattr(np, "geomspace", recording)
+        monkeypatch.setattr(RadialGrid, "geometric", classmethod(refuse))
+        code, out, _ = run_main(
+            ["map-sextic", "--omega-l", "1", "--k", "1", "--m", "0",
+             "--level", "3", "--sample-points", str(points)], capsys)
+        assert code == 0
+        assert sizes == ([points] * 3 if points else [])
+        for state in json.loads(out)["states"]:
+            rho = [pair[0] for pair in state.get("samples", [])]
+            assert len(rho) == points
+            if points:
+                assert [rho[0], rho[-1]] == ends
 
     def test_csv_sample_table_appended(self, capsys):
         code, out, _ = run_main(

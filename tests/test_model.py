@@ -12,6 +12,7 @@ from qeshydro import (
     ModelParams,
     QesState,
     RadialGrid,
+    constraint_polynomial,
     envelope_r_max,
     l2_norm_constant,
     level_energy,
@@ -117,8 +118,23 @@ class TestLevelEnergy:
             level_energy(0, 0, 1, 1)
 
     def test_negative_level_rejected(self):
-        with pytest.raises(DomainError):
+        # Named, as constraint_polynomial names it; level 0 is a DomainError.
+        with pytest.raises(ValueError) as caught:
             level_energy(-3, 0, 1, 1)
+        assert type(caught.value) is ValueError
+        assert str(caught.value) == "level must be a positive integer, got -3"
+        with pytest.raises(DomainError, match="no level-0"):
+            level_energy(0, 0, 1, 1)
+
+    @pytest.mark.parametrize("level", [-1, -3, -200, np.int64(-2)])
+    def test_negative_levels_are_named_alike(self, level):
+        errors = []
+        for call in (level_energy, constraint_polynomial):
+            with pytest.raises(ValueError) as caught:
+                call(level, 0, 1.0, 1.0)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1] == (
+            ValueError, f"level must be a positive integer, got {level!r}")
 
     @pytest.mark.parametrize("level", [2.0, 2.5, True, Fraction(2)])
     def test_level_must_be_an_exact_integer(self, level):

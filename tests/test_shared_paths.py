@@ -409,7 +409,7 @@ class TestOnePassPerState:
         level, m, omega_l, k = 184, 2, 0.8202921792095698, 2.6954949851996086
         params = ModelParams(omega_l, k, m)
         constraint = constraint_polynomial(level, m, omega_l, k)
-        roots = real_roots([float(c) for c in constraint.coeffs])
+        roots, _ = real_roots([float(c) for c in constraint.coeffs])
         energy = float(level_energy(level, m, omega_l, k))
         terms = [_terms(n, m, omega_l, k, energy) for n in range(level + 1)]
         outcomes = [ref_norm_outcome(params, _regenerate(terms, z)[:level])
@@ -426,9 +426,9 @@ class TestOnePassPerState:
         # norm raised before the appended root could fail to terminate.
         true_roots = series.real_roots
 
-        def with_unterminated_root(coeffs, *, diagnostics=None):
-            roots = true_roots(coeffs, diagnostics=diagnostics)
-            return roots + [2.0 * roots[-1] + 1.0]
+        def with_unterminated_root(coeffs):
+            roots, excluded = true_roots(coeffs)
+            return roots + [2.0 * roots[-1] + 1.0], excluded
 
         monkeypatch.setattr(series, "real_roots", with_unterminated_root)
         with pytest.raises(DomainError, match="the state overflows"):
@@ -440,8 +440,12 @@ class TestOnePassPerState:
         # A cycle through the solver's frame would keep every caller's frame,
         # and the grids in their locals, alive until a cyclic collection.
         true_roots = series.real_roots
-        monkeypatch.setattr(series, "real_roots", lambda coeffs, *, diagnostics=None:
-                            true_roots(coeffs, diagnostics=diagnostics) + [9.0])
+
+        def with_unterminated_root(coeffs):
+            roots, excluded = true_roots(coeffs)
+            return roots + [9.0], excluded
+
+        monkeypatch.setattr(series, "real_roots", with_unterminated_root)
         gc.collect()
         gc.disable()
         try:
@@ -585,12 +589,12 @@ def ref_solve(jf, m, omega, kk, tol):
     level = matrix.dim
     energy = float(level_energy(level, m, omega, kk))
     params = ModelParams(float(omega), float(kk), m)
-    diagnostics = []
+    notes = []
     accepted = []
     for idx in range(eigvals.size):
         lam = complex(eigvals[idx])
         if abs(lam.imag) > tol * scale:
-            diagnostics.append(
+            notes.append(
                 f"excluded complex eigenvalue {lam!r} at j={matrix.j}, m={m}")
             continue
         z = lam.real
@@ -599,21 +603,20 @@ def ref_solve(jf, m, omega, kk, tol):
         pivot = vec[0]
         if not abs(pivot) > 1e-12 * peak:
             pivot = vec[np.nonzero(np.abs(vec) > 1e-12 * peak)[0][0]]
-            diagnostics.append(
+            notes.append(
                 f"eigenvector with vanishing constant term at z={z!r}; "
                 f"scaled leading coefficient instead")
         vec = vec / pivot
         defect = float(np.max(np.abs(a @ vec - z * vec)))
         if defect > tol * scale * (peak / abs(pivot)):
-            diagnostics.append(
+            notes.append(
                 f"eigenvector consistency defect {defect:.3e} at z={z!r}")
         accepted.append((z, vec))
     if not accepted:
-        diagnostics.append(f"no real eigenvalues at j={matrix.j}, m={m}")
+        notes.append(f"no real eigenvalues at j={matrix.j}, m={m}")
     accepted.sort(key=lambda pair: pair[0])
-    states = level_states(params, level, energy, [z for z, _ in accepted],
-                          [tuple(vec.tolist()) for _, vec in accepted])
-    return tuple(states), tuple(diagnostics)
+    return level_states(params, level, energy, [z for z, _ in accepted],
+                        [tuple(vec.tolist()) for _, vec in accepted], notes)
 
 
 #: The deep-like inputs, at most of whose levels from 76 up the eigensolver
@@ -632,12 +635,13 @@ class TestOneEigenvectorPass:
         excluded = 0
         for omega_l, k, m, level in EIGEN_INPUTS:
             jf = Fraction(level - 1, 2)
-            states, notes = sl2._solve(jf, m, omega_l, k)
-            want_states, want_notes = ref_solve(jf, m, omega_l, k, sl2.MAX_DEFECT)
+            states = sl2._solve(jf, m, omega_l, k)
+            want_states = ref_solve(jf, m, omega_l, k, sl2.MAX_DEFECT)
             assert states == want_states
             for state, want in zip(states, want_states):
                 assert bits(state.poly) == bits(want.poly)
-            assert notes == want_notes
+            notes = states.notes
+            assert notes == want_states.notes
             excluded += sum(n.startswith("excluded complex") for n in notes)
         assert excluded >= 4
 
@@ -653,10 +657,11 @@ class TestOneEigenvectorPass:
         defects = 0
         for omega_l, k, m, level in EIGEN_INPUTS[::3]:
             jf = Fraction(level - 1, 2)
-            states, notes = sl2._solve(jf, m, omega_l, k)
-            want_states, want_notes = ref_solve(jf, m, omega_l, k, 1e-30)
+            states = sl2._solve(jf, m, omega_l, k)
+            want_states = ref_solve(jf, m, omega_l, k, 1e-30)
             assert states == want_states
-            assert kinds(notes) == kinds(want_notes)
+            notes = states.notes
+            assert kinds(notes) == kinds(want_states.notes)
             defects += sum("consistency defect" in n for n in notes)
         assert defects > 100
 

@@ -12,6 +12,7 @@ from qeshydro import (
     build_qes_matrix,
     characteristic_polynomial,
     constraint_polynomial,
+    cross_validate,
     sl2,
     solve_admissible_z,
 )
@@ -200,6 +201,20 @@ def _sympy_charpoly(entries):
     return tuple(Fraction(int(c.p), int(c.q)) for c in reversed(coeffs))
 
 
+@pytest.mark.parametrize("j", [True, False])
+@pytest.mark.parametrize("call", [
+    lambda j: solve_admissible_z(j, 0, 1.0, 1.0),
+    lambda j: build_qes_matrix(j, 0, 1.0, 1.0),
+    lambda j: cross_validate(j, 0, 1.0, 1.0)],
+    ids=["solve_admissible_z", "build_qes_matrix", "cross_validate"])
+def test_a_bool_j_is_rejected_by_name(j, call):
+    # True is the integer 1 to Fraction, so it once solved the level j = 1.
+    with pytest.raises(ValueError) as caught:
+        call(j)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"j must be a non-negative half-integer, got {j!r}"
+
+
 class TestCharacteristicPolynomialReference:
     def test_random_tridiagonal_matches_sympy(self):
         rng = np.random.default_rng(11)
@@ -263,10 +278,9 @@ class TestSolveAdmissible:
             omega = float(rng.uniform(0.05, 10.0))
             k = float(rng.uniform(0.0, 10.0))
             m = int(rng.integers(-5, 6))
-            diags = []
-            states = solve_admissible_z(HALF, m, omega, k, diagnostics=diags)
+            states = solve_admissible_z(HALF, m, omega, k)
             assert len(states) == 2
-            assert not diags
+            assert not states.notes
 
     def test_level_one_energy_via_admissible_strength(self):
         # with z = (|m| + 1/2) k/omega the level-1 energy can be written
@@ -297,12 +311,12 @@ class TestSolveAdmissible:
     def test_empirical_spectrum_is_real_at_desk_scale(self):
         # Reported as an observation: the off-diagonal products of the
         # tridiagonal matrix are positive, so no complex pairs appear.
-        diags = []
+        notes = []
         for two_j in range(0, 13):
-            states = solve_admissible_z(Fraction(two_j, 2), 1, 1, 1,
-                                        diagnostics=diags)
+            states = solve_admissible_z(Fraction(two_j, 2), 1, 1, 1)
             assert len(states) == two_j + 1
-        assert not diags
+            notes += states.notes
+        assert not notes
 
 
 def jacobi_strengths(level, m, omega_l, k):

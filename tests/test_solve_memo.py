@@ -1,7 +1,7 @@
 """The algebraic solve keeps its most recent result in one slot: a repeat
-call returns the same states and diagnostics as a cold call, and inputs
-that differ only in exactness or the sign of a zero k do not share it.  The
-tests of the diagnostics lower the complex filter's and the defect's
+call returns the same states and notes as a cold call, and inputs that
+differ only in exactness or the sign of a zero k do not share it.  The
+tests of the notes lower the complex filter's and the defect's
 bounds, ``_polyops.MAX_IMAG`` and ``sl2.MAX_DEFECT``, to TIGHT, from
 empty slots, so no tight solve outlives its test.
 """
@@ -17,7 +17,7 @@ from qeshydro import (DomainError, _polyops, cross_validate, level_energy, sl2,
 
 HALF = Fraction(1, 2)
 
-# At this input the algebraic route reports no diagnostics at the default
+# At this input the algebraic route makes no notes at the default
 # bounds of 1e-9 and twelve eigenvector-consistency defects at TIGHT.
 NOISY = (Fraction(11, 2), -4, 0.22317077664872895, 2.9363511648986176)
 TIGHT = 1e-30
@@ -39,17 +39,16 @@ def solves(empty_slots, monkeypatch):
 
 @pytest.fixture
 def tight(monkeypatch):
-    """Both bounds of the algebraic route's diagnostics set to TIGHT."""
+    """Both bounds of the algebraic route's notes set to TIGHT."""
     monkeypatch.setattr(_polyops, "MAX_IMAG", TIGHT)
     monkeypatch.setattr(sl2, "MAX_DEFECT", TIGHT)
 
 
-def cold(*args, **kwargs):
-    """A solve with the slot emptied first."""
+def cold(*args):
+    """A solve with the slot emptied first, and its notes."""
     sl2._last_solve = None
-    diagnostics = []
-    states = solve_admissible_z(*args, diagnostics=diagnostics, **kwargs)
-    return states, diagnostics
+    states = solve_admissible_z(*args)
+    return states, states.notes
 
 
 def same_bits(a, b):
@@ -64,9 +63,9 @@ def same_bits(a, b):
 
 class TestRepeatCall:
     def test_same_states_new_list_same_diagnostics(self, solves, tight):
-        first, second = [], []
-        a = solve_admissible_z(*NOISY, diagnostics=first)
-        b = solve_admissible_z(*NOISY, diagnostics=second)
+        a = solve_admissible_z(*NOISY)
+        b = solve_admissible_z(*NOISY)
+        first, second = a.notes, b.notes
         assert len(solves) == 1
         assert a is not b and a == b
         assert all(x is y for x, y in zip(a, b))

@@ -20,9 +20,9 @@ from qeshydro import (
     solve_series_states,
     verify_state,
 )
-from qeshydro import series, verify
+from qeshydro import series, sl2, verify
 from qeshydro._polyops import real_roots
-from qeshydro.model import l2_norm_constant
+from qeshydro.model import Level, l2_norm_constant
 from qeshydro.verify import _simpson
 
 HALF = Fraction(1, 2)
@@ -323,6 +323,99 @@ class TestFixedThresholds:
     def test_a_positional_tolerance_is_a_type_error(self, call):
         with pytest.raises(TypeError):
             call()
+
+
+class TestNotesAreReturned:
+    """Both solvers return a ``model.Level``: a list of states with their
+    notes.  No public callable, and not ``real_roots``, takes a
+    ``diagnostics`` list to append to."""
+
+    def test_no_public_callable_takes_diagnostics(self):
+        import qeshydro
+
+        callables = [getattr(qeshydro, name) for name in qeshydro.__all__
+                     if callable(getattr(qeshydro, name))]
+        assert len(callables) > 20
+        for item in [*callables, real_roots]:
+            try:
+                params = inspect.signature(item).parameters
+            except ValueError:  # no signature to inspect
+                continue
+            assert "diagnostics" not in params, item
+
+    @pytest.mark.parametrize("call", [
+        lambda: solve_admissible_z(HALF, 0, 1.0, 1.0, diagnostics=[]),
+        lambda: solve_series_states(2, 0, 1.0, 1.0, diagnostics=[]),
+        lambda: cross_validate(HALF, 0, 1.0, 1.0, diagnostics=[]),
+        lambda: real_roots([1.0, -3.0, 2.0], diagnostics=[])])
+    def test_passing_diagnostics_is_a_type_error(self, call):
+        with pytest.raises(TypeError):
+            call()
+
+    def test_both_solvers_return_a_level(self):
+        # At level 60 the series route drops complex roots, with a note each.
+        deep = solve_series_states(60, 0, 1.0, 1.0)
+        for level in (solve_admissible_z(Fraction(5, 2), 1, 2.0, 0.25),
+                      solve_series_states(6, 1, 2.0, 0.25), deep):
+            assert isinstance(level, Level) and isinstance(level, list)
+            assert type(level.notes) is tuple
+            assert all(type(note) is str for note in level.notes)
+        assert len(deep.notes) == 60 - len(deep) > 0
+
+    def test_real_roots_returns_what_it_excluded(self):
+        # x^2 + 1 has no real root; (x - 1)(x - 2) has two.
+        roots, excluded = real_roots([1.0, 0.0, 1.0])
+        assert roots == [] and all(type(z) is complex for z in excluded)
+        assert sorted(excluded, key=lambda z: z.imag) == [-1j, 1j]
+        assert real_roots([2.0, -3.0, 1.0]) == ([1.0, 2.0], [])
+        assert real_roots([0.0]) == ([], [])
+
+    def test_cross_validate_joins_both_routes_notes(self, monkeypatch):
+        # Defects noted by the algebraic route, and a complex root excluded
+        # by the series route, in that order, then the verdict's figures.
+        monkeypatch.setattr(sl2, "MAX_DEFECT", 1e-30)
+        monkeypatch.setattr(sl2, "_last_solve", None)
+        args = (Fraction(5, 2), 1, 2.0, 0.25)
+        true_roots = series.real_roots
+        monkeypatch.setattr(series, "real_roots", lambda coeffs: (
+            true_roots(coeffs)[0], [complex(3.0, 4.0)]))
+        algebra = solve_admissible_z(*args)
+        power = solve_series_states(6, 1, 2.0, 0.25)
+        assert algebra.notes and power.notes == ("excluded complex root (3+4j)",)
+        report = cross_validate(*args)
+        assert report.passed
+        assert report.notes == algebra.notes + power.notes
+
+    def test_an_unterminated_series_keeps_its_notes(self, monkeypatch):
+        # The RuntimeError carries the series route's notes as __notes__, so
+        # the report lists them before the failure, as when they were
+        # appended to a shared list.
+        monkeypatch.setattr(series, "MAX_TAIL", 0.0)
+        true_roots = series.real_roots
+        monkeypatch.setattr(series, "real_roots", lambda coeffs: (
+            true_roots(coeffs)[0], [complex(3.0, 4.0)]))
+        with pytest.raises(RuntimeError, match="failed to terminate") as caught:
+            solve_series_states(6, 1, 2.0, 0.25)
+        assert caught.value.__notes__ == ["excluded complex root (3+4j)"]
+        report = cross_validate(Fraction(5, 2), 1, 2.0, 0.25)
+        algebra = solve_admissible_z(Fraction(5, 2), 1, 2.0, 0.25)
+        assert not report.passed
+        assert report.notes == (*algebra.notes, "excluded complex root (3+4j)",
+                                str(caught.value))
+
+    def test_each_failure_is_the_last_note(self, monkeypatch):
+        args = (Fraction(5, 2), 1, 2.0, 0.25)
+        monkeypatch.setattr(series, "solve_series_states",
+                            lambda *a: Level(solve_admissible_z(*args)[:5], ("n",)))
+        report = cross_validate(*args)
+        assert not report.passed and report.notes == (
+            "n", "root-count mismatch: 6 from the algebraic route, 5 from the "
+                 "series route")
+        monkeypatch.setattr(sl2, "solve_admissible_z", lambda *a: Level((), ("a",)))
+        monkeypatch.setattr(series, "solve_series_states", lambda *a: Level((), ("s",)))
+        report = cross_validate(*args)
+        assert not report.passed
+        assert report.notes == ("a", "s", "both routes returned no real roots")
 
 
 class TestResidualConvergence:
