@@ -1,19 +1,21 @@
 """Physical parameters, solved states, radial grids, and the radial operator.
 
 Parameters, states and grids are immutable after construction.  What depends
-only on a grid (its stencil spacings, the squares of its points, its Simpson
-weights, the head nodes of verification's norm) is memoised on that grid.
-One-entry slots keep, on a grid, the envelope sampled on it for the most
-recent (omega_l, k, |m|) and the potential of :func:`radial_operator_apply`
-without ``z`` for the most recent (omega_l, k, m), and in this module
-``r_max`` and the quadrature of :func:`l2_norm_constants` for the most
-recent (omega_l, k, |m|): every :class:`ModelParams` of a set shares them
-by value.  A memo is a pure function of immutable data, and a slot is read
-once and replaced by one assignment (``_polyops.kept``), so evaluating
-concurrently over grids and parameter sets stays safe.
-The interior of (H - E) R has one kernel, :func:`_interior_residual`, which
-:func:`radial_operator_apply` and ``verify_state`` share: every element gets
-the same operations in the same order, in buffers reused in place.
+only on a grid (the weights of the residual stencil, the squares of its
+points, its Simpson weights times the points, the head nodes of
+verification's norm) is memoised on that grid.  One-entry slots keep, on a
+grid, the envelope sampled on it for the most recent (omega_l, k, |m|) and
+``V - E`` without the Coulomb term for the most recent (omega_l, k, m, E),
+and in this module ``r_max`` and the quadrature of
+:func:`l2_norm_constants` for the most recent (omega_l, k, |m|): every
+:class:`ModelParams` of a set shares them by value.  A memo is a pure
+function of immutable data, and a slot is read once and replaced by one
+assignment (``_polyops.kept``), so evaluating concurrently over grids and
+parameter sets stays safe.
+The interior of (H - E) R has one kernel, :func:`_interior_residual`, in
+difference form, which :func:`radial_operator_apply` and ``verify_state``
+share: every element gets the same operations in the same order, in
+buffers reused in place.
 
 Conventions (atomic units throughout):
 
@@ -302,25 +304,33 @@ class RadialGrid:
 
     @cached_property
     def _stencil(self):
-        """Spacings of the centered three-point stencil at the interior
-        points: hm, hp, hm + hp and hm * hp * (hm + hp)."""
+        """The weights ``a`` and ``b`` of :func:`_interior_residual` at the
+        interior points: ``(hm + hm^2/(2x))/D`` and ``(hp - hp^2/(2x))/D``
+        with ``D = hm hp (hm + hp)``, so that the centered ``-f''/2 -
+        f'/(2x)`` is ``b (f_i - f_{i-1}) - a (f_{i+1} - f_i)``."""
         x = self.points
         hm = x[1:-1] - x[:-2]
         hp = x[2:] - x[1:-1]
-        total = hm + hp
-        return hm, hp, total, hm * hp * total
+        denom = hm * hp * (hm + hp)
+        twice = 2.0 * x[1:-1]
+        return (hm + hm * hm / twice) / denom, (hp - hp * hp / twice) / denom
 
     @cached_property
-    def _slope_weights(self):
-        """hm * hm, hp * hp - hm * hm and hp * hp of the centered first
-        derivative."""
-        hm, hp = self._stencil[:2]
-        return hm * hm, hp * hp - hm * hm, hp * hp
-
-    @cached_property
-    def _simpson_weights(self):
-        """The grid-only factors of :func:`_simpson` on these points."""
-        return _simpson_weights(self.points)
+    def _norm_weights(self):
+        """The composite Simpson weights of the points
+        (:func:`_simpson_weights`), each times its point: the rule's weights
+        for ``|R|^2`` under the ``r dr`` measure."""
+        x = self.points
+        stop, (width, c0, c1, c2), end = _simpson_weights(x)
+        weights = np.zeros_like(x)
+        weights[0:stop:2] += width * c0
+        weights[1:stop + 1:2] += width * c1
+        weights[2:stop + 2:2] += width * c2
+        if end is not None:
+            alpha, beta, eta = end
+            weights[-3:] += (-eta, beta, alpha)
+        weights *= x
+        return weights
 
     @cached_property
     def _state_points(self):
@@ -410,9 +420,12 @@ def _floored_geometric(r_min: float, r_max: float, n: int, floor: float) -> np.n
 
 
 def _simpson_weights(x: np.ndarray):
-    """The factors of :func:`_simpson` that depend on ``x`` alone: the
-    panel stop, the panel factors and, for an even point count, the
-    end-interval correction."""
+    """The factors of the composite Simpson rule on strictly increasing,
+    irregular ``x`` of at least three points (as every RadialGrid is): the
+    panel stop, the panel factors of the parabolic panels over pairs of
+    intervals and, for an even point count, Cartwright's (2017) correction
+    of the last interval.  Their operations and order are those of the
+    common reference implementation."""
     h = np.diff(x)
     stop = x.size - 2 if x.size % 2 else x.size - 3
     h0, h1 = h[0:stop:2], h[1:stop + 1:2]
@@ -431,87 +444,53 @@ def _simpson_weights(x: np.ndarray):
     return stop, panels, end
 
 
-def _simpson(y: np.ndarray, x: np.ndarray, weights=None):
-    """Composite Simpson rule for strictly increasing, irregular ``x`` of
-    at least three points (as every RadialGrid is); ``weights`` are
-    :func:`_simpson_weights` of ``x`` when the caller keeps them.
-
-    Parabolic panels over pairs of intervals; with an even point count the
-    last interval gets Cartwright's (2017) correction.  The floating-point
-    operations and their order are those of the common reference
-    implementation, so results agree with it bit for bit (see
-    tests/test_verify.py).
-    """
-    stop, (width, c0, c1, c2), end = (
-        _simpson_weights(x) if weights is None else weights)
-    total = np.sum(
-        width * (
-            y[0:stop:2] * c0
-            + y[1:stop + 1:2] * c1
-            + y[2:stop + 2:2] * c2
-        )
-    )
-    if end is not None:
-        alpha, beta, eta = end
-        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return total
-
-
-def _fd_second_interior(grid: RadialGrid, f: np.ndarray, out=None, work=None):
-    """Second-order centered second derivative at the interior points, in
-    ``out`` with ``work`` as a spare buffer when they are given."""
-    hm, hp, total, denom = grid._stencil
-    out = np.multiply(hm, f[2:], out=out)
-    out -= np.multiply(total, f[1:-1], out=work)
-    out += np.multiply(hp, f[:-2], out=work)
-    out *= 2.0
-    out /= denom
-    return out
-
-
-def _potential_without_z(params: ModelParams, grid: RadialGrid):
-    """The terms of the radial potential without z at the grid points,
-    ``0.5 omega_l^2 x^2 + k x + omega_l m`` and ``0.5 m^2 / x^2``, kept on
-    the grid for the most recent (omega_l, k, m)."""
+def _potential_less_energy(params: ModelParams, energy, grid: RadialGrid):
+    """``V - E`` without the Coulomb term at the grid points, ``0.5
+    omega_l^2 x^2 + k x + omega_l m + 0.5 m^2 / x^2 - E``, kept on the grid
+    for the most recent (omega_l, k, m, E): the states of a level share
+    it."""
     omega, k, m, x = float(params.omega_l), float(params.k), params.m, grid.points
-    return kept(grid.__dict__, "_potential_slot", (omega, k, m), lambda: (
-        0.5 * omega * omega * x * x + k * x + omega * m,
-        0.5 * m * m / grid._squares))
+    e = float(energy)
+    return kept(grid.__dict__, "_potential_slot", (omega, k, m, e), lambda: (
+        0.5 * omega * omega * x * x + k * x + omega * m
+        + 0.5 * m * m / grid._squares - e))
 
 
 def _interior_residual(params: ModelParams, z, energy, grid: RadialGrid, f):
     """``-f''/2 - f'/(2x) + (V - E) f`` at the interior points, for the
-    Coulomb strength ``z``: the interior of :func:`radial_operator_apply`,
-    in three buffers reused in place.  Raises as that function does for
-    the samples and the grid."""
+    Coulomb strength ``z``, and the peak ``max |f|``: the interior of
+    :func:`radial_operator_apply`.
+
+    In difference form, ``b_i (f_i - f_{i-1}) - a_i (f_{i+1} - f_i) + (c_i
+    - z/x_i) f_i``, summed left to right, with the grid's ``a`` and ``b``
+    (``RadialGrid._stencil``) and ``c`` of :func:`_potential_less_energy`:
+    eight passes over two buffers after the two of the peak.  Taking the
+    differences before weighting them keeps the digits that weighting the
+    samples loses to cancellation.  Raises as that function does for the
+    samples and the grid; the peak of samples that are not all finite is
+    not finite, since ``np.max`` propagates NaN."""
     x = grid.points
     if f.shape != x.shape:
         raise ValueError("r_samples must match the grid")
     if x.size - 2 < 32:
         raise GridError(f"grid too coarse: {x.size - 2} interior points, "
                         f"need at least 32")
-    if not np.isfinite(f).all():
+    buffer = np.abs(f)
+    peak = float(np.max(buffer))
+    if not math.isfinite(peak):
         raise ValueError("r_samples must be finite")
-    base, centrifugal = _potential_without_z(params, grid)
-    hm2, mixed, hp2 = grid._slope_weights
-    denom, inner, mid = grid._stencil[3], x[1:-1], f[1:-1]
-    work = np.empty_like(inner)
-    residual = _fd_second_interior(grid, f, np.empty_like(inner), work)
-    residual *= -0.5
-    slope = np.multiply(hm2, f[2:])
-    slope += np.multiply(mixed, mid, out=work)
-    slope -= np.multiply(hp2, f[:-2], out=work)
-    slope /= denom
-    slope *= 0.5
-    slope /= inner
-    residual -= slope
-    potential = np.divide(float(z), inner, out=slope)
-    np.subtract(base[1:-1], potential, out=potential)
-    potential += centrifugal[1:-1]
-    potential -= float(energy)
-    potential *= mid
-    residual += potential
-    return residual
+    a, b = grid._stencil
+    c = _potential_less_energy(params, energy, grid)
+    steps = np.subtract(f[1:], f[:-1], out=buffer[:-1])
+    back, ahead = steps[:-1], steps[1:]
+    residual = np.multiply(a, ahead)
+    np.multiply(b, back, out=back)
+    np.subtract(back, residual, out=residual)
+    work = np.divide(float(z), x[1:-1], out=back)
+    np.subtract(c[1:-1], work, out=work)
+    work *= f[1:-1]
+    residual += work
+    return residual, peak
 
 
 def radial_operator_apply(params: ModelParams, z, energy: float, grid: RadialGrid,
@@ -529,7 +508,7 @@ def radial_operator_apply(params: ModelParams, z, energy: float, grid: RadialGri
     x = grid.points
     f = np.asarray(r_samples, dtype=float)
     residual = np.empty_like(x)
-    residual[1:-1] = _interior_residual(params, z, energy, grid, f)
+    residual[1:-1] = _interior_residual(params, z, energy, grid, f)[0]
 
     # One one-sided stencil for both ends, each read inward; the right
     # end's spacings are negative, which flips signs exactly.
@@ -539,9 +518,8 @@ def radial_operator_apply(params: ModelParams, z, energy: float, grid: RadialGri
     slope = (-(2.0 * h1 + h2) / (h1 * (h1 + h2)) * f0 + (h1 + h2) / (h1 * h2) * f1
              - h1 / (h2 * (h1 + h2)) * f2)
     curve = 2.0 * (f0 / (h1 * (h1 + h2)) - f1 / (h1 * h2) + f2 / (h2 * (h1 + h2)))
-    base, centrifugal = _potential_without_z(params, grid)
-    potential = base[ends] - z / x0 + centrifugal[ends]
-    residual[ends] = -0.5 * curve - 0.5 * slope / x0 + (potential - float(energy)) * f0
+    potential = _potential_less_energy(params, energy, grid)[ends] - float(z) / x0
+    residual[ends] = -0.5 * curve - 0.5 * slope / x0 + potential * f0
     interior = np.ones_like(x, dtype=bool)
     interior[0] = interior[-1] = False
     return residual, interior

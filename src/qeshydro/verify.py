@@ -15,7 +15,6 @@ from .model import (
     QesState,
     RadialGrid,
     _interior_residual,
-    _simpson,
 )
 
 __all__ = [
@@ -118,10 +117,12 @@ def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray,
                    head_poly: np.ndarray) -> float:
     """Simpson norm on the grid plus endpoint tail estimates, from the
     state's ``samples`` on the grid points and its polynomial factor
-    ``head_poly`` at the grid's head nodes on [0, r_min]."""
-    r = grid.points
-    density = samples ** 2 * r
-    total = float(_simpson(density, r, grid._simpson_weights))
+    ``head_poly`` at the grid's head nodes on [0, r_min].  The Simpson
+    term is ``sum((samples * w) * samples)`` with the grid's weights ``w``
+    for the ``r dr`` measure, a pairwise sum that no BLAS kernel takes."""
+    density = samples * grid._norm_weights
+    density *= samples
+    total = float(np.sum(density))
 
     s, half, weights = grid._state_points
     head_values = state.norm_constant * head_poly * state.params.envelope(s)
@@ -132,14 +133,14 @@ def _norm_estimate(state: QesState, grid: RadialGrid, samples: np.ndarray,
     # single exponential majorant.
     p = state.params
     degree = state.level - 1
-    r_max = grid.r_max
+    r_max, last = grid.r_max, float(samples[-1])
     rate = (
         2.0 * float(p.omega_l) * r_max
         + 2.0 * float(p.k) / float(p.omega_l)
         - (2.0 * p.abs_m + 1.0 + 2.0 * degree) / r_max
     )
     rate = max(rate, float(p.omega_l) * r_max)
-    tail = float(density[-1]) / rate
+    tail = last * last * r_max / rate
     return total + head + tail
 
 
@@ -149,18 +150,21 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
 
     The residual is the interior maximum of |(H - E) R| scaled by
     max(|E R|, machine floor) over the grid, from the interior kernel of
-    :func:`radial_operator_apply` alone; normalization error is the
-    deviation of the Simpson-plus-tails norm from one.  They pass within
-    :data:`MAX_RESIDUAL` and :data:`MAX_NORM_ERROR`.  The node count is the sign changes
-    of the float coefficients, zeros skipped: by Descartes' rule, every
-    positive zero of a factor whose zeros are real and simple, as both
-    routes' are (Stieltjes), when each coefficient is accurate relative to
-    its own size.
+    :func:`radial_operator_apply` alone (``model._interior_residual``, in
+    difference form), which also gives the peak |R| of the scale.
+    Normalization error is the deviation of the Simpson-plus-tails norm
+    from one; the Simpson term is ``sum((R * w) * R)`` with one weight per
+    grid point.  They pass within :data:`MAX_RESIDUAL` and
+    :data:`MAX_NORM_ERROR`.  The node count is the sign changes of the
+    float coefficients, zeros skipped: by Descartes' rule, every positive
+    zero of a factor whose zeros are real and simple, as both routes' are
+    (Stieltjes), when each coefficient is accurate relative to its own
+    size.
 
     The polynomial factor is evaluated once on each of two point sets,
-    each alone: the grid points and the head nodes of the norm.  Below 16
-    coefficients (levels up to 15) that is Horner's rule, so the residual
-    and norm are the ones earlier versions gave, byte for byte.  From 16
+    each alone: the grid points and the head nodes of the norm, and the
+    values on the grid points are scaled to the samples of R in place.
+    Below 16 coefficients (levels up to 15) that is Horner's rule.  From 16
     coefficients it is :func:`polyval`'s blocked evaluation, within
     Horner's error bound ``2 D eps sum_i |a_i| |x|**i``, with the powers of
     the two sets built once for the most recent grid; a block product's
@@ -174,12 +178,11 @@ def verify_state(state: QesState, grid: RadialGrid | None = None) -> Verificatio
     if not (np.abs(coeffs) > 0).any():
         raise ValueError("state has an identically zero polynomial factor")
 
-    on_grid, on_head = _polyval_sets(state.poly, grid,
+    samples, on_head = _polyval_sets(state.poly, grid,
                                      (grid.points, grid._state_points[0]))
-
-    samples = state.norm_constant * on_grid * grid._envelope_samples(params)
-    residual = _interior_residual(params, state.z, state.energy, grid, samples)
-    peak = float(np.max(np.abs(samples)))
+    samples *= state.norm_constant
+    samples *= grid._envelope_samples(params)
+    residual, peak = _interior_residual(params, state.z, state.energy, grid, samples)
     floor = float(np.finfo(float).eps) * peak
     scale = max(abs(state.energy) * peak, floor, 1e-300)
     max_residual = float(np.max(np.abs(residual, out=residual))) / scale

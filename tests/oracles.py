@@ -9,8 +9,9 @@ independent, dense construction of ``build_qes_matrix``, ``band_rows`` the
 dense rows of a matrix's bands, ``energy_x`` of
 ``level_energy``, ``recurrence_next`` of the float and exact constraint
 recurrences, ``gauss_integrate`` integrates one state at a time where
-the library integrates a level's states in one pass, and
-``fd_sextic_residual`` grades the sextic map by a finite-difference
+the library integrates a level's states in one pass, ``_simpson`` is the
+composite Simpson rule whose weights verification folds into one vector,
+and ``fd_sextic_residual`` grades the sextic map by a finite-difference
 residual on a rho grid, where the library checks it as an exact
 polynomial identity.
 """
@@ -24,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from qeshydro._polyops import as_half_integer, check_integer, coerce_couplings, kept
-from qeshydro.model import ModelParams, QesState, _fd_second_interior, _gauss_rule
+from qeshydro.model import ModelParams, QesState, _gauss_rule, _simpson_weights
 from qeshydro.sextic import rho_grid_for
 from qeshydro.series import _HALF, _terms, constraint_polynomial
 
@@ -306,11 +307,53 @@ def gauss_integrate(fn, a: float, b: float, n: int = 256) -> float:
     return float(half * np.sum(w * fn(r)))
 
 
+def _simpson(y: np.ndarray, x: np.ndarray):
+    """Composite Simpson rule for strictly increasing, irregular ``x`` of
+    at least three points, on the factors of ``model._simpson_weights``.
+    The floating-point operations and their order are those of the common
+    reference implementation, so results agree with it bit for bit (see
+    tests/test_verify.py)."""
+    stop, (width, c0, c1, c2), end = _simpson_weights(x)
+    total = np.sum(
+        width * (
+            y[0:stop:2] * c0
+            + y[1:stop + 1:2] * c1
+            + y[2:stop + 2:2] * c2
+        )
+    )
+    if end is not None:
+        alpha, beta, eta = end
+        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
+    return total
+
+
+def _fd_stencil(x: np.ndarray):
+    """Spacings of the centered three-point stencil at the interior points
+    of ``x``: hm, hp, hm + hp and hm * hp * (hm + hp)."""
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    total = hm + hp
+    return hm, hp, total, hm * hp * total
+
+
+def _fd_second_interior(stencil, f: np.ndarray, out=None, work=None):
+    """Second-order centered second derivative at the interior points, on
+    the spacings ``stencil`` (:func:`_fd_stencil`), in ``out`` with
+    ``work`` as a spare buffer when they are given."""
+    hm, hp, total, denom = stencil
+    out = np.multiply(hm, f[2:], out=out)
+    out -= np.multiply(total, f[1:-1], out=work)
+    out += np.multiply(hp, f[:-2], out=work)
+    out *= 2.0
+    out /= denom
+    return out
+
+
 def _fd_sextic_arrays(sextic, grid):
-    """sqrt(rho), the envelope at rho**2 and the sextic potential at the
-    interior points of the rho ``grid``, in one slot on the grid keyed by
-    the couplings, |m| and the four coefficients, so the states of one
-    level share them."""
+    """sqrt(rho), the envelope at rho**2, the sextic potential at the
+    interior points of the rho ``grid`` and the grid's stencil spacings, in
+    one slot on the grid keyed by the couplings, |m| and the four
+    coefficients, so the states of one level share them."""
     params = sextic.source.params
     coeffs = (sextic.centrifugal_coeff, sextic.rho2_coeff, sextic.rho4_coeff,
               sextic.rho6_coeff)
@@ -326,7 +369,8 @@ def _fd_sextic_arrays(sextic, grid):
             + sextic.rho4_coeff * rho4[inner]
             + sextic.rho6_coeff * rho6[inner]
         )
-        return np.sqrt(rho), params.envelope(grid._squares), potential
+        return (np.sqrt(rho), params.envelope(grid._squares), potential,
+                _fd_stencil(rho))
 
     return kept(grid.__dict__, "_fd_sextic_slot", key, arrays)
 
@@ -340,13 +384,13 @@ def fd_sextic_residual(sextic, grid=None) -> float:
     makes three arrays the size of the grid: zeta, the residual and one
     work buffer.  Each element is -zeta''/2 + V zeta - 4z zeta, summed left
     to right, with zeta''s stencil terms in the order of
-    ``model._fd_second_interior``.
+    :func:`_fd_second_interior`.
     """
     source = sextic.source
     grid = rho_grid_for(source.params) if grid is None else grid
     if len(grid) - 2 < 32:
         raise ValueError("rho grid too coarse: need at least 32 interior points")
-    sqrt_rho, envelope, potential = _fd_sextic_arrays(sextic, grid)
+    sqrt_rho, envelope, potential, stencil = _fd_sextic_arrays(sextic, grid)
     # zeta = sqrt(rho) R(rho^2) = sqrt(rho) ((c P(rho^2)) envelope(rho^2)).
     zeta = source.polynomial_values(grid._squares)
     zeta *= source.norm_constant
@@ -355,7 +399,7 @@ def fd_sextic_residual(sextic, grid=None) -> float:
     peak = float(np.max(np.abs(zeta)))
     inner = zeta[1:-1]
     work = np.empty_like(inner)
-    residual = _fd_second_interior(grid, zeta, np.empty_like(inner), work)
+    residual = _fd_second_interior(stencil, zeta, np.empty_like(inner), work)
     residual *= -0.5
     residual += np.multiply(potential, inner, out=work)
     residual -= np.multiply(sextic.eigenvalue, inner, out=work)

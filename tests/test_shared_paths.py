@@ -1,12 +1,13 @@
 """The arrays shared by the states of a parameter set give the same bits as
 the per-state formulas they replace.
 
-The reference functions below are the per-state formulas, copied as they
+The reference functions below are the per-state formulas, written as they
 were before the stencil, the powers of the points, the envelope samples and
 the norm quadrature were kept on the grid or on the parameters, and before
 each state's polynomial factor was evaluated once for all its checks and
-the norm constants of a solve in one pass.  Every comparison is ``==``:
-sharing must not move a single bit.
+the norm constants of a solve in one pass; the residual in difference form
+and the Simpson term as one weight per point, as the library computes them.
+Every comparison is ``==``: sharing must not move a single bit.
 
 A state's polynomial factor of 16 or more coefficients is evaluated in
 blocks (``ref_blocks``, the reference copy in ``test_float_paths``), whose
@@ -109,26 +110,25 @@ def ref_radial_values(state, r):
             * ref_envelope(state.params, r))
 
 
-def ref_simpson(y, x):
+def ref_norm_weights(x):
+    """The composite Simpson weights of the points ``x``, one per point,
+    each times its point: ``sum(ref_norm_weights(x) * y)`` is the rule for
+    ``y * x``, with the panel factors of the common reference rule."""
     h = np.diff(x)
     stop = x.size - 2 if x.size % 2 else x.size - 3
     h0, h1 = h[0:stop:2], h[1:stop + 1:2]
     hsum = h0 + h1
     h0divh1 = h0 / h1
-    total = np.sum(
-        hsum / 6.0 * (
-            y[0:stop:2] * (2.0 - 1.0 / h0divh1)
-            + y[1:stop + 1:2] * (hsum * (hsum / (h0 * h1)))
-            + y[2:stop + 2:2] * (2.0 - h0divh1)
-        )
-    )
+    weights = np.zeros_like(x)
+    weights[0:stop:2] += hsum / 6.0 * (2.0 - 1.0 / h0divh1)
+    weights[1:stop + 1:2] += hsum / 6.0 * (hsum * (hsum / (h0 * h1)))
+    weights[2:stop + 2:2] += hsum / 6.0 * (2.0 - h0divh1)
     if x.size % 2 == 0:
         a, b = np.asarray(h[-2]), np.asarray(h[-1])
-        alpha = (2 * b**2 + 3 * a * b) / (6 * (b + a))
-        beta = (b**2 + 3.0 * a * b) / (6 * a)
-        eta = b**3 / (6 * a * (a + b))
-        total += alpha * y[-1] + beta * y[-2] - eta * y[-3]
-    return total
+        weights[-1] += (2 * b**2 + 3 * a * b) / (6 * (b + a))
+        weights[-2] += (b**2 + 3.0 * a * b) / (6 * a)
+        weights[-3] -= b**3 / (6 * a * (a + b))
+    return weights * x
 
 
 def ref_sign_changes(poly):
@@ -138,12 +138,24 @@ def ref_sign_changes(poly):
 
 
 def ref_residual(params, z, energy, x, f):
-    """(H - E) f on the points ``x``, endpoints included."""
+    """(H - E) f on the points ``x``, endpoints included: at the interior
+    points in difference form, ``b (f_i - f_{i-1}) - a (f_{i+1} - f_i) +
+    (c - z/x) f_i`` with ``c = V - E`` without ``z``."""
     omega, k, m = float(params.omega_l), float(params.k), params.m
+    c = (0.5 * omega * omega * x * x + k * x + omega * m
+         + 0.5 * m * m / (x * x) - float(energy))
+    potential = c - float(z) / x
     f1, f2 = ref_fd_derivatives(x, f)
-    potential = (0.5 * omega * omega * x * x + k * x + omega * m - z / x
-                 + 0.5 * m * m / (x * x))
-    return -0.5 * f2 - 0.5 * f1 / x + (potential - float(energy)) * f
+    residual = -0.5 * f2 - 0.5 * f1 / x + potential * f
+    hm = x[1:-1] - x[:-2]
+    hp = x[2:] - x[1:-1]
+    denom = hm * hp * (hm + hp)
+    inner = x[1:-1]
+    a = (hm + hm * hm / (2.0 * inner)) / denom
+    b = (hp - hp * hp / (2.0 * inner)) / denom
+    residual[1:-1] = (b * (f[1:-1] - f[:-2]) - a * (f[2:] - f[1:-1])
+                      + potential[1:-1] * f[1:-1])
+    return residual
 
 
 def ref_report(state, grid):
@@ -158,15 +170,14 @@ def ref_report(state, grid):
     scale = max(abs(state.energy) * float(np.max(np.abs(f))), floor, 1e-300)
     max_residual = float(np.max(np.abs(residual[1:-1]))) / scale
 
-    density = f ** 2 * x
-    total = float(ref_simpson(density, x))
+    total = float(np.sum((f * ref_norm_weights(x)) * f))
     head = gauss_integrate(lambda s: ref_radial_values(state, s) ** 2 * s,
                            0.0, grid.r_min, n=16)
     r_max = grid.r_max
     rate = (2.0 * omega * r_max + 2.0 * k / omega
             - (2.0 * p.abs_m + 1.0 + 2.0 * (state.level - 1)) / r_max)
     rate = max(rate, omega * r_max)
-    norm = total + head + float(density[-1]) / rate
+    norm = total + head + float(f[-1] ** 2 * x[-1]) / rate
     return max_residual, abs(norm - 1.0), ref_sign_changes(state.poly)
 
 
@@ -493,13 +504,17 @@ class TestOnePassPerState:
         # radial_values and an evaluation on the head nodes alone, bit for
         # bit.  Level 80 (5 blocks) is one where OpenBLAS's Haswell kernel
         # gave other bits for the grid points in one call with other points.
+        # The samples are scaled in place, so each is copied as the kernel
+        # gets it, with the peak the kernel returns.
         from qeshydro import verify
-        samples, heads = [], []
+        samples, peaks, heads = [], [], []
         apply, norm = verify._interior_residual, verify._norm_estimate
 
         def keeping(params, z, energy, grid, values):
-            samples.append(values)
-            return apply(params, z, energy, grid, values)
+            samples.append(values.copy())
+            residual, peak = apply(params, z, energy, grid, values)
+            peaks.append(peak)
+            return residual, peak
 
         def keeping_head(state, grid, values, head_poly):
             heads.append(head_poly)
@@ -514,6 +529,7 @@ class TestOnePassPerState:
             want = state.radial_values(grid.points)
             assert np.array_equal(samples[-1], want)
             assert np.array_equal(np.signbit(samples[-1]), np.signbit(want))
+            assert peaks[-1] == float(np.max(np.abs(want)))
             head = grid._state_points[0]
             assert np.array_equal(heads[-1], state.polynomial_values(head))
 
