@@ -105,6 +105,17 @@ def check_integer(value, name: str = "m") -> int:
     return int(value)
 
 
+def check_m(m) -> int:
+    """Validate m, an exact integer with |m| <= 2**53, where every integer
+    is a double, so the float expressions of m take the m given; a larger
+    |m| is a DomainError naming it."""
+    m = check_integer(m)
+    if abs(m) > 2**53:
+        raise DomainError(f"m = {m} is too large for double precision: "
+                          f"|m| must be at most 2**53")
+    return m
+
+
 def check_level(level) -> int:
     """Validate a level, an exact integer that is not negative; level 0 is
     left to the caller."""

@@ -4,7 +4,11 @@ Output is deterministic: identical configurations produce byte-identical
 output (floats are serialized with Python's shortest round-trip
 representation, CSV uses '.' decimals and a mandatory header row).
 Every command writes selections of one row per state, so each CSV row
-holds values of the JSON per-state entry.
+holds values of the JSON per-state entry.  A parameter set's states are
+verified on its default radial grid, ``RadialGrid.for_params``: 4096
+points from ``DEFAULT_R_MIN``, which ``export`` also samples from.  No
+option moves the grid, so a verdict follows from (omega_l, k, m, level)
+alone.
 
 Exit codes: 0 success, 2 usage error, 3 domain error (e.g. level 0),
 4 verification failure.
@@ -15,15 +19,13 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
-import math
 import sys
 
 import numpy as np
 
 from . import __version__, sl2
 from ._polyops import allocated, coerce_couplings
-from .model import (DEFAULT_GRID_POINTS, DEFAULT_R_MIN, DomainError, ModelParams,
-                    QesState, RadialGrid)
+from .model import DomainError, ModelParams, QesState, RadialGrid
 from .series import NoGroundStateError
 from .sextic import (MAX_SEXTIC_RESIDUAL, _rho_range, sextic_residual,
                      sextic_wavefunction, to_sextic)
@@ -82,13 +84,6 @@ _OPTIONS = {
     "k": (_k_float, None),
     "m": (int, None),
     "level": (_LEVEL, None),
-    "j": (_checked(float, lambda j: j >= 0 and (2 * j).is_integer(),
-                   "j must be a non-negative half-integer, got {!r}"), None),
-    "grid_points": (_checked(int, lambda n: n >= 64,
-                             "grid-points must be at least 64"),
-                    DEFAULT_GRID_POINTS),
-    "r_min": (_checked(float, lambda x: 0 < x < math.inf,
-                       "r-min must be positive and finite"), DEFAULT_R_MIN),
     "format": (_checked(str, _FORMATS.__contains__, "unsupported format {!r}"),
                "json"),
     "out": (str, None),
@@ -184,8 +179,8 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     """The command and every option's value: flags over config file over
     the defaults of :data:`_OPTIONS`.  Every coupling pair the command will
     solve passes :func:`coerce_couplings` here.  ``scan`` refuses an
-    option it would not use: ``--omega-l`` and ``--k``, and ``--m``,
-    ``--level`` or ``--j`` next to the list that replaces it."""
+    option it would not use: ``--omega-l`` and ``--k``, and ``--m`` or
+    ``--level`` next to the list that replaces it."""
     values = _load_config_file(args.config) if args.config else {}
     values.update((key, value) for key, value in vars(args).items()
                   if key in _OPTIONS and value is not None)
@@ -197,8 +192,7 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
         # The couplings come from their lists only; m and the level from
         # their lists when those are not empty.
         for key, listed in (("omega_l", "omega_l_list"), ("k", "k_list"),
-                            ("m", "m_list"), ("level", "level_list"),
-                            ("j", "level_list")):
+                            ("m", "m_list"), ("level", "level_list")):
             if key in values and (key in ("omega_l", "k") or values.get(listed)):
                 raise UsageError(f"scan does not take {_given(key, values[key])}: "
                                  f"it scans {_given(listed, values.get(listed, ()))}")
@@ -207,12 +201,9 @@ def _merge(args: argparse.Namespace) -> argparse.Namespace:
     if command == "verify" and cfg.format != "json":
         raise UsageError("verify writes JSON only")
 
-    if cfg.level is not None and cfg.j is not None:
-        raise UsageError("give only one of --level or --j")
-    if cfg.level is None and cfg.j is not None:
-        cfg.level = int(2 * cfg.j) + 1
     if cfg.level is None and not (command == "scan" and cfg.level_list):
-        raise UsageError("exactly one of --level or --j must be given")
+        raise UsageError("scan requires --level or --level-list" if command == "scan"
+                         else "--level is required")
 
     if command != "scan":
         if cfg.omega_l is None or cfg.k is None or cfg.m is None:
@@ -268,16 +259,15 @@ _COLUMNS = {
 _SAMPLE_COLUMNS = {"map-sextic": ("rho", "zeta"), "export": ("r", "radial_value")}
 
 
-def _rows(cfg, omega_l, k, m, level):
-    """One row per algebraic state of a parameter set, the radial grid of
-    their reports, which shares the solve's ``r_max`` by value, and the
-    solve's notes.  A row holds the set's omega_l, k and m, the state's
-    root_index and ``to_dict()`` values, its report's max_residual,
+def _rows(omega_l, k, m, level):
+    """One row per algebraic state of a parameter set, the default radial
+    grid of their reports, which shares the solve's ``r_max`` by value,
+    and the solve's notes.  A row holds the set's omega_l, k and m, the
+    state's root_index and ``to_dict()`` values, its report's max_residual,
     norm_error and node_count, also as the dictionary "verification", and
     the state and report themselves as "state" and "report"."""
     states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k)
-    grid = RadialGrid.for_params(ModelParams(omega_l, k, m), n=cfg.grid_points,
-                                 r_min=cfg.r_min)
+    grid = RadialGrid.for_params(ModelParams(omega_l, k, m))
     rows = []
     for index, state in enumerate(states):
         report = verify_state(state, grid=grid)
@@ -304,7 +294,7 @@ def _level(cfg):
     or cross-validation failed."""
     if cfg.level < 1:
         raise NoGroundStateError()
-    rows, grid, notes = _rows(cfg, cfg.omega_l, cfg.k, cfg.m, cfg.level)
+    rows, grid, notes = _rows(cfg.omega_l, cfg.k, cfg.m, cfg.level)
     cross = None
     if cfg.level <= MAX_CROSS_LEVEL:
         cross = cross_validate(0.5 * (cfg.level - 1), cfg.m, cfg.omega_l, cfg.k)
@@ -372,7 +362,7 @@ def cmd_scan(cfg) -> int:
     for omega_l, k, m, level in itertools.product(
             sorted(cfg.omega_l_list), sorted(cfg.k_list), sorted(m_values),
             sorted(level_values)):
-        found = _rows(cfg, omega_l, k, m, level)[0]
+        found = _rows(omega_l, k, m, level)[0]
         note = _incomplete(found, level)
         if note:
             incomplete.append(f"{note} at omega_l={omega_l!r} k={k!r} m={m} "

@@ -15,7 +15,9 @@ parameter sets stays safe.
 The interior of (H - E) R has one kernel, :func:`_interior_residual`, in
 difference form, which :func:`radial_operator_apply` and ``verify_state``
 share: every element gets the same operations in the same order, in
-buffers reused in place.
+buffers reused in place.  Every grid of :meth:`RadialGrid.for_params`
+starts at DEFAULT_R_MIN.  The norm quadrature squares each state's values
+scaled by a power of two, so finite values do not overflow there.
 
 Conventions (atomic units throughout):
 
@@ -31,14 +33,13 @@ Conventions (atomic units throughout):
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
 
 from ._polyops import (_BLOCK, DomainError, _block_powers, _polyval_blocks, allocated,
-                       bisect, check_integer, check_level, coerce_couplings, kept,
+                       bisect, check_level, check_m, coerce_couplings, kept,
                        polyval)
 
 #: Default grid controls.  The spacing floor guards the second-difference
@@ -67,7 +68,7 @@ class ModelParams:
 
     def __post_init__(self):
         coerce_couplings(self.omega_l, self.k)
-        check_integer(self.m)
+        check_m(self.m)
 
     @property
     def abs_m(self) -> int:
@@ -99,7 +100,7 @@ def level_energy(level: int, m: int, omega_l, k):
             "level must be >= 1: the terminating series admits no level-0 "
             "(ground) state"
         )
-    m = check_integer(m)
+    m = check_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     return omega * (level + abs(m) + m) - kk * kk / (2 * omega * omega)
 
@@ -357,38 +358,28 @@ class RadialGrid:
         return cls(np.geomspace(r_min, r_max, n))
 
     @classmethod
-    def for_params(
-        cls,
-        params: ModelParams,
-        n: int = DEFAULT_GRID_POINTS,
-        r_min: float = DEFAULT_R_MIN,
-    ) -> "RadialGrid":
-        """Default grid: geometric spacing with a roundoff floor.
+    def for_params(cls, params: ModelParams, n: int = DEFAULT_GRID_POINTS) -> "RadialGrid":
+        """Default grid: n points from DEFAULT_R_MIN, geometric spacing with
+        a roundoff floor.
 
         r_max is adaptive (:func:`envelope_r_max`).  The local step is
         max(growth * r, floor) with floor scaled so that refining the
         point count refines the floor proportionally; this keeps the
         finite-difference residual second-order under grid doubling while
         bounding eps/h^2 roundoff near the origin.  Raises DomainError when
-        r_min**2 is not a normal double or m**2/(2 r_min**2) overflows, when
-        r_max is not above r_min, or too close to it for n distinct radii,
-        and when the n points cannot be allocated; GridError when n < 3.
+        r_max is not above DEFAULT_R_MIN, or too close to it for n distinct
+        radii, and when the n points cannot be allocated; GridError when
+        n < 3.  As |m| <= 2**53, m**2/(2 r**2) is below 4.1e37 on the grid.
         """
         if n < 3:
             raise GridError("grid needs at least 3 points")
-        m, square = params.m, r_min * r_min
-        if square < sys.float_info.min or 0.5 * m * m / square > sys.float_info.max:
-            raise DomainError(
-                f"r-min {r_min!r} is too small for double precision at "
-                f"m = {m}: r-min**2 underflows or m**2/(2 r-min**2) overflows"
-            )
-        r_max = _set_constants(params)[0]
+        r_min, r_max = DEFAULT_R_MIN, _set_constants(params)[0]
         if not r_max > r_min:
             raise _scale_error(params, f"the envelope decays before the grid "
                                        f"starts: r_max = {r_max!r} <= r_min = {r_min!r}")
         floor = _SPACING_FLOOR_AT_DEFAULT * (DEFAULT_GRID_POINTS / n)
         pts = allocated(lambda: _floored_geometric(r_min, r_max, n, floor),
-                        f"grid-points {n} needs {n} doubles", n)
+                        f"grid of {n} points needs {n} doubles", n)
         if not np.all(pts[1:] > pts[:-1]):
             raise _scale_error(params, f"r_min = {r_min!r} and r_max = {r_max!r} "
                                        f"are too close for n = {n} distinct radii")
@@ -548,38 +539,44 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
     quadrature from the grid-based Simpson rule used in verification, so the
     reported normalization error is a genuine two-method comparison.  The
     rule is :func:`_set_constants`', shared by value, and the factors'
-    values at its nodes are :func:`_node_values`.
+    values at its nodes are :func:`_node_values`.  Each factor's values
+    times the envelope are scaled by 2**-e, e the exponent of their largest
+    magnitude, before they are squared, and its constant by 2**-e after:
+    exact scalings, which keep the unscaled constant's bits.
 
-    Raises, for the first factor in ``polys`` whose integral is 0 or not
-    finite, DomainError when that factor is nonzero (the envelope
-    underflows, or the state overflows) and ValueError when it is zero.
+    Raises, for the first factor in ``polys`` whose constant is not a
+    finite positive double, DomainError when that factor is nonzero (the
+    unscaled integral is 0: the envelope underflows; else the state
+    overflows) and ValueError when it is zero.
     """
     if not polys:
         return []
-    # A total that is not finite is raised below, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
+    # A constant that is not finite is raised below, so numpy need not warn.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         half, w, r, envelope, powers = _set_constants(params)[1]
         # In place, to keep one (n_states, nodes) temporary: acc becomes
-        # base = P * envelope, then integrands = w * (base * base * r).
+        # base = P * envelope * 2**-e, then integrands = w * (base * base * r).
         acc, nodes = _node_values(polys, r, powers)
         acc *= envelope
+        exponents = np.frexp(np.max(np.abs(acc), axis=1))[1]
+        np.ldexp(acc, -exponents[:, None], out=acc)
         integrands = acc * acc
         integrands *= nodes
         integrands *= w
-        totals = [float(half * np.sum(row)) for row in integrands]
-    constants = []
-    for poly, total in zip(polys, totals):
-        if not 0.0 < total < math.inf:
+        totals = np.array([float(half * np.sum(row)) for row in integrands])
+        integrals = np.ldexp(totals, 2 * exponents).tolist()
+        constants = np.ldexp(1.0 / np.sqrt(totals), -exponents).tolist()
+    for poly, integral, constant in zip(polys, integrals, constants):
+        if not 0.0 < constant < math.inf:
             if not any(poly):
                 raise ValueError("polynomial factor gives zero norm")
-            cause = ("the envelope underflows" if total == 0.0
+            cause = ("the envelope underflows" if integral == 0.0
                      else "the state overflows")
             raise DomainError(
                 f"{cause} double precision at omega-l = {float(params.omega_l)!r}, "
                 f"k = {float(params.k)!r}, m = {params.m}: its norm integral is "
-                f"{total!r}"
+                f"{integral!r}"
             )
-        constants.append(1.0 / math.sqrt(total))
     return constants
 
 

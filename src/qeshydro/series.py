@@ -17,8 +17,8 @@ import numpy as np
 
 from . import model
 from ._polyops import (
-    check_integer,
     check_level,
+    check_m,
     coerce_couplings,
     is_exact,
     monic,
@@ -124,7 +124,7 @@ def constraint_polynomial(level: int, m: int, omega_l, k) -> ConstraintPolynomia
     """
     if check_level(level) == 0:
         raise NoGroundStateError()
-    m = check_integer(m)
+    m = check_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     if exact:
         return ConstraintPolynomial(level, m, omega, kk,

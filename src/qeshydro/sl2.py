@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from . import model
-from ._polyops import (allocated, as_half_integer, check_integer,
+from ._polyops import (allocated, as_half_integer, check_m,
                        coerce_couplings, imaginary, is_exact, kept)
 from .model import Level, ModelParams
 
@@ -73,9 +73,10 @@ class QesMatrix:
             return (tuple(Fraction(p * (2 * (n + am) + 1), 2 * q) for n in range(dim)),
                     tuple(Fraction(-(n * (2 * am + n)), 2) for n in range(1, dim)),
                     tuple(Fraction(-a * (dim - 1 - n), b) for n in range(dim - 1)))
+        # 2.0 * am keeps n (2|m| + n) in doubles, where int64 could wrap.
         omega, n = float(self.omega_l), np.arange(dim)
         return (float(self.k) / omega * (n + (am + 0.5)),
-                -(n[1:] * (2 * am + n[1:])) / 2,
+                -(n[1:] * (2.0 * am + n[1:])) / 2,
                 -omega * n[:0:-1])
 
     def as_array(self) -> np.ndarray:
@@ -90,9 +91,9 @@ class QesMatrix:
 
 
 def build_qes_matrix(j, m: int, omega_l, k) -> QesMatrix:
-    """The matrix of validated labels: j a half-integer, m an integer and
-    the couplings both Fraction or both float (:func:`coerce_couplings`)."""
-    return QesMatrix(as_half_integer(j), check_integer(m),
+    """The matrix of validated labels: j a half-integer, m (:func:`check_m`)
+    and the couplings both Fraction or both float (:func:`coerce_couplings`)."""
+    return QesMatrix(as_half_integer(j), check_m(m),
                      *coerce_couplings(omega_l, k)[:2])
 
 
@@ -170,7 +171,7 @@ def solve_admissible_z(j, m: int, omega_l, k) -> Level:
     immutable states with the same notes; a call that raises keeps nothing.
     """
     jf = as_half_integer(j)
-    m = check_integer(m)
+    m = check_m(m)
     omega, kk, exact = coerce_couplings(omega_l, k)
     key = (jf, m, exact, omega, kk, math.copysign(1.0, kk))
     level = kept(globals(), "_last_solve", key, lambda: _solve(jf, m, omega, kk))

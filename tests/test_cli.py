@@ -72,19 +72,6 @@ class TestSolve:
         assert len(err.splitlines()) == 1
         assert err.startswith("error:") and "omega-l" in err
 
-    def test_level_and_j_conflict(self, capsys):
-        code, _, err = run_main(
-            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "1",
-             "--j", "0"], capsys)
-        assert code == 2
-
-    def test_j_flag(self, capsys):
-        code, out, _ = run_main(
-            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--j", "0.5"],
-            capsys)
-        assert code == 0
-        assert len(json.loads(out)["states"]) == 2
-
     def test_csv_has_header(self, capsys):
         code, out, _ = run_main(
             ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "1",
@@ -99,11 +86,9 @@ class TestOptionRanges:
     files alike, and a bad value exits 2 with the option named."""
 
     @pytest.mark.parametrize("flag,value", [
-        ("r-min", "nan"), ("r-min", "inf"), ("r-min", "-1"), ("grid-points", "63"),
-        ("sample-points", "-1"), ("format", "xml"), ("j", "nan"), ("j", "inf"),
-        ("j", "-0.5"), ("j", "0.3"), ("level", "-3"), ("level", "-1")])
+        ("sample-points", "-1"), ("format", "xml"), ("level", "-3"), ("level", "-1")])
     def test_flag(self, flag, value, capsys):
-        level = [] if flag in ("j", "level") else ["--level", "90"]
+        level = [] if flag == "level" else ["--level", "90"]
         code, out, err = run_main(
             ["solve", "--omega-l", "1", "--k", "1", "--m", "0", *level,
              f"--{flag}", value], capsys)
@@ -112,8 +97,7 @@ class TestOptionRanges:
         assert "NaN" not in err
 
     @pytest.mark.parametrize("key,value", [
-        ("r_min", "inf"), ("grid_points", "10"), ("sample_points", "-3"),
-        ("format", "xml"), ("j", "inf"), ("level", "-3")])
+        ("sample_points", "-3"), ("format", "xml"), ("level", "-3")])
     def test_config_file(self, key, value, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"omega_l = 1\nk = 1\nm = 0\nlevel = 2\n{key} = {value}\n")
@@ -487,6 +471,56 @@ class TestRemovedTol:
         assert (code, out, err) == (2, "", f"error: {cfg}:5: unknown key 'tol'\n")
 
 
+class TestRemovedOptions:
+    """One way to ask for a level and one verification grid: ``--j``,
+    ``--grid-points`` and ``--r-min`` are gone, as flags and config keys."""
+
+    FLAGS = [("--j", "1.5"), ("--grid-points", "65536"), ("--r-min", "0.05")]
+
+    @pytest.mark.parametrize("flag,value", FLAGS)
+    @pytest.mark.parametrize("command", ["solve", "scan", "verify", "map-sextic",
+                                         "export"])
+    def test_flag_is_unrecognized(self, command, flag, value, capsys):
+        given = (["--omega-l-list", "1", "--k-list", "1", "--m", "0"]
+                 if command == "scan" else ["--omega-l", "1", "--k", "1", "--m", "0"])
+        code, out, err = run_main([command, *given, "--level", "2", flag, value],
+                                  capsys)
+        assert (code, out) == (2, "")
+        assert err.endswith(f"error: unrecognized arguments: {flag} {value}\n")
+
+    @pytest.mark.parametrize("key", ["j", "grid_points", "r_min"])
+    def test_config_key_is_unknown(self, key, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"omega_l = 1\nk = 1\nm = 0\nlevel = 2\n{key} = 1\n")
+        code, out, err = run_main(["solve", "--config", str(cfg)], capsys)
+        assert (code, out, err) == (2, "", f"error: {cfg}:5: unknown key {key!r}\n")
+
+    def test_a_level_is_required(self, capsys):
+        code, out, err = run_main(["solve", "--omega-l", "1", "--k", "1", "--m", "0"],
+                                  capsys)
+        assert (code, out, err) == (2, "", "error: --level is required\n")
+        code, out, err = run_main(["scan", "--omega-l-list", "1", "--k-list", "1",
+                                   "--m", "0"], capsys)
+        assert (code, out, err) == (2, "", "error: scan requires --level or "
+                                           "--level-list\n")
+
+    def test_every_command_verifies_on_the_default_grid(self, monkeypatch, capsys):
+        grids = []
+        for_params = RadialGrid.for_params.__func__
+
+        def recorded(cls, params, *args, **kwargs):
+            grids.append((args, kwargs))
+            return for_params(cls, params, *args, **kwargs)
+
+        monkeypatch.setattr(RadialGrid, "for_params", classmethod(recorded))
+        for command in ("solve", "verify", "map-sextic", "export"):
+            run_main([command, "--omega-l", "1", "--k", "1", "--m", "0",
+                      "--level", "2"], capsys)
+        run_main(["scan", "--omega-l-list", "1", "--k-list", "1", "--m", "0",
+                  "--level", "2"], capsys)
+        assert grids == [((), {})] * 5
+
+
 class TestDiagnostics:
     def test_each_diagnostic_once_without_numpy_reprs(self, empty_slots,
                                                       monkeypatch, capsys):
@@ -682,63 +716,32 @@ class TestScaleFailures:
 
 
 class TestCutoffJustAboveRMin:
-    """An --r-min a few ulps below the envelope's cutoff leaves no room for
-    the grid's radii: exit 3 naming both radii and the point count, not 2
-    with the grid's 'strictly increasing'."""
+    """Couplings whose envelope cutoff lies a few ulps above the grid's
+    first radius leave no room for its radii: exit 3 naming both radii and
+    the point count, not 2 with the grid's 'strictly increasing'."""
 
-    ARGS = ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "1"]
+    ARGS = ["solve", "--k", "0", "--m", "0", "--level", "1"]
 
     def test_exit_3_naming_both_radii(self, capsys):
-        code, out, err = run_main([*self.ARGS, "--r-min", "6.652752924591981"],
+        code, out, err = run_main([*self.ARGS, "--omega-l", "57564627.324851125"],
                                   capsys)
         assert code == 3 and out == ""
-        assert err == ("error: r_min = 6.652752924591981 and r_max = "
-                       "6.652752924591982 are too close for n = 4096 distinct "
-                       "radii at omega-l = 1.0, k = 1.0, m = 0\n")
+        assert err == ("error: r_min = 0.001 and r_max = "
+                       "0.0010000000000000002 are too close for n = 4096 distinct "
+                       "radii at omega-l = 57564627.324851125, k = 0.0, m = 0\n")
 
     def test_a_cutoff_with_room_still_solves(self, capsys):
-        code, out, err = run_main([*self.ARGS, "--r-min", "6.6527"], capsys)
+        code, out, err = run_main([*self.ARGS, "--omega-l", "57000000"], capsys)
         assert code == 0 and err == ""
         assert len(json.loads(out)["states"]) == 1
-
-
-class TestTinyRMin:
-    """An --r-min whose square is not a normal double, or at which
-    m**2/(2 r_min**2) overflows, exits 3 naming r_min and m, with no numpy
-    warning."""
-
-    @pytest.mark.parametrize("m,r_min", [("0", "1e-200"), ("1", "1e-160"),
-                                         ("-2", "1e-160"), ("10", "1.5e-154")])
-    def test_exit_3_without_a_warning(self, m, r_min):
-        # A fresh process, so numpy warnings would reach stderr as they do
-        # for a user, not pytest's warning capture.
-        proc = subprocess.run(
-            [sys.executable, "-m", "qeshydro", "solve", "--omega-l", "1", "--k", "1",
-             "--m", m, "--level", "2", "--r-min", r_min],
-            capture_output=True, text=True)
-        assert proc.returncode == 3 and proc.stdout == ""
-        assert proc.stderr == (
-            f"error: r-min {float(r_min)!r} is too small for double precision at "
-            f"m = {int(m)}: r-min**2 underflows or m**2/(2 r-min**2) overflows\n")
-
-    def test_scan_and_a_small_normal_r_min(self, capsys):
-        code, out, err = run_main(
-            ["scan", "--omega-l-list", "1", "--k-list", "1", "--m-list", "0,1",
-             "--level-list", "2", "--r-min", "1e-155"], capsys)
-        assert code == 3 and out == ""
-        assert err.startswith("error: r-min 1e-155 is too small")
-        code, out, err = run_main(
-            ["solve", "--omega-l", "1", "--k", "1", "--m", "3", "--level", "2",
-             "--r-min", "1e-150"], capsys)
-        assert code == 0 and "Warning" not in err
 
 
 class TestHugeLevel:
     """A level whose float matrix cannot be allocated exits 3 naming the
     level and the matrix size, whether the OS refuses the array (level
     10**6, 8e12 bytes) or numpy refuses its size at once (level 10**12, and
-    j = 1e300, a 301-digit level whose bytes are past the float range).  No
-    level whose matrix fits in memory is run: it would be allocated."""
+    a 301-digit level whose bytes are past the float range).  No level
+    whose matrix fits in memory is run: it would be allocated."""
 
     J_LEVEL = int(2e300) + 1
     #: The message after "error: ", by the value of the last flag.
@@ -747,8 +750,8 @@ class TestHugeLevel:
                    "8e+12 bytes: more than can be allocated",
         "1000000000000": "level 1000000000000 needs a 1000000000000 x 1000000000000 "
                          "matrix of doubles, 8e+24 bytes: more than can be allocated",
-        "1e300": f"level {J_LEVEL} needs a {J_LEVEL} x {J_LEVEL} matrix of doubles, "
-                 f"3.20e+601 bytes: more than can be allocated",
+        str(J_LEVEL): f"level {J_LEVEL} needs a {J_LEVEL} x {J_LEVEL} matrix of "
+                      f"doubles, 3.20e+601 bytes: more than can be allocated",
     }
     SET = ["--omega-l", "1", "--k", "1", "--m", "0"]
     LISTS = ["--omega-l-list", "1", "--k-list", "1", "--m-list", "0"]
@@ -758,7 +761,7 @@ class TestHugeLevel:
         ["scan", *LISTS, "--level-list", "1000000"],
         ["solve", *SET, "--level", "1000000000000"],
         ["scan", *LISTS, "--level-list", "1000000000000"],
-        ["solve", *SET, "--j", "1e300"]])
+        ["solve", *SET, "--level", str(J_LEVEL)]])
     def test_exit_3_naming_level_and_size(self, argv, capsys):
         code, out, err = run_main(argv, capsys)
         assert code == 3 and out == ""
@@ -766,25 +769,38 @@ class TestHugeLevel:
 
 
 class TestHugeArrays:
-    """A --grid-points or --sample-points whose points cannot be allocated
-    exits 3 naming the option, its value and the bytes.  Only counts that
-    numpy or the OS refuse at once are run (10**12 and 10**20 doubles)."""
+    """A --sample-points whose points cannot be allocated exits 3 naming
+    the option, its value and the bytes.  Only counts that numpy or the OS
+    refuse at once are run (10**12 and 10**20 doubles)."""
 
     SET = ["--omega-l", "1", "--k", "1", "--m", "0", "--level", "3"]
-    LISTS = ["--omega-l-list", "1", "--k-list", "1", "--m-list", "0",
-             "--level-list", "3"]
 
     @pytest.mark.parametrize("count,size", [("1000000000000", "8e+12"),
                                             ("100000000000000000000", "8e+20")])
     @pytest.mark.parametrize("command,option", [
-        ("solve", "grid-points"), ("verify", "grid-points"), ("scan", "grid-points"),
         ("export", "sample-points"), ("map-sextic", "sample-points")])
     def test_exit_3_naming_option_and_size(self, command, option, count, size, capsys):
-        given = self.LISTS if command == "scan" else self.SET
-        code, out, err = run_main([command, *given, f"--{option}", count], capsys)
+        code, out, err = run_main([command, *self.SET, f"--{option}", count], capsys)
         assert code == 3 and out == ""
         assert err == (f"error: {option} {count} needs {count} doubles, {size} "
                        f"bytes: more than can be allocated\n")
+
+
+class TestHugeM:
+    """An |m| above 2**53 exits 3 with one line naming m on every command,
+    where int64 arithmetic once escaped as an OverflowError traceback."""
+
+    @pytest.mark.parametrize("m", [str(2**53 + 1), str(2**63 - 1), str(-2**63),
+                                   str(10**200)])
+    @pytest.mark.parametrize("command", ["solve", "scan", "verify", "map-sextic",
+                                         "export"])
+    def test_exit_3_naming_m(self, command, m, capsys):
+        given = (["--omega-l-list", "1", "--k-list", "1"] if command == "scan"
+                 else ["--omega-l", "1", "--k", "1"])
+        code, out, err = run_main([command, *given, "--m", m, "--level", "6"], capsys)
+        assert (code, out) == (3, "")
+        assert err == (f"error: m = {m} is too large for double precision: "
+                       f"|m| must be at most 2**53\n")
 
 
 class TestScanRefusesWhatItWouldDrop:
@@ -798,8 +814,8 @@ class TestScanRefusesWhatItWouldDrop:
          "scan does not take --m 2: it scans --m-list 0,1"),
         (["--m", "0", "--level", "2", "--level-list", "1,3"],
          "scan does not take --level 2: it scans --level-list 1,3"),
-        (["--m", "0", "--j", "0.5", "--level-list", "1"],
-         "scan does not take --j 0.5: it scans --level-list 1"),
+        (["--m", "0", "--level", "0", "--level-list", "1"],
+         "scan does not take --level 0: it scans --level-list 1"),
         (["--m", "0", "--level", "1", "--omega-l", "7"],
          "scan does not take --omega-l 7.0: it scans --omega-l-list 1.0"),
         (["--m", "0", "--level", "1", "--k", "9"],

@@ -11,9 +11,11 @@ listing ``--omega-l`` and ``--k``, which it refuses.  The five
 ``solve_bad_value`` were recorded again when the ``--tol`` option was
 removed, as each lists the options in its usage text; ``solve_bad_value``
 then moved from ``--tol nan`` to ``--r-min nan``, so it still shows a bad
-value, and ``solve_removed_tol`` shows that ``--tol`` is unknown.  Record
-missing cases
-with
+value, and ``solve_removed_tol`` shows that ``--tol`` is unknown.  The
+same eight were recorded again when ``--j``, ``--grid-points`` and
+``--r-min`` were removed; ``solve_bad_value`` then moved to
+``--sample-points -1``, and the three ``solve_removed_*`` cases show that
+those options are unknown.  Record missing cases with
 
     PYTHONPATH=src python tests/test_cli_texts.py
 
@@ -41,8 +43,11 @@ CASES = {
     **{f"{cmd}_help": [cmd, "--help"] for cmd in _COMMANDS},
     **{f"{cmd}_unknown_option": [cmd, "--bogus", "1"] for cmd in _COMMANDS},
     "scan_ambiguous_option": ["scan", "--omega", "1"],
-    "solve_bad_value": ["solve", "--r-min", "nan"],
+    "solve_bad_value": ["solve", "--sample-points", "-1"],
     "solve_removed_tol": ["solve", "--tol", "1e-9"],
+    "solve_removed_j": ["solve", "--j", "1.5"],
+    "solve_removed_grid_points": ["solve", "--grid-points", "65536"],
+    "solve_removed_r_min": ["solve", "--r-min", "0.05"],
     "export_bad_type": ["export", "--m", "x"],
 }
 

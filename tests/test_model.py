@@ -12,7 +12,9 @@ from qeshydro import (
     ModelParams,
     QesState,
     RadialGrid,
+    build_qes_matrix,
     constraint_polynomial,
+    cross_validate,
     envelope_r_max,
     l2_norm_constant,
     level_energy,
@@ -53,6 +55,38 @@ class TestModelParams:
             ModelParams(1.0, 1.0, 1.5)
         with pytest.raises(ValueError):
             ModelParams(1.0, 1.0, True)
+
+
+class TestHugeM:
+    """|m| is at most 2**53, where every integer is a double: one check,
+    ``_polyops.check_m``, raises DomainError naming a larger m at every
+    entry, before any int64 or float arithmetic can overflow."""
+
+    @pytest.mark.parametrize("m", [2**53 + 1, -(2**53) - 1, 2**62, 2**63, -2**63,
+                                   10**200])
+    def test_every_entry_names_m(self, m):
+        message = (f"^m = {m} is too large for double precision: "
+                   r"\|m\| must be at most 2\*\*53$")
+        for call in (lambda: ModelParams(1.0, 1.0, m),
+                     lambda: level_energy(2, m, 1.0, 1.0),
+                     lambda: constraint_polynomial(2, m, 1.0, 1.0),
+                     lambda: constraint_polynomial(2, m, 1, 1),
+                     lambda: solve_admissible_z(0.5, m, 1.0, 1.0),
+                     lambda: solve_series_states(2, m, 1.0, 1.0),
+                     lambda: cross_validate(0.5, m, 1.0, 1.0),
+                     lambda: build_qes_matrix(0.5, m, 1.0, 1.0)):
+            with pytest.raises(DomainError, match=message):
+                call()
+
+    @pytest.mark.parametrize("m", [2**53, -2**53])
+    def test_the_largest_m_keeps_the_grid_finite(self, m):
+        # m**2/(2 r**2) is below 4.1e37 from DEFAULT_R_MIN up.
+        params = ModelParams(1.0, 1.0, m)
+        grid = RadialGrid.for_params(params)
+        assert grid.r_min == model.DEFAULT_R_MIN
+        with np.errstate(all="raise"):
+            c = model._potential_less_energy(params, level_energy(1, m, 1.0, 1.0), grid)
+        assert np.all(np.isfinite(c))
 
 
 class TestGaugeTransform:
@@ -182,11 +216,11 @@ class TestRadialGrid:
 
     @pytest.mark.parametrize("n", [-5, 0, 1, 2])
     def test_for_params_refuses_fewer_than_three_points_first(self, n):
-        # Before any other work: also where r_min or r_max would be refused.
-        for params, r_min in [(ModelParams(1, 1, 0), 1e-3), (ModelParams(1, 1e5, 0), 1e-3),
-                              (ModelParams(1, 1, 3), 1e-200)]:
+        # Before any other work: also where r_max would be refused.
+        for params in [ModelParams(1, 1, 0), ModelParams(1, 1e5, 0),
+                       ModelParams(57564627.324851125, 0, 0)]:
             with pytest.raises(GridError, match="^grid needs at least 3 points$"):
-                RadialGrid.for_params(params, n=n, r_min=r_min)
+                RadialGrid.for_params(params, n=n)
         assert len(RadialGrid.for_params(ModelParams(1, 1, 0), n=3)) == 3
 
     def test_for_params_reuses_the_parameters_r_max(self):
@@ -196,7 +230,7 @@ class TestRadialGrid:
 
     @pytest.mark.parametrize("grid", [
         RadialGrid.uniform(0.25, 3.0, 7), RadialGrid.geometric(1e-3, 9.0, 101),
-        RadialGrid.for_params(ModelParams(0.7, 1.9, -2), n=500, r_min=0.02)])
+        RadialGrid.for_params(ModelParams(0.7, 1.9, -2), n=500)])
     def test_ends_are_the_first_and_last_points(self, grid):
         assert (grid.r_min, grid.r_max) == (grid.points[0], grid.points[-1])
         assert type(grid.r_min) is float and type(grid.r_max) is float
@@ -211,23 +245,24 @@ class TestRadialGrid:
                                               r"r_min = 0\.001 at omega-l = 1\.0, "
                                               r"k = 100000\.0, m = 0$"):
             RadialGrid.for_params(ModelParams(1, 1e5, 0))
-        with pytest.raises(DomainError, match="<= r_min = 10.0 at"):
-            RadialGrid.for_params(ModelParams(1, 1, 0), r_min=10.0)
+        with pytest.raises(DomainError, match=r"<= r_min = 0\.001 at omega-l = 60000000\.0, "):
+            RadialGrid.for_params(ModelParams(6e7, 0.0, 0))
 
     def test_a_cutoff_within_ulps_of_r_min_is_a_domain_error(self):
-        # r_max is 6.652752924591982, one ulp above this r_min: 4096 radii
+        # r_max is 0.0010000000000000002, one ulp above r_min: 4096 radii
         # between them repeat, which the grid's own check calls a usage error.
-        params = ModelParams(1, 1, 0)
-        with pytest.raises(DomainError, match=r"^r_min = 6\.652752924591981 and "
-                                              r"r_max = 6\.652752924591982 are too "
+        with pytest.raises(DomainError, match=r"^r_min = 0\.001 and "
+                                              r"r_max = 0\.0010000000000000002 are too "
                                               r"close for n = 4096 distinct radii at "
-                                              r"omega-l = 1\.0, k = 1\.0, m = 0$"):
-            RadialGrid.for_params(params, r_min=6.652752924591981)
+                                              r"omega-l = 57564627\.324851125, k = 0\.0, "
+                                              r"m = 0$"):
+            RadialGrid.for_params(ModelParams(57564627.324851125, 0.0, 0))
+        # r_max is 0.0010000000000000005, two ulps above r_min.
         with pytest.raises(DomainError, match="too close for n = 64 distinct"):
-            RadialGrid.for_params(params, n=64, r_min=6.65275292459198)
+            RadialGrid.for_params(ModelParams(57564627.3248511, 0.0, 0), n=64)
         with pytest.raises(GridError, match="strictly increasing"):
-            RadialGrid(np.linspace(6.652752924591981, 6.652752924591982, 4096))
-        grid = RadialGrid.for_params(params, r_min=6.6527)
+            RadialGrid(np.linspace(0.001, 0.0010000000000000002, 4096))
+        grid = RadialGrid.for_params(ModelParams(57000000.0, 0.0, 0))
         assert len(grid) == 4096 and np.all(np.diff(grid.points) > 0)
 
     def test_a_peak_that_rounds_to_zero_is_a_domain_error(self):

@@ -212,26 +212,43 @@ def ref_norm_constant(params, poly):
     return 1.0 / math.sqrt(total)
 
 
+def ref_ldexp(x, e):
+    """x * 2**e, inf of x's sign where that overflows."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.copysign(math.inf, x)
+
+
 def ref_norm_outcome(params, poly):
     """The per-state norm constant, or the type and text of what the
-    per-state ``l2_norm_constant`` raised."""
+    per-state ``l2_norm_constant`` raised.  The values P * envelope are
+    scaled by 2**-e, e the exponent of their largest magnitude, before they
+    are squared, and the constant by 2**-e after."""
     coeffs = [float(c) for c in poly]
+    exponent = []
 
     def integrand(r):
         base = ref_state_values(coeffs, r) * ref_envelope(params, r)
+        exponent.append(math.frexp(float(np.max(np.abs(base))))[1])
+        base = np.ldexp(base, -exponent[0])
         return base * base * r
 
-    with np.errstate(over="ignore", invalid="ignore"):
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         total = gauss_integrate(integrand, 0.0, envelope_r_max(params), n=256)
+    e = exponent[0]
     if 0.0 < total < math.inf:
-        return 1.0 / math.sqrt(total)
+        constant = ref_ldexp(1.0 / math.sqrt(total), -e)
+        if 0.0 < constant < math.inf:
+            return constant
     if not any(coeffs):
         return ValueError, "polynomial factor gives zero norm"
-    cause = "the envelope underflows" if total == 0.0 else "the state overflows"
+    integral = ref_ldexp(total, 2 * e)
+    cause = "the envelope underflows" if integral == 0.0 else "the state overflows"
     return DomainError, (
         f"{cause} double precision at omega-l = {float(params.omega_l)!r}, "
         f"k = {float(params.k)!r}, m = {params.m}: its norm integral is "
-        f"{total!r}")
+        f"{integral!r}")
 
 
 def sweep_like_inputs(count, seed):
@@ -415,9 +432,9 @@ class TestOnePassPerState:
                     assert state.norm_constant == ref_norm_outcome(params, state.poly)
 
     def test_series_raises_what_the_first_failing_state_raised(self, solved):
-        # At this input the norm of one of the states overflows; the states
-        # before it are normalised, and the error names the overflow.
-        level, m, omega_l, k = 184, 2, 0.8202921792095698, 2.6954949851996086
+        # At this input the 23rd state's P * envelope is not finite; the
+        # states before it are normalised, and the error names the overflow.
+        level, m, omega_l, k = 120, 220, 1.0, 1.0
         params = ModelParams(omega_l, k, m)
         constraint = constraint_polynomial(level, m, omega_l, k)
         roots, _ = real_roots([float(c) for c in constraint.coeffs])
@@ -427,6 +444,7 @@ class TestOnePassPerState:
                     for z in roots]
         failing = [o for o in outcomes if isinstance(o, tuple)]
         assert failing and failing[0][0] is DomainError
+        assert outcomes.index(failing[0]) == 22
         with pytest.raises(DomainError) as caught:
             solve_series_states(level, m, omega_l, k)
         assert type(caught.value) is failing[0][0]
@@ -471,7 +489,7 @@ class TestOnePassPerState:
     @pytest.mark.parametrize("order", [(0, 1, 2), (0, 2, 1), (1, 2, 0)])
     def test_batch_raises_for_the_first_failing_row(self, order):
         params = ModelParams(1.0, 1.0, 0)
-        rows = [(1.0, -0.5), (1.0, 1e300, 1e300), (0.0, 0.0)]
+        rows = [(1.0, -0.5), (1.0, 1e308, 1e308), (0.0, 0.0)]
         ordered = [rows[i] for i in order]
         expected = next(o for o in (ref_norm_outcome(params, r) for r in ordered)
                         if isinstance(o, tuple))

@@ -215,6 +215,16 @@ def test_a_bool_j_is_rejected_by_name(j, call):
     assert str(caught.value) == f"j must be a non-negative half-integer, got {j!r}"
 
 
+def test_bands_stay_in_doubles_at_the_largest_m():
+    # n (2|m| + n) passes 2**63 from n = 512 at |m| = 2**53; int64 would
+    # wrap it to the wrong sign.
+    matrix = build_qes_matrix(Fraction(1000), 2**53, 1.0, 1.0)
+    upper = matrix.bands[1]
+    exact = [Fraction(-(n * (2 * 2**53 + n)), 2) for n in range(1, matrix.dim)]
+    assert np.all(upper < 0)
+    assert max(abs(Fraction(u) - e) / abs(e) for u, e in zip(upper.tolist(), exact)) < 1e-15
+
+
 class TestCharacteristicPolynomialReference:
     def test_random_tridiagonal_matches_sympy(self):
         rng = np.random.default_rng(11)
