@@ -246,53 +246,54 @@ def monic(coeffs):
     return tuple(c / lead for c in coeffs)
 
 
-def newton_polish(coeffs, root: float) -> float:
-    """Three guarded Newton steps on a polynomial with float coefficients.
+def newton_polish(coeffs, roots) -> np.ndarray:
+    """Three guarded Newton steps on a polynomial with float coefficients,
+    from each of ``roots`` at once, as a float array.
 
-    Returns a Python float even when the coefficients are numpy scalars.
+    Each root gets the operations, in the order, of the steps taken from it
+    alone, Horner's rule on the root as a Python float included, and keeps
+    the value it has when it first meets a guard: a derivative that is 0
+    or not finite, or a step that is not finite or above a tenth of
+    ``max(1, |root|)``.
     """
-    z = float(root)
-    scale = max(1.0, abs(z))
-    # A non-finite value or step ends the loop, so numpy need not warn.
-    with np.errstate(over="ignore", invalid="ignore"):
-        der = polyder(coeffs)
+    z = np.array(roots, dtype=float)
+    # A step within a finite tenth is finite; dp = 0 gives an infinite step,
+    # and a root that is not finite a NaN dp (its Horner sum starts 0 * z).
+    tenth = 0.1 * np.fmax(1.0, np.abs(z))
+    der = polyder(coeffs)
+    going = np.ones(z.size, dtype=bool)
+    # A non-finite value or step stops its root, so numpy need not warn.
+    with np.errstate(all="ignore"):
         for _ in range(3):
-            dp = polyval(der, z)
-            if dp == 0.0 or not np.isfinite(dp):
-                break
-            step = polyval(coeffs, z) / dp
-            if not np.isfinite(step) or abs(step) > 0.1 * scale:
-                break
-            z -= step
-    return float(z)
+            dp, value = 0 * z, 0 * z
+            for c in reversed(der):
+                dp *= z
+                dp += c
+            for c in reversed(coeffs):
+                value *= z
+                value += c
+            going &= np.isfinite(dp)
+            step = np.divide(value, dp, out=value)
+            going &= np.abs(step) <= tenth
+            np.subtract(z, step, out=z, where=going)
+    return z
 
 
-#: The largest |imag| / max(1, max |value|) of an eigenvalue or root taken as real.
+#: The largest |imag| / max(1, max |value|) of a root taken as real.
 MAX_IMAG = 1e-9
-
-
-def imaginary(values: np.ndarray):
-    """Which ``values`` have an imaginary part above :data:`MAX_IMAG` times
-    the spectral scale, and the scale: the complex filter of both routes."""
-    scale = max(1.0, float(np.max(np.abs(values))))
-    return np.abs(values.imag) > MAX_IMAG * scale, scale
 
 
 def real_roots(coeffs):
     """Real roots of a float-coefficient polynomial, ascending, by the
-    companion matrix (numpy.roots) and Newton polishing; and the roots that
-    :func:`imaginary` excludes as complex, as Python complex numbers."""
+    companion matrix (numpy.roots) and Newton polishing; and the roots whose
+    imaginary part is above :data:`MAX_IMAG` times the spectral scale,
+    excluded as complex, as Python complex numbers."""
     cs = [float(c) for c in coeffs]
     while cs and cs[-1] == 0.0:
         cs.pop()
     if len(cs) < 2:
         return [], []
     raw = np.roots(cs[::-1])
-    roots, excluded = [], []
-    for z, complex_ in zip(raw, imaginary(raw)[0]):
-        if complex_:
-            excluded.append(complex(z))
-        else:
-            roots.append(newton_polish(cs, float(z.real)))
-    roots.sort()
-    return roots, excluded
+    complex_ = np.abs(raw.imag) > MAX_IMAG * max(1.0, float(np.max(np.abs(raw))))
+    return (sorted(newton_polish(cs, raw.real[~complex_]).tolist()),
+            [complex(z) for z in raw[complex_]])

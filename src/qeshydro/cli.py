@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__, sl2
 from ._polyops import allocated, coerce_couplings
-from .model import DomainError, ModelParams, QesState, RadialGrid
+from .model import DomainError, ModelParams, QesState, RadialGrid, l2_norm_constant
 from .series import NoGroundStateError
 from .sextic import (MAX_SEXTIC_RESIDUAL, _rho_range, sextic_residual,
                      sextic_wavefunction, to_sextic)
@@ -265,9 +265,15 @@ def _rows(omega_l, k, m, level):
     and the solve's notes.  A row holds the set's omega_l, k and m, the
     state's root_index and ``to_dict()`` values, its report's max_residual,
     norm_error and node_count, also as the dictionary "verification", and
-    the state and report themselves as "state" and "report"."""
+    the state and report themselves as "state" and "report".
+
+    What the couplings alone rule out is raised before what the level
+    does: first an envelope whose own norm is not a finite double, then a
+    grid that cannot be built, and only then the solve's errors."""
+    params = ModelParams(omega_l, k, m)
+    l2_norm_constant(params, (1.0,))
+    grid = RadialGrid.for_params(params)
     states = sl2.solve_admissible_z(0.5 * (level - 1), m, omega_l, k)
-    grid = RadialGrid.for_params(ModelParams(omega_l, k, m))
     rows = []
     for index, state in enumerate(states):
         report = verify_state(state, grid=grid)

@@ -182,8 +182,8 @@ class QesState:
 class Level(list):
     """A solver's result for one level: its states, ascending in strength,
     as a list, and ``notes``, a tuple of strings naming what the solve
-    dropped or doubted (complex eigenvalues or roots, vanishing pivots,
-    eigenvector defects), in the order the solve met them."""
+    dropped or doubted (complex roots, eigenvector defects), in the order
+    the solve met them."""
 
     def __init__(self, states=(), notes=()):
         super().__init__(states)
@@ -563,7 +563,7 @@ def l2_norm_constants(params: ModelParams, polys) -> list[float]:
         integrands = acc * acc
         integrands *= nodes
         integrands *= w
-        totals = np.array([float(half * np.sum(row)) for row in integrands])
+        totals = half * integrands.sum(axis=1)
         integrals = np.ldexp(totals, 2 * exponents).tolist()
         constants = np.ldexp(1.0 / np.sqrt(totals), -exponents).tolist()
     for poly, integral, constant in zip(polys, integrals, constants):

@@ -176,14 +176,23 @@ def _exact_constraint(level: int, m: int, omega: Fraction, k: Fraction):
                  for e, c in enumerate(alpha))
 
 
-def _regenerate(terms, z: float) -> list[float]:
-    """Float coefficients a_0 .. a_{level+1} at one strength z from the
-    level's float recurrence ``terms`` (steps 0 .. level): the polynomial
-    factor and the two tail terms that must vanish."""
-    coeffs = [1.0]
-    for n, (e_term, b_term, denom) in enumerate(terms):
-        a_prev = coeffs[n - 1] if n >= 1 else 0.0
-        coeffs.append((e_term * a_prev + (b_term - z) * coeffs[n]) / denom)
+def _regenerate(terms, roots) -> np.ndarray:
+    """Float coefficients a_0 .. a_{level+1} at each of ``roots`` from the
+    level's float recurrence ``terms`` (steps 0 .. level), one column per
+    root: the polynomial factor and the two tail terms that must vanish.
+    Each column gets the operations, in the order, of the recurrence run
+    on its root as a Python float."""
+    z = np.asarray(roots, dtype=float)
+    coeffs = np.empty((len(terms) + 1, z.size))
+    coeffs[0] = 1.0
+    shifts = np.array([b_term for _, b_term, _ in terms])[:, None] - z
+    # A coefficient that overflows fails the tail test, so numpy need not warn.
+    with np.errstate(all="ignore"):
+        for n, (e_term, _, denom) in enumerate(terms):
+            row = coeffs[n + 1]
+            np.multiply(shifts[n], coeffs[n], out=row)
+            row += e_term * (coeffs[n - 1] if n >= 1 else np.zeros(z.size))
+            row /= denom
     return coeffs
 
 
@@ -199,8 +208,9 @@ def solve_series_states(level: int, m: int, omega_l, k) -> Level:
     Newton polish on its float-rounded coefficients; each complex root
     :func:`real_roots` excludes gets a note.  For each root the recurrence
     is re-run numerically and the coefficients past the degree are checked
-    to vanish, to :data:`MAX_TAIL`: the first that does not raises
-    RuntimeError, with the notes as its ``__notes__`` (PEP 678).
+    to vanish, to :data:`MAX_TAIL`, every root at once: the first that
+    does not raises RuntimeError, with the notes as its ``__notes__``
+    (PEP 678).
     """
     constraint = constraint_polynomial(level, m, omega_l, k)
     roots, excluded = real_roots([float(c) for c in constraint.coeffs])
@@ -212,21 +222,21 @@ def solve_series_states(level: int, m: int, omega_l, k) -> Level:
     params = ModelParams(float(omega_l), float(k), int(m))
     terms = [_terms(n, m, float(omega_l), float(k), energy)
              for n in range(level + 1)]
-    polys = []
-    unterminated = None
-    for z in roots:
-        coeffs = _regenerate(terms, z)
-        scale = max(1.0, max(abs(c) for c in coeffs[:level]))
-        tail = max(abs(coeffs[level]), abs(coeffs[level + 1]))
-        if tail > MAX_TAIL * scale:
-            unterminated = z, tail
-            break
-        polys.append(tuple(coeffs[:level]))
+    coeffs = _regenerate(terms, roots)
+    # The tail test of each root as on Python floats, whose max keeps its
+    # first argument over a NaN: a_0 = 1 makes every scale a number.
+    scale = np.fmax.reduce(np.abs(coeffs[:level]), axis=0, initial=1.0)
+    last, after = np.abs(coeffs[level]), np.abs(coeffs[level + 1])
+    bound = MAX_TAIL * scale
+    failing = np.flatnonzero((last > bound) | (~np.isnan(last) & (after > bound)))
+    count = failing[0] if failing.size else len(roots)
+    polys = [tuple(poly) for poly in coeffs[:level, :count].T.tolist()]
     # The states below the first unterminated root are normalised first, so
     # a norm failure among them is raised ahead of it.
     states = model.level_states(params, level, energy, roots, polys, notes)
-    if unterminated is not None:
-        raise _unterminated(level, *unterminated, notes)
+    if failing.size:
+        tail = float(np.fmax(last[count], after[count]))
+        raise _unterminated(level, roots[count], tail, notes)
     return states
 
 

@@ -10,8 +10,12 @@ it is tridiagonal (Turbiner, Commun. Math. Phys. 118 (1988) 467), so a
     M[n-1, n]   = -n (|m| + n/2)
     M[n+1, n]   = -omega_l (2j - n)
 
-The admissible strengths are exactly its eigenvalues, as a dense
-eigensolver returns them from :meth:`QesMatrix.as_array`.  Its exact
+The paired off-diagonals multiply to a positive number, so a diagonal
+similarity makes it a real symmetric tridiagonal (Jacobi) matrix: its
+eigenvalues, the admissible strengths, are real and simple, and
+``eigvalsh`` returns them from :meth:`QesMatrix.as_array`'s Jacobi form.
+The eigenvectors come from the bands themselves, by a twisted
+factorisation in O(n^2) for all n of them.  Its exact
 characteristic polynomial (the series constraint, up to normalisation) is
 the three-term continuant of the bands, O(n^2) operations on Python
 integers over one common denominator.
@@ -28,7 +32,7 @@ import numpy as np
 
 from . import model
 from ._polyops import (allocated, as_half_integer, check_m,
-                       coerce_couplings, imaginary, is_exact, kept)
+                       coerce_couplings, is_exact, kept)
 from .model import Level, ModelParams
 
 __all__ = [
@@ -79,13 +83,22 @@ class QesMatrix:
                 -(n[1:] * (2.0 * am + n[1:])) / 2,
                 -omega * n[:0:-1])
 
-    def as_array(self) -> np.ndarray:
+    def as_array(self, jacobi: bool = False) -> np.ndarray:
         """The dense dim x dim float matrix, the one place that takes dim**2
-        values; DomainError when it cannot be allocated."""
+        values; DomainError when it cannot be allocated.  With ``jacobi``,
+        the upper triangle of its Jacobi form: the real symmetric
+        tridiagonal matrix a diagonal similarity makes of it, as
+        M[n-1, n] M[n, n-1] > 0, with the diagonal and the off-diagonal
+        -sqrt(-M[n-1, n]) sqrt(-M[n, n-1]), whose factors cannot overflow
+        where their product could."""
         dim = self.dim
         a = allocated(lambda: np.zeros((dim, dim)),
                       f"level {dim} needs a {dim} x {dim} matrix of doubles", dim * dim)
-        for start, band in zip((0, 1, dim), self.bands):
+        bands = self.bands
+        if jacobi:
+            diag, upper, lower = (np.asarray(band, dtype=float) for band in bands)
+            bands = diag, -(np.sqrt(-upper) * np.sqrt(-lower))
+        for start, band in zip((0, 1, dim), bands):
             a.reshape(-1)[start::dim + 1] = band
         return a
 
@@ -154,16 +167,17 @@ _last_solve = None
 
 
 def solve_admissible_z(j, m: int, omega_l, k) -> Level:
-    """Diagonalize the finite matrix and return the level's real-eigenvalue
-    states as a :class:`model.Level`.
+    """Diagonalize the finite matrix and return the level's states as a
+    :class:`model.Level`.
 
-    The strengths are a dense eigensolver's eigenvalues as it returns them,
-    sorted ascending: Newton steps on the ill-conditioned monomial
-    characteristic polynomial would only move them off.  Eigenvalues that
-    ``_polyops.imaginary`` finds complex are excluded, each with a note.
-    Eigenvectors are rescaled so the constant coefficient is one, and a
-    defect above :data:`MAX_DEFECT` is noted.  Every state carries the
-    level's energy, :func:`model.level_energy`.
+    The strengths are the eigenvalues, ascending, of the matrix's Jacobi
+    form (:meth:`QesMatrix.as_array`): all ``2j + 1`` of them, real and
+    simple.  Each state's coefficients are the monomial matrix's
+    eigenvector with constant coefficient one, built from the bands by
+    :func:`_coefficients`, and a defect above :data:`MAX_DEFECT` is noted.
+    Every state carries the level's energy, :func:`model.level_energy`.
+    Eigenvalues that do not converge, or a coefficient vector that is not
+    finite in doubles, are a DomainError naming the level and couplings.
 
     The most recent solve is kept in one slot, keyed by the coerced inputs:
     j, m, whether the couplings are exact, omega_l, and k with the sign of
@@ -179,51 +193,86 @@ def solve_admissible_z(j, m: int, omega_l, k) -> Level:
 
 
 def _solve(jf: Fraction, m: int, omega, kk) -> Level:
-    """The Level of :func:`solve_admissible_z` for coerced inputs.  The
-    eigenvectors of the eigenvalues that pass ``imaginary`` are scaled as
-    one array; a defect above :data:`MAX_DEFECT` is noted with the last
-    digits of the one matrix product giving all."""
-    a = QesMatrix(jf, m, omega, kk).as_array()
-    eigvals, eigvecs = np.linalg.eig(a)
-    excluded, scale = imaginary(eigvals)
-    level = len(a)
-    energy = float(model.level_energy(level, m, omega, kk))
+    """The Level of :func:`solve_admissible_z` for coerced inputs: the
+    strengths by ``eigvalsh``, then every strength's coefficients and
+    defect as one array."""
+    matrix = QesMatrix(jf, m, omega, kk)
+    level = matrix.dim
     params = ModelParams(float(omega), float(kk), m)
+    try:
+        strengths = np.linalg.eigvalsh(matrix.as_array(jacobi=True), UPLO="U")
+    except np.linalg.LinAlgError:
+        raise model._scale_error(params, f"the eigenvalues of level {level} "
+                                         f"do not converge") from None
+    diag, upper, lower = (np.asarray(band, dtype=float) for band in matrix.bands)
+    scale = max(1.0, -strengths[0], strengths[-1])
+    # A vector that is not finite is raised, and a defect that overflows
+    # is noted, so numpy need not warn.
+    with np.errstate(all="ignore"):
+        vecs, shifted = _coefficients(diag, upper, lower, strengths, scale)
+        peaks = np.abs(vecs).max(axis=0)
+        if not np.isfinite(peaks).all():
+            raise model._scale_error(params, f"a coefficient vector of level "
+                                             f"{level} overflows double precision")
+        # |(M - z) v| from the bands, every column at once.
+        residual = shifted * vecs
+        residual[:-1] += upper[:, None] * vecs[1:]
+        residual[1:] += lower[:, None] * vecs[:-1]
+        defects = np.abs(residual, out=residual).max(axis=0)
+        defective = np.flatnonzero(defects > MAX_DEFECT * scale * peaks)
+    notes = [f"eigenvector consistency defect {float(defects[c]):.3e} "
+             f"at z={float(strengths[c])!r}" for c in defective]
+    energy = float(model.level_energy(level, m, omega, kk))
+    return model.level_states(params, level, energy, strengths.tolist(),
+                              [tuple(vec) for vec in vecs.T.tolist()], notes)
 
-    # The accepted eigenvectors as the columns of one array, each given the
-    # operations of a column alone; one matrix product gives the defects.
-    cols = np.flatnonzero(~excluded)
-    strengths = eigvals.real[cols]
-    vecs = eigvecs.real[:, cols]
-    peaks = np.max(np.abs(vecs), axis=0)
-    pivots = vecs[0].copy()
-    vanishing = ~(np.abs(pivots) > 1e-12 * peaks)
-    for c in np.flatnonzero(vanishing):
-        pivots[c] = vecs[np.flatnonzero(np.abs(vecs[:, c]) > 1e-12 * peaks[c])[0], c]
-    vecs /= pivots
-    defects = np.max(np.abs(a @ vecs - vecs * strengths), axis=0)
-    # Rounding is monotone, so peak / |pivot| is max |vec| after the division.
-    defective = defects > MAX_DEFECT * scale * (peaks / np.abs(pivots))
 
-    notes: list[str] = []
-    flagged = excluded.copy()
-    flagged[cols] = vanishing | defective
-    for idx in np.flatnonzero(flagged):
-        if excluded[idx]:
-            notes.append(f"excluded complex eigenvalue "
-                         f"{complex(eigvals[idx])!r} at j={jf}, m={m}")
-            continue
-        c = idx - np.count_nonzero(excluded[:idx])
-        z = float(strengths[c])
-        if vanishing[c]:
-            notes.append(f"eigenvector with vanishing constant term at "
-                         f"z={z!r}; scaled leading coefficient instead")
-        if defective[c]:
-            notes.append(f"eigenvector consistency defect "
-                         f"{float(defects[c]):.3e} at z={z!r}")
-    if not cols.size:
-        notes.append(f"no real eigenvalues at j={jf}, m={m}")
+def _coefficients(diag, upper, lower, strengths, scale):
+    """The monomial matrix's eigenvectors at the ascending ``strengths``, as
+    the columns of one array whose first row is 1, and ``d - z`` per
+    column; ``scale`` is max(1, max |z|).
 
-    order = np.argsort(strengths, kind="stable")
-    return model.level_states(params, level, energy, strengths[order].tolist(),
-                              [tuple(vec) for vec in vecs.T[order].tolist()], notes)
+    The twisted factorisation of M - z (Parlett & Dhillon, Linear Algebra
+    Appl. 267 (1997) 247) in ratios of the coefficients: from the top,
+    rho_n = a_{n+1}/a_n = B_n + C_n/rho_{n-1} with B_n = -(d_n - z)/M[n, n+1]
+    and C_n = -M[n, n-1]/M[n, n+1]; from the bottom, tau_n = a_{n-1}/a_n,
+    likewise with M[n, n-1] and M[n, n+1] swapped.  Both run in one loop.
+    Row k of (M - z) v over a_k, with top ratios below k and bottom ones
+    above, is gamma_k = 1/[(M - z)^-1]_kk, which the similarity keeps, so
+    the twist at the smallest |gamma_k| is where the Jacobi form's
+    eigenvector peaks.  A column's coefficients are the running product
+    from a_0 = 1 of the top ratios up to its twist and the bottom ones
+    after it, so they overflow only where a coefficient does.  Each column
+    gets the operations, in the order, of the recurrence run on it alone.
+
+    A strength equal to a diagonal entry (0 is one at k = 0 on an odd
+    level) would give a zero ratio and then an infinite one, whose product
+    is NaN: that entry of d - z is moved to 2**-104 (eps**2) times
+    ``scale``, far below the rounding of any other.
+    """
+    level, count = diag.size, strengths.size
+    shifted = diag[:, None] - strengths
+    vecs = np.empty((level, count))
+    vecs[0] = 1.0
+    if level == 1:
+        return vecs, shifted
+    shifted[shifted == 0.0] = scale * 2.0**-104
+    # Row i holds rho_i, then tau_{level-1-i}: B_i and B'_{level-1-i} first.
+    ratios = np.empty((level - 1, 2 * count))
+    top, bottom = ratios[:, :count], ratios[::-1, count:]
+    np.divide(shifted[:-1], -upper[:, None], out=top)
+    np.divide(shifted[1:], -lower[:, None], out=bottom)
+    steps = np.empty((level - 2, 2 * count))
+    steps[:, :count] = (-lower[:-1] / upper[1:])[:, None]
+    steps[:, count:] = (-upper[:0:-1] / lower[-2::-1])[:, None]
+    for c, row, prev in zip(steps, ratios[1:], ratios):
+        np.divide(c, prev, out=c)
+        row += c
+    gamma = shifted.copy()
+    gamma[1:] += lower[:, None] / top
+    gamma[:-1] += upper[:, None] / bottom
+    twist = np.argmin(np.abs(gamma), axis=0)
+    np.reciprocal(bottom, out=bottom)
+    np.copyto(bottom, top, where=np.arange(1, level)[:, None] <= twist)
+    np.cumprod(bottom, axis=0, out=vecs[1:])
+    return vecs, shifted

@@ -11,7 +11,10 @@ dense rows of a matrix's bands, ``energy_x`` of
 recurrences, ``gauss_integrate`` integrates one state at a time where
 the library integrates a level's states in one pass, ``_simpson`` is the
 composite Simpson rule whose weights verification folds into one vector,
-and ``fd_sextic_residual`` grades the sextic map by a finite-difference
+``sturm_counts`` counts a matrix's eigenvalues below a point exactly, with
+no eigensolver, so ``isolation_failures`` grades solved strengths
+independently of the ``eigvalsh`` the solver and the benchmark's reference
+share, and ``fd_sextic_residual`` grades the sextic map by a finite-difference
 residual on a rho grid, where the library checks it as an exact
 polynomial identity.
 """
@@ -212,6 +215,59 @@ def band_rows(bands) -> list[list]:
         if i:
             rows[i - 1][i], rows[i][i - 1] = upper[i - 1], lower[i - 1]
     return rows
+
+
+def sturm_counts(bands, points) -> list[int]:
+    """For each double in ``points``, the exact number of eigenvalues at or
+    below it of the tridiagonal matrix with bands ``(diag, upper, lower)``
+    (as ``band_rows``), whose paired off-diagonals c_i = M[i-1][i] M[i][i-1]
+    are positive; float bands are taken as the rationals they hold.
+
+    The leading minors of M - x, q_0 = 1 and
+    q_{i+1} = (d_i - x) q_i - c_i q_{i-1}, change sign once for each
+    eigenvalue below x (Sylvester's inertia of the Jacobi form, whose
+    pivots are q_{i+1}/q_i).  They run on integers, as ``sl2._continuant``
+    runs the characteristic polynomial: with ``den`` the lcm of the
+    denominators of every d_i, c_i and point, U_i = den d_i,
+    G_i = den**2 c_i and W = den x give den**i q_i.  A zero minor takes
+    the sign opposite to the one before it, the pivot -0 of an
+    eigenvalue at x, so a point on an eigenvalue counts it.  No
+    eigensolver is called.
+    """
+    diag, upper, lower = (tuple(Fraction(v) for v in band) for band in bands)
+    couple = [u * w for u, w in zip(upper, lower)]
+    xs = [Fraction(x) for x in points]
+    den = math.lcm(*(v.denominator for v in (*diag, *couple, *xs)))
+    u = [int(d * den) for d in diag]
+    g = [0] + [int(c * den * den) for c in couple]
+    counts = []
+    for x in xs:
+        w = int(x * den)
+        prev, cur, sign, changes = 0, 1, 1, 0
+        for i in range(len(u)):
+            prev, cur = cur, (u[i] - w) * cur - g[i] * prev
+            new_sign = (cur > 0) - (cur < 0) or -sign
+            changes += new_sign != sign
+            sign = new_sign
+        counts.append(changes)
+    return counts
+
+
+def isolation_failures(bands, strengths, rtol: float = 1e-9) -> list[str]:
+    """The ascending ``strengths`` of the matrix with ``bands`` that exact
+    :func:`sturm_counts` do not isolate: the i-th (from 0) must be the one
+    eigenvalue in (z - tol, z + tol], tol = ``rtol`` max(1, max |z|), so the
+    counts at z - tol and z + tol, rounded to doubles, must be i and i + 1.
+    A missing or extra strength is a failure too."""
+    level = len(bands[0])
+    if len(strengths) != level:
+        return [f"{len(strengths)} strengths at level {level}"]
+    tol = rtol * max([1.0, *(abs(z) for z in strengths)])
+    points = [p for z in strengths for p in (z - tol, z + tol)]
+    counts = sturm_counts(bands, points)
+    return [f"strength {i}, z = {z!r}: counts {counts[2 * i]} and {counts[2 * i + 1]}"
+            for i, z in enumerate(strengths)
+            if (counts[2 * i], counts[2 * i + 1]) != (i, i + 1)]
 
 
 @dataclass(frozen=True)

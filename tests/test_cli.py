@@ -11,6 +11,7 @@ import pytest
 from qeshydro import (ModelParams, RadialGrid, _polyops, cli, rho_grid_for, sl2,
                       to_sextic, verify_state)
 from qeshydro.cli import main, solution_from_json
+from qeshydro.model import DomainError, Level
 from qeshydro.sextic import MAX_SEXTIC_RESIDUAL
 
 
@@ -385,8 +386,9 @@ class TestExport:
 class TestVerificationExit:
     @pytest.mark.parametrize("command", ["solve", "map-sextic", "export"])
     def test_failed_cross_validation_exits_4(self, command, capsys):
+        # The routes' coefficients differ here by 7e-9, above MAX_ROUTE_DELTA.
         code, out, _ = run_main(
-            [command, "--omega-l", "1e6", "--k", "1", "--m", "0", "--level", "3"],
+            [command, "--omega-l", "0.28", "--k", "2.1", "--m", "-1", "--level", "7"],
             capsys)
         assert code == 4
         assert "cross-validation FAILED" in json.loads(out)["diagnostics"]
@@ -411,44 +413,71 @@ class TestVerificationExit:
 
 
 class TestCompleteness:
-    def test_incomplete_level_exits_4(self, capsys):
+    """The Jacobi core returns every strength of a level; the CLI still
+    counts them, and a level the solver left short exits 4."""
+
+    @pytest.fixture
+    def drops_one(self, empty_slots, monkeypatch):
+        """The solver with the highest state of every level dropped."""
+        original = sl2._solve
+
+        def short(*args):
+            level = original(*args)
+            return Level(level[:-1], level.notes)
+
+        monkeypatch.setattr(sl2, "_solve", short)
+
+    @pytest.mark.parametrize("level", [200, 100, 76])
+    def test_every_strength_comes_back_at_depth(self, level, capsys):
+        # Dense eig returned 136, 94 and 74 of these, dropping complex pairs.
+        code, out, _ = run_main(
+            ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level",
+             str(level)], capsys)
+        assert code == 0
+        payload = json.loads(out)
+        assert len(payload["states"]) == level
+        assert payload["diagnostics"] == [
+            "cross-validation skipped: level above the desk-scale cap"]
+
+    def test_incomplete_level_exits_4(self, drops_one, capsys):
         code, out, _ = run_main(
             ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "200"],
             capsys)
         assert code == 4
         payload = json.loads(out)
-        assert len(payload["states"]) == 136
-        assert "incomplete level: 136 of 200 strengths" in payload["diagnostics"]
+        assert len(payload["states"]) == 199
+        assert "incomplete level: 199 of 200 strengths" in payload["diagnostics"]
 
     def test_complex_eigenvalues_are_never_strengths(self, capsys):
-        # Six eigenvalues at this level are complex pairs; their real parts
-        # are not strengths, and no option can let them through.
+        # The Jacobi form's eigenvalues are real: all 100 come back, each
+        # the solver's, and none is noted as complex.
         code, out, _ = run_main(
             ["solve", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "100"],
             capsys)
-        assert code == 4
+        assert code == 0
         payload = json.loads(out)
-        assert "incomplete level: 94 of 100 strengths" in payload["diagnostics"]
-        assert sum(d.startswith("excluded complex eigenvalue")
-                   for d in payload["diagnostics"]) == 6
+        assert not any("complex" in d for d in payload["diagnostics"])
         states = sl2.solve_admissible_z(49.5, 0, 1.0, 1.0)
         assert [s["z"] for s in payload["states"]] == [s.z for s in states]
+        assert len(states) == 100
 
-    def test_verify_fails_an_incomplete_level(self, capsys):
+    def test_verify_fails_an_incomplete_level(self, drops_one, capsys):
         code, out, _ = run_main(
             ["verify", "--omega-l", "1", "--k", "1", "--m", "0", "--level", "76"],
             capsys)
         payload = json.loads(out)
         assert code == 4 and payload["passed"] is False
-        assert "incomplete level: 74 of 76 strengths" in payload["diagnostics"]
+        assert "incomplete level: 75 of 76 strengths" in payload["diagnostics"]
 
-    def test_scan_with_an_incomplete_set_exits_4(self, capsys):
+    def test_scan_with_an_incomplete_set_exits_4(self, drops_one, capsys):
         code, out, err = run_main(
             ["scan", "--omega-l-list", "1", "--k-list", "1", "--m", "0",
              "--level-list", "2,76"], capsys)
         assert code == 4
-        assert len(out.strip().splitlines()) == 1 + 2 + 74
-        assert err == ("error: incomplete level: 74 of 76 strengths at "
+        assert len(out.strip().splitlines()) == 1 + 1 + 75
+        assert err == ("error: incomplete level: 1 of 2 strengths at "
+                       "omega_l=1.0 k=1.0 m=0 level=2\n"
+                       "error: incomplete level: 75 of 76 strengths at "
                        "omega_l=1.0 k=1.0 m=0 level=76\n")
 
 
@@ -713,6 +742,33 @@ class TestScaleFailures:
         assert err == message
         assert "strictly increasing" not in err
         assert "math domain error" not in err
+
+
+class TestCouplingsBeforeTheLevel:
+    """At these inputs every state's monomial coefficients overflow, and the
+    couplings also rule the level out: the CLI names the couplings' cause,
+    the library solver the level's."""
+
+    @pytest.mark.parametrize("couplings,level,message", [
+        (["--omega-l", "1", "--k", "1e7", "--m", "0"], "53",
+         "error: the envelope decays before the grid starts: r_max = "
+         "2.8782313662421425e-06 <= r_min = 0.001 at omega-l = 1.0, "
+         "k = 10000000.0, m = 0\n"),
+        (["--omega-l", "1e304", "--k", "1", "--m", "0"], "63",
+         "error: the envelope underflows double precision at omega-l = 1e+304, "
+         "k = 1.0, m = 0: its norm integral is 0.0\n"),
+    ])
+    def test_exit_3_naming_the_couplings(self, couplings, level, message, capsys):
+        code, out, err = run_main(["solve", *couplings, "--level", level], capsys)
+        assert (code, out, err) == (3, "", message)
+
+    @pytest.mark.parametrize("j,omega_l,k", [(26, 1.0, 1e7), (31, 1e304, 1.0)])
+    def test_the_solver_names_the_level(self, j, omega_l, k):
+        with pytest.raises(DomainError) as caught:
+            sl2.solve_admissible_z(j, 0, omega_l, k)
+        assert str(caught.value) == (
+            f"a coefficient vector of level {2 * j + 1} overflows double "
+            f"precision at omega-l = {omega_l!r}, k = {k!r}, m = 0")
 
 
 class TestCutoffJustAboveRMin:

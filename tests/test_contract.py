@@ -67,6 +67,9 @@ def test_library_returns_or_raises_value_error(omega_l, k, m, level):
        level=st.integers(min_value=1, max_value=80))
 @example(command="solve", omega_l=1.0, k=1.0, m=2**63 - 1, level=6)
 @example(command="scan", omega_l=1.0, k=1.0, m=10**200, level=2)
+# Every monomial coefficient vector overflows at these two levels.
+@example(command="solve", omega_l=1.0, k=1e7, m=0, level=53)
+@example(command="solve", omega_l=1e304, k=1.0, m=0, level=63)
 @with_escaped(command="solve")
 def test_cli_ends_with_a_contract_exit_code(command, omega_l, k, m, level):
     # Every command ends with a contract exit code: no exception escapes

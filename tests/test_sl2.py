@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qeshydro import (
+    DomainError,
     QesMatrix,
     _polyops,
     build_qes_matrix,
@@ -317,6 +318,34 @@ class TestSolveAdmissible:
     def test_constant_coefficient_normalized(self):
         for s in solve_admissible_z(Fraction(7, 2), -1, 2, 1):
             assert s.poly[0] == 1.0
+
+    def test_an_eigensolver_failure_is_a_domain_error(self, empty_slots,
+                                                      monkeypatch):
+        def fails(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", fails)
+        with pytest.raises(DomainError) as caught:
+            solve_admissible_z(Fraction(5, 2), -1, 0.5, 2.0)
+        assert str(caught.value) == ("the eigenvalues of level 6 do not converge "
+                                     "at omega-l = 0.5, k = 2.0, m = -1")
+
+    @pytest.mark.parametrize("level,m", [(3, 0), (9, 2), (41, -5)])
+    def test_a_strength_on_a_diagonal_entry_keeps_finite_coefficients(self, level, m):
+        # At k = 0 the diagonal is 0 and, on an odd level, so is the middle
+        # strength; the vector has zero odd coefficients and even ones from
+        # a_{n+2} = -M[n+1, n] a_n / M[n+1, n+2].  eigvalsh rarely gives
+        # 0.0 exactly, so the kernel is called with it.
+        matrix = build_qes_matrix(Fraction(level - 1, 2), m, 0.7, 0.0)
+        diag, upper, lower = matrix.bands
+        vecs, _ = sl2._coefficients(diag, upper, lower, np.array([0.0]), 1.0)
+        vec = vecs[:, 0]
+        even = [1.0]
+        for n in range(0, level - 2, 2):
+            even.append(-lower[n] * even[-1] / upper[n + 1])
+        assert np.all(np.isfinite(vec))
+        assert np.max(np.abs(vec[1::2])) <= 1e-13 * np.max(np.abs(vec))
+        assert np.allclose(vec[::2], even, rtol=1e-12, atol=0)
 
     def test_empirical_spectrum_is_real_at_desk_scale(self):
         # Reported as an observation: the off-diagonal products of the
